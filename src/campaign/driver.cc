@@ -20,7 +20,6 @@
 #include "campaign/fault_gen.hh"
 #include "fabric/http_client.hh"
 #include "fabric/result_cache.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/span.hh"
 #include "sweep/runner.hh"
@@ -707,11 +706,9 @@ runCampaign(const CampaignOptions &opts)
                "): plan of ", oc.spec.plan.plan.jobCount(),
                " jobs, faults \"", oc.spec.faultSpec, "\"");
         // Each cycle gets a fresh timeline: a failing cycle dumps
-        // exactly its own phase spans next to repro.txt.
+        // exactly its own phase spans and events next to repro.txt.
         obs::SpanRecorder::global().clear();
         obs::SpanRecorder::global().setEnabled(true);
-        obs::EventTrace::global().clear();
-        obs::EventTrace::global().setEnabled(true);
         try {
             obs::ScopedSpan cycleSpan("campaign.cycle");
             cycleSpan.attr("index", static_cast<double>(i));
@@ -743,9 +740,7 @@ runCampaign(const CampaignOptions &opts)
             std::ofstream trace(
                 (std::filesystem::path(oc.dir) / "cycle.trace.json")
                     .string());
-            trace << obs::spansToTraceJson(
-                obs::SpanRecorder::global(),
-                &obs::EventTrace::global());
+            trace << obs::spansToTraceJson(obs::SpanRecorder::global());
             warn("campaign: cycle ", i, " FAILED (repro in ",
                  oc.dir, "/repro.txt, timeline in ", oc.dir,
                  "/cycle.trace.json)");

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 
 namespace irtherm
 {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 

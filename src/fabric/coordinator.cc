@@ -19,7 +19,6 @@
 #include "fabric/fleet.hh"
 #include "fabric/lease_table.hh"
 #include "fabric/result_cache.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
@@ -224,7 +223,6 @@ runCoordinator(const sweep::SweepPlan &plan,
         return obs::HttpResponse{
             200, "application/json",
             traceStore.mergedTraceJson(obs::SpanRecorder::global(),
-                                       &obs::EventTrace::global(),
                                        traceId)};
     });
     server.route("/healthz", [] {
@@ -271,7 +269,7 @@ runCoordinator(const sweep::SweepPlan &plan,
         std::string body = "{\"token\":\"" + grant.token +
                            "\",\"trace\":\"" + wireCtx +
                            "\",\"ttl_s\":" +
-                           std::to_string(grant.ttlSeconds) +
+                           obs::jsonNumber(grant.ttlSeconds) +
                            ",\"done\":";
         body += (draining || table.allComplete()) ? "true" : "false";
         body += ",\"jobs\":[";
@@ -331,7 +329,7 @@ runCoordinator(const sweep::SweepPlan &plan,
             return jsonResponse(410, "{\"ok\":false}");
         return jsonResponse(
             200, "{\"ok\":true,\"ttl_s\":" +
-                     std::to_string(opts.leaseTtlSeconds) + "}");
+                     obs::jsonNumber(opts.leaseTtlSeconds) + "}");
     });
 
     server.route("POST", "/complete", [&](const obs::HttpRequest &req) {
@@ -505,8 +503,7 @@ runCoordinator(const sweep::SweepPlan &plan,
         if (!trace)
             fatal("fabric: cannot write ", opts.fleetTraceOut);
         trace << traceStore.mergedTraceJson(
-            obs::SpanRecorder::global(), &obs::EventTrace::global(),
-            traceId);
+            obs::SpanRecorder::global(), traceId);
         inform("fabric: fleet trace (", out.spansMerged,
                " worker spans, trace ", traceId, ") -> ",
                opts.fleetTraceOut);

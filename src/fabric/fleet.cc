@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "base/errors.hh"
@@ -16,21 +15,6 @@ namespace irtherm::fabric
 
 namespace
 {
-
-/** Shortest round-trippable decimal for a double (JSON-safe). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
-}
 
 std::uint64_t
 u64At(const sweep::JsonValue &doc, const char *key)
@@ -78,7 +62,7 @@ WorkerMetricsSnapshot::toJson() const
     out += ",\"warm_starts\":" + std::to_string(warmStarts);
     out += ",\"spans_shipped\":" + std::to_string(spansShipped);
     out += ",\"spans_dropped\":" + std::to_string(spansDropped);
-    out += ",\"cpu_s\":" + jsonNumber(cpuSeconds);
+    out += ",\"cpu_s\":" + obs::jsonNumber(cpuSeconds);
     out += "}";
     return out;
 }
@@ -211,11 +195,11 @@ FleetBoard::fleetJson(
         first = false;
         os << "\"" << obs::jsonEscape(row.name) << "\":{"
            << "\"heartbeat_age_s\":"
-           << jsonNumber(row.heartbeatAgeSeconds)
+           << obs::jsonNumber(row.heartbeatAgeSeconds)
            << ",\"heartbeats\":" << row.heartbeats
            << ",\"suspect\":" << (row.suspect ? "true" : "false")
            << ",\"flaps\":" << row.flaps
-           << ",\"jobs_per_s\":" << jsonNumber(row.jobsPerSecond)
+           << ",\"jobs_per_s\":" << obs::jsonNumber(row.jobsPerSecond)
            << ",\"leases\":{\"granted\":" << row.leases.granted
            << ",\"expired\":" << row.leases.expired
            << ",\"live\":" << row.leases.liveLeases
@@ -329,7 +313,7 @@ FleetBoard::prometheusText(
            << "# TYPE " << fam.name << " " << fam.type << "\n";
         for (const FleetWorkerRow &row : labeled) {
             os << fam.name << "{worker=\"" << promLabel(row.name)
-               << "\"} " << jsonNumber(fam.value(row)) << "\n";
+               << "\"} " << obs::jsonNumber(fam.value(row)) << "\n";
         }
     }
     return os.str();
@@ -368,10 +352,12 @@ FleetTraceStore::ingestBatch(const std::string &body,
         if (v->isNumber())
             epochDelta = v->number - coordEpochUnixSeconds;
     }
-    std::uint64_t ctxParent = 0;
+    // The granting lease's span id, kept on root records so a merged
+    // root names the lease it ran under.
+    std::string leaseSpan;
     if (const sweep::JsonValue *v = doc.find("lease_span")) {
-        if (v->isString())
-            ctxParent = obs::parseSpanIdHex(v->text);
+        if (v->isString() && obs::parseSpanIdHex(v->text) != 0)
+            leaseSpan = v->text;
     }
     if (const sweep::JsonValue *v = doc.find("dropped")) {
         if (v->isNumber() && v->number > 0) {
@@ -388,7 +374,7 @@ FleetTraceStore::ingestBatch(const std::string &body,
 
     std::size_t accepted = 0;
     std::lock_guard<std::mutex> lock(mu);
-    std::vector<RemoteSpan> &dst = spans[worker];
+    std::vector<obs::SpanRecord> &dst = spans[worker];
     for (const sweep::JsonValue &s : list->items) {
         if (!s.isObject())
             continue;
@@ -396,7 +382,7 @@ FleetTraceStore::ingestBatch(const std::string &body,
             ++droppedCount;
             continue;
         }
-        RemoteSpan r;
+        obs::SpanRecord r;
         r.id = u64At(s, "id");
         r.parentId = u64At(s, "parent");
         r.threadIndex = static_cast<std::uint32_t>(u64At(s, "tid"));
@@ -413,26 +399,24 @@ FleetTraceStore::ingestBatch(const std::string &body,
             if (v->isNumber())
                 r.durationSeconds = v->number;
         }
+        if (const sweep::JsonValue *v = s.find("instant"))
+            r.instant = v->isBool() && v->boolean;
         if (const sweep::JsonValue *attrs = s.find("attrs")) {
             if (attrs->isObject()) {
-                std::string frag;
+                // Workers ship numbers and strings; anything else
+                // (a non-finite number arrives as null) stays null.
                 for (const auto &[key, value] : attrs->members) {
-                    frag += ",\"" + obs::jsonEscape(key) + "\":";
-                    if (value.isNumber())
-                        frag += jsonNumber(value.number);
-                    else if (value.isBool())
-                        frag += value.boolean ? "true" : "false";
-                    else if (value.isString())
-                        frag += "\"" + obs::jsonEscape(value.text) +
-                                "\"";
+                    if (value.isString())
+                        r.attrs.emplace_back(key, value.text);
                     else
-                        frag += "null";
+                        r.attrs.emplace_back(
+                            key, value.isNumber() ? value.number
+                                                  : std::nan(""));
                 }
-                r.attrsJson = std::move(frag);
             }
         }
-        if (r.parentId == 0)
-            r.ctxParent = ctxParent;
+        if (r.parentId == 0 && !leaseSpan.empty())
+            r.attrs.emplace_back("ctx_parent", leaseSpan);
         dst.push_back(std::move(r));
         ++stored;
         ++receivedCount;
@@ -469,184 +453,32 @@ FleetTraceStore::size() const
     return stored;
 }
 
-namespace
-{
-
-/** One renderable trace entry (mirrors obs/export's sort rules). */
-struct TraceEntry
-{
-    double tsUs = 0.0;
-    int phaseOrder = 0; ///< M=0, E=1, B=2, i=3
-    int depthKey = 0;   ///< B: +depth, E: -depth
-    std::string json;
-};
-
-void
-appendSpanPair(std::vector<TraceEntry> &entries, int pid,
-               std::uint32_t tid, std::uint64_t id,
-               std::uint64_t parent, std::uint32_t depth,
-               const std::string &name, double startSeconds,
-               double durationSeconds, const std::string &attrsJson,
-               const std::string &rootCtx)
-{
-    const double beginUs = startSeconds * 1e6;
-    const double endUs = (startSeconds + durationSeconds) * 1e6;
-    {
-        std::ostringstream os;
-        os << "{\"ph\":\"B\",\"name\":\"" << obs::jsonEscape(name)
-           << "\",\"cat\":\"span\",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"ts\":" << jsonNumber(beginUs)
-           << ",\"args\":{\"id\":" << id << ",\"parent\":" << parent
-           << attrsJson << rootCtx << "}}";
-        entries.push_back(
-            {beginUs, 2, static_cast<int>(depth), os.str()});
-    }
-    {
-        std::ostringstream os;
-        os << "{\"ph\":\"E\",\"name\":\"" << obs::jsonEscape(name)
-           << "\",\"cat\":\"span\",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"ts\":" << jsonNumber(endUs)
-           << "}";
-        entries.push_back(
-            {endUs, 1, -static_cast<int>(depth), os.str()});
-    }
-}
-
-void
-appendProcessName(std::vector<TraceEntry> &entries, int pid,
-                  const std::string &name)
-{
-    std::ostringstream os;
-    os << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << obs::jsonEscape(name)
-       << "\"}}";
-    entries.push_back({0.0, 0, 0, os.str()});
-}
-
-void
-appendThreadName(std::vector<TraceEntry> &entries, int pid,
-                 std::uint32_t tid, const std::string &name)
-{
-    std::ostringstream os;
-    os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-       << obs::jsonEscape(name) << "\"}}";
-    entries.push_back({0.0, 0, 0, os.str()});
-}
-
-} // namespace
-
 std::string
 FleetTraceStore::mergedTraceJson(const obs::SpanRecorder &local,
-                                 const obs::EventTrace *overlay,
                                  const std::string &traceId) const
 {
-    std::vector<TraceEntry> entries;
-    const std::string rootCtx =
-        ",\"trace\":\"" + obs::jsonEscape(traceId) + "\"";
-
-    // Coordinator: pid 1, its recorder's own thread tracks.
-    appendProcessName(entries, 1, "coordinator");
-    for (const auto &[index, label] : local.threadLabels()) {
-        appendThreadName(entries, 1, index,
-                         label.empty()
-                             ? "thread " + std::to_string(index)
-                             : label);
-    }
-    for (const obs::SpanRecord &s : local.snapshot()) {
-        std::string attrs;
-        for (const obs::EventField &f : s.attrs) {
-            attrs += ",\"" + obs::jsonEscape(f.key) + "\":";
-            if (f.numeric)
-                attrs += jsonNumber(f.num);
-            else
-                attrs += "\"" + obs::jsonEscape(f.text) + "\"";
+    // Coordinator: pid 1, its recorder's own thread tracks. Workers:
+    // one pid (= one Perfetto track group) each, stable by name
+    // order, one track per shipped thread index.
+    const std::vector<obs::SpanRecord> localRecords = local.snapshot();
+    std::vector<obs::TraceProcess> processes{
+        {1, "coordinator", local.threadLabels(), &localRecords}};
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto &[worker, list] : spans) {
+        obs::TraceProcess p{static_cast<int>(processes.size()) + 1,
+                            worker, {}, &list};
+        for (const obs::SpanRecord &r : list) {
+            const bool seen = std::any_of(
+                p.threads.begin(), p.threads.end(),
+                [&](const auto &t) { return t.first == r.threadIndex; });
+            if (!seen)
+                p.threads.emplace_back(
+                    r.threadIndex,
+                    worker + " t" + std::to_string(r.threadIndex));
         }
-        appendSpanPair(entries, 1, s.threadIndex, s.id, s.parentId,
-                       s.depth, s.name, s.startSeconds,
-                       s.durationSeconds, attrs,
-                       s.parentId == 0 ? rootCtx : "");
+        processes.push_back(std::move(p));
     }
-    if (overlay != nullptr) {
-        for (const obs::TraceEvent &e : overlay->snapshot()) {
-            const double tsUs = e.wallSeconds * 1e6;
-            std::ostringstream os;
-            os << "{\"ph\":\"i\",\"s\":\"p\",\"name\":\""
-               << obs::jsonEscape(e.type)
-               << "\",\"cat\":\"event\",\"pid\":1,\"tid\":0,"
-               << "\"ts\":" << jsonNumber(tsUs) << ",\"args\":{";
-            bool first = true;
-            for (const obs::EventField &f : e.fields) {
-                if (!first)
-                    os << ",";
-                first = false;
-                os << "\"" << obs::jsonEscape(f.key) << "\":";
-                if (f.numeric)
-                    os << jsonNumber(f.num);
-                else
-                    os << "\"" << obs::jsonEscape(f.text) << "\"";
-            }
-            os << "}}";
-            entries.push_back({tsUs, 3, 0, os.str()});
-        }
-    }
-
-    // Workers: one pid (= one Perfetto track group) each, stable by
-    // name order.
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        int pid = 2;
-        for (const auto &[worker, list] : spans) {
-            appendProcessName(entries, pid, worker);
-            std::vector<std::uint32_t> seenTids;
-            for (const RemoteSpan &r : list) {
-                if (std::find(seenTids.begin(), seenTids.end(),
-                              r.threadIndex) == seenTids.end()) {
-                    seenTids.push_back(r.threadIndex);
-                    appendThreadName(
-                        entries, pid, r.threadIndex,
-                        worker + " t" +
-                            std::to_string(r.threadIndex));
-                }
-                std::string ctx;
-                if (r.parentId == 0) {
-                    ctx = rootCtx;
-                    if (r.ctxParent != 0)
-                        ctx += ",\"ctx_parent\":" +
-                               std::to_string(r.ctxParent);
-                }
-                appendSpanPair(entries, pid, r.threadIndex, r.id,
-                               r.parentId, r.depth, r.name,
-                               r.startSeconds, r.durationSeconds,
-                               r.attrsJson, ctx);
-            }
-            ++pid;
-        }
-    }
-
-    // Same nesting-safe order as obs/export: close deepest first,
-    // open shallowest first, closes ahead of opens per timestamp.
-    std::stable_sort(entries.begin(), entries.end(),
-                     [](const TraceEntry &a, const TraceEntry &b) {
-                         if (a.tsUs != b.tsUs)
-                             return a.tsUs < b.tsUs;
-                         if (a.phaseOrder != b.phaseOrder)
-                             return a.phaseOrder < b.phaseOrder;
-                         return a.depthKey < b.depthKey;
-                     });
-
-    std::ostringstream os;
-    os << "{\"displayTimeUnit\":\"ms\",\"wall_start_unix_s\":"
-       << jsonNumber(obs::wallClockStartUnixSeconds())
-       << ",\"trace_id\":\"" << obs::jsonEscape(traceId)
-       << "\",\"traceEvents\":[";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (i > 0)
-            os << ",";
-        os << "\n" << entries[i].json;
-    }
-    os << "\n]}\n";
-    return os.str();
+    return obs::traceEventJson(processes, traceId);
 }
 
 } // namespace irtherm::fabric

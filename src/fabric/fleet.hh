@@ -18,14 +18,15 @@
  *    lines appended to `/metrics`. Label cardinality is capped: past
  *    kMaxLabeledWorkers, workers fold into one `worker="_other"`
  *    series so a runaway fleet cannot blow up a scrape.
- *  - **FleetTraceStore**: span batches shipped by workers on
- *    `POST /spans`, timestamps rebased onto the coordinator's trace
- *    epoch at ingest (each batch carries its sender's wall-clock
- *    epoch), bounded with drop counting, merged with the
- *    coordinator's own SpanRecorder into one Perfetto-loadable
- *    Chrome trace — pid 1 is the coordinator, each worker gets its
- *    own pid (= its own track group), root spans carry the
- *    propagated trace id and the granting lease's span id in args.
+ *  - **FleetTraceStore**: span and instant batches shipped by
+ *    workers on `POST /spans`, timestamps rebased onto the
+ *    coordinator's trace epoch at ingest (each batch carries its
+ *    sender's wall-clock epoch), bounded with drop counting, merged
+ *    with the coordinator's own SpanRecorder into one
+ *    Perfetto-loadable Chrome trace through obs::traceEventJson —
+ *    pid 1 is the coordinator, each worker gets its own pid (= its
+ *    own track group), root records carry the propagated trace id
+ *    and the granting lease's span id in args.
  *
  * Everything here is product-side plumbing in the sense of
  * obs/metrics: it compiles under IRTHERM_ENABLE_METRICS=OFF (where
@@ -47,7 +48,6 @@
 #include <vector>
 
 #include "fabric/lease_table.hh"
-#include "obs/event_trace.hh"
 #include "obs/span.hh"
 
 namespace irtherm::sweep
@@ -159,25 +159,9 @@ class FleetBoard
     std::map<std::string, Slot> slots;
 };
 
-/** One span as shipped by a worker (timestamps already rebased). */
-struct RemoteSpan
-{
-    std::uint64_t id = 0;
-    std::uint64_t parentId = 0;
-    std::uint32_t threadIndex = 0;
-    std::uint32_t depth = 0;
-    std::string name;
-    double startSeconds = 0.0; ///< on the COORDINATOR trace epoch
-    double durationSeconds = 0.0;
-    /** Pre-rendered `"key":value` attribute fragments ("" if none). */
-    std::string attrsJson;
-    /** Lease span id the batch arrived under (roots only, else 0). */
-    std::uint64_t ctxParent = 0;
-};
-
 /**
- * Bounded store of worker-shipped spans plus the merge into one
- * Chrome trace document.
+ * Bounded store of worker-shipped spans and instants plus the merge
+ * into one Chrome trace document.
  */
 class FleetTraceStore
 {
@@ -189,8 +173,9 @@ class FleetTraceStore
     /**
      * Ingest one `POST /spans` batch. @p body is the raw JSON; it is
      * parsed here (throws FatalError on malformed JSON, which the
-     * HTTP handler maps to a 400). Returns the number of spans
-     * accepted. @p coordEpochUnixSeconds anchors the rebase.
+     * HTTP handler maps to a 400). Returns the number of records
+     * accepted. @p coordEpochUnixSeconds anchors the rebase: stored
+     * start times are on the coordinator's trace epoch.
      */
     std::size_t ingestBatch(const std::string &body,
                             double coordEpochUnixSeconds,
@@ -203,20 +188,18 @@ class FleetTraceStore
     std::size_t size() const;
 
     /**
-     * Merge the coordinator's own recorder (@p local, pid 1, with
-     * optional event-trace instants) and every shipped worker span
-     * (one pid per worker) into a Chrome trace_event document
-     * annotated with @p traceId.
+     * Merge the coordinator's own recorder (@p local, pid 1) and
+     * every shipped worker record (one pid per worker) into a Chrome
+     * trace_event document annotated with @p traceId.
      */
     std::string mergedTraceJson(const obs::SpanRecorder &local,
-                                const obs::EventTrace *overlay,
                                 const std::string &traceId) const;
 
   private:
     mutable std::mutex mu;
     std::size_t cap;
-    /** worker name -> its shipped spans, ingest order. */
-    std::map<std::string, std::vector<RemoteSpan>> spans;
+    /** worker name -> its shipped records, ingest order. */
+    std::map<std::string, std::vector<obs::SpanRecord>> spans;
     std::size_t stored = 0;
     std::uint64_t receivedCount = 0;
     std::uint64_t droppedCount = 0;

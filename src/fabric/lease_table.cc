@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 
 namespace irtherm::fabric
 {

@@ -7,9 +7,10 @@
  * any plan, any process, any machine sharing this directory can
  * answer a repeated sub-scenario from `<dir>/<hash>.json` instead of
  * re-simulating it. The payload is the JobResult's own journal-line
- * serialization — doubles travel as %.17g, which round-trips IEEE 754
- * exactly, so a cache hit is bit-for-bit identical to the direct
- * simulation that produced it.
+ * serialization — doubles travel in obs::jsonNumber's shortest
+ * round-trip spelling, which parses back to the same IEEE 754 bits,
+ * so a cache hit is bit-for-bit identical to the direct simulation
+ * that produced it.
  *
  * Only Ok results are stored: a failure or timeout may be transient
  * (a flaky disk, an overloaded worker), and caching it would pin the

@@ -2,9 +2,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <thread>
 #include <utility>
@@ -16,7 +15,6 @@
 #include "base/shutdown.hh"
 #include "fabric/fleet.hh"
 #include "fabric/http_client.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -42,21 +40,6 @@ sleepSeconds(double s)
 {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(std::max(0.0, s)));
-}
-
-/** Shortest round-trippable decimal for a double (JSON-safe). */
-std::string
-jsonNum(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
 }
 
 /** One leased batch as decoded off the wire. */
@@ -157,41 +140,37 @@ runWorker(const WorkerOptions &opts)
         return s.toJson();
     };
 
-    // Ship the recorder's new tail since the last flush to
-    // POST /spans, in batches of at most kShipBatch spans. Sealed
-    // spans only; a failed POST costs observability, never the job.
+    // Ship the records sealed since the last flush to POST /spans,
+    // in batches of at most kShipBatch. The tail and the new
+    // watermark are read under one lock, so a record sealed
+    // concurrently (another thread of an in-process fleet, or an
+    // abandoned hung job) ships exactly once. A failed POST costs
+    // observability, never the job.
     std::uint64_t shippedWatermark = 0;
     const auto shipSpans = [&] {
         constexpr std::size_t kShipBatch = 1024;
         auto &rec = obs::SpanRecorder::global();
         if (!rec.enabled() || !adopted.valid())
             return;
-        const std::uint64_t total = rec.recorded();
-        if (total <= shippedWatermark)
-            return;
-        const std::vector<obs::SpanRecord> snap = rec.snapshot();
-        const std::uint64_t unshipped = total - shippedWatermark;
-        const std::size_t take =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                unshipped, snap.size()));
+        std::uint64_t lost = 0;
+        const std::vector<obs::SpanRecord> tail =
+            rec.snapshotSince(shippedWatermark, &lost);
         // Anything the ring already overwrote is gone.
-        sum.spansDropped += unshipped - take;
-        shippedWatermark = total;
+        sum.spansDropped += lost;
         const std::string head =
             "{\"worker\":\"" + obs::jsonEscape(name) +
             "\",\"trace\":\"" + adopted.traceId +
             "\",\"lease_span\":\"" + obs::spanIdHex(adopted.spanId) +
             "\",\"wall_epoch_unix_s\":" +
-            jsonNum(obs::wallClockStartUnixSeconds()) +
+            obs::jsonNumber(obs::wallClockStartUnixSeconds()) +
             ",\"dropped\":" + std::to_string(rec.dropped()) +
             ",\"spans\":[";
-        for (std::size_t i = snap.size() - take; i < snap.size();
-             i += kShipBatch) {
+        for (std::size_t i = 0; i < tail.size(); i += kShipBatch) {
             const std::size_t end =
-                std::min(snap.size(), i + kShipBatch);
+                std::min(tail.size(), i + kShipBatch);
             std::string body = head;
             for (std::size_t j = i; j < end; ++j) {
-                const obs::SpanRecord &s = snap[j];
+                const obs::SpanRecord &s = tail[j];
                 if (j != i)
                     body += ',';
                 body += "{\"id\":" + std::to_string(s.id) +
@@ -199,25 +178,14 @@ runWorker(const WorkerOptions &opts)
                         ",\"tid\":" + std::to_string(s.threadIndex) +
                         ",\"depth\":" + std::to_string(s.depth) +
                         ",\"name\":\"" + obs::jsonEscape(s.name) +
-                        "\",\"start_s\":" + jsonNum(s.startSeconds) +
-                        ",\"dur_s\":" + jsonNum(s.durationSeconds);
-                if (!s.attrs.empty()) {
-                    body += ",\"attrs\":{";
-                    bool first = true;
-                    for (const obs::EventField &f : s.attrs) {
-                        if (!first)
-                            body += ',';
-                        first = false;
-                        body += "\"" + obs::jsonEscape(f.key) +
-                                "\":";
-                        if (f.numeric)
-                            body += jsonNum(f.num);
-                        else
-                            body += "\"" + obs::jsonEscape(f.text) +
-                                    "\"";
-                    }
-                    body += "}";
-                }
+                        "\",\"start_s\":" +
+                        obs::jsonNumber(s.startSeconds) +
+                        ",\"dur_s\":" +
+                        obs::jsonNumber(s.durationSeconds);
+                if (s.instant)
+                    body += ",\"instant\":true";
+                if (!s.attrs.empty())
+                    body += ",\"attrs\":{" + obs::fieldsJson(s.attrs) + "}";
                 body += "}";
             }
             body += "]}";
@@ -228,7 +196,7 @@ runWorker(const WorkerOptions &opts)
                 else
                     sum.spansDropped += end - i;
             } catch (const FatalError &) {
-                sum.spansDropped += snap.size() - i;
+                sum.spansDropped += tail.size() - i;
                 return;
             }
         }

@@ -29,8 +29,9 @@
  * Observability: each grant carries the coordinator's trace context
  * ("trace": "<trace-id>-<lease-span-id>"); the worker adopts it
  * (parenting its span tree under the lease span and echoing it in
- * the X-Irtherm-Trace request header), ships sealed span batches to
- * POST /spans after each report, and piggybacks a cumulative
+ * the X-Irtherm-Trace request header), ships its sealed spans and
+ * event instants (marked "instant": true) to POST /spans after each
+ * report, and piggybacks a cumulative
  * WorkerMetricsSnapshot on every renew/complete body. A missing or
  * malformed context degrades to a locally minted trace id — the
  * observability path can never fail a job. Under
@@ -86,9 +87,9 @@ struct WorkerSummary
     /** Trace id this worker worked under (adopted or locally
      *  minted). Empty if it never adopted one. */
     std::string traceId;
-    /** Spans shipped to the coordinator on POST /spans. */
+    /** Records (spans and instants) shipped on POST /spans. */
     std::uint64_t spansShipped = 0;
-    /** Spans lost before shipping (ring overwrite or failed POST). */
+    /** Records lost before shipping (ring overwrite or failed POST). */
     std::uint64_t spansDropped = 0;
 };
 

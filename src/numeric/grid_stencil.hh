@@ -83,6 +83,10 @@ class GridStencilOperator final : public LinearOperator
                          double alpha) const override;
     std::vector<double> diagonal() const override;
 
+    /** Ic0 degrades to Ssor (no entry-level factor storage). */
+    PreconditionerKind
+    builtPreconditioner(PreconditionerKind kind) const override;
+
     /** Ssor -> matrix-free sweeps; Ic0 degrades to Ssor; Multigrid
      *  builds a geometric V-cycle (multigrid.hh). */
     std::unique_ptr<Preconditioner>

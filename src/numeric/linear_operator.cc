@@ -196,6 +196,12 @@ Ic0Preconditioner::apply(const std::vector<double> &r,
     }
 }
 
+PreconditionerKind
+LinearOperator::builtPreconditioner(PreconditionerKind) const
+{
+    return PreconditionerKind::Jacobi;
+}
+
 std::unique_ptr<Preconditioner>
 LinearOperator::makePreconditioner(PreconditionerKind,
                                    double) const
@@ -224,19 +230,25 @@ CsrOperator::diagonal() const
     return m.diagonal();
 }
 
+PreconditionerKind
+CsrOperator::builtPreconditioner(PreconditionerKind kind) const
+{
+    // Geometric coarsening needs grid structure a CSR matrix does
+    // not expose; SSOR is the strongest fallback here.
+    return kind == PreconditionerKind::Multigrid
+               ? PreconditionerKind::Ssor
+               : kind;
+}
+
 std::unique_ptr<Preconditioner>
 CsrOperator::makePreconditioner(PreconditionerKind kind,
                                 double ssorOmega) const
 {
+    kind = builtPreconditioner(kind);
     if (kind == PreconditionerKind::Ic0) {
         if (auto ic = Ic0Preconditioner::tryFactor(m))
             return ic;
         kind = PreconditionerKind::Ssor; // graceful degradation
-    }
-    if (kind == PreconditionerKind::Multigrid) {
-        // Geometric coarsening needs grid structure a CSR matrix
-        // does not expose; SSOR is the strongest fallback here.
-        kind = PreconditionerKind::Ssor;
     }
     if (kind == PreconditionerKind::Ssor)
         return std::make_unique<SsorPreconditioner>(m, ssorOmega);

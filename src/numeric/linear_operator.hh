@@ -146,6 +146,15 @@ class LinearOperator
     virtual std::vector<double> diagonal() const = 0;
 
     /**
+     * The kind makePreconditioner(@p kind) builds: @p kind itself,
+     * or what it degrades to when this operator cannot provide it.
+     * (An Ic0 whose factorization breaks down still falls back to
+     * Ssor at build time.) The base operator offers only Jacobi.
+     */
+    virtual PreconditionerKind
+    builtPreconditioner(PreconditionerKind kind) const;
+
+    /**
      * Best preconditioner of the requested kind this operator can
      * provide, degrading gracefully (Ic0 -> Ssor -> Jacobi) when a
      * kind is unsupported or its construction breaks down. Never
@@ -170,6 +179,10 @@ class CsrOperator final : public LinearOperator
                          std::vector<double> &y,
                          double alpha) const override;
     std::vector<double> diagonal() const override;
+
+    /** Multigrid degrades to Ssor (no grid structure to coarsen). */
+    PreconditionerKind
+    builtPreconditioner(PreconditionerKind kind) const override;
 
     std::unique_ptr<Preconditioner>
     makePreconditioner(PreconditionerKind kind,

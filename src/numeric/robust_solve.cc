@@ -9,7 +9,6 @@
 #include "base/logging.hh"
 #include "numeric/dense_matrix.hh"
 #include "numeric/lu.hh"
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 
@@ -53,9 +52,7 @@ bicgMethodName(PreconditionerKind kind)
       case PreconditionerKind::Ic0:
         return "ic0-bicgstab";
       case PreconditionerKind::Multigrid:
-        // BiCGSTAB runs on stored CSR where Multigrid degrades to
-        // SSOR (see CsrOperator::makePreconditioner).
-        return "ssor-bicgstab";
+        return "mg-bicgstab";
     }
     return "bicgstab";
 }
@@ -202,12 +199,17 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
     IterativeOptions ssor = primary;
     ssor.preconditioner = PreconditionerKind::Ssor;
 
+    // Tiers are named by the preconditioner the operator actually
+    // builds (a CSR network turns Multigrid into SSOR), so a chain
+    // never queues the same solve twice under two names.
     std::vector<Tier> tiers;
     if (opts.symmetric) {
-        tiers.push_back({cgMethodName(primary.preconditioner), [&] {
+        const PreconditionerKind built =
+            a.builtPreconditioner(primary.preconditioner);
+        tiers.push_back({cgMethodName(built), [&] {
             return conjugateGradient(a, b, x0, primary, nullptr, ws);
         }});
-        if (primary.preconditioner == PreconditionerKind::Multigrid) {
+        if (built == PreconditionerKind::Multigrid) {
             // A broken V-cycle (mg.diverge, non-SPD hierarchy) should
             // demote to the strongest conventional preconditioner
             // before dropping all the way to Jacobi.
@@ -215,7 +217,7 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
                 return conjugateGradient(a, b, x0, ssor, nullptr, ws);
             }});
         }
-        if (primary.preconditioner != PreconditionerKind::Jacobi) {
+        if (built != PreconditionerKind::Jacobi) {
             tiers.push_back({"jacobi-cg", [&] {
                 return conjugateGradient(a, b, x0, jacobi, nullptr, ws);
             }});
@@ -226,10 +228,13 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
             }});
         }
     } else {
-        tiers.push_back({bicgMethodName(primary.preconditioner), [&] {
+        // BiCGSTAB preconditions through the stored CSR matrix.
+        const PreconditionerKind built =
+            CsrOperator(*csr).builtPreconditioner(primary.preconditioner);
+        tiers.push_back({bicgMethodName(built), [&] {
             return biCgStab(*csr, b, x0, primary);
         }});
-        if (primary.preconditioner != PreconditionerKind::Jacobi) {
+        if (built != PreconditionerKind::Jacobi) {
             tiers.push_back({"jacobi-bicgstab", [&] {
                 return biCgStab(*csr, b, x0, jacobi);
             }});

@@ -1,6 +1,7 @@
 #include "obs/export.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -16,22 +17,6 @@ namespace irtherm::obs
 
 namespace
 {
-
-/** Shortest round-trippable decimal for a double (JSON-safe). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer the shorter %g form when it round-trips exactly.
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
-}
 
 std::string
 jsonString(const std::string &s)
@@ -69,6 +54,16 @@ appendHistogramJson(std::ostringstream &os, const Histogram &h)
 }
 
 } // namespace
+
+std::string
+jsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, res.ptr);
+}
 
 std::string
 jsonEscape(const std::string &s)
@@ -306,32 +301,6 @@ printMetricsSummary(std::ostream &os, const MetricsRegistry &reg)
     metricsTable(reg).print(os);
 }
 
-void
-writeTraceJsonl(std::ostream &os, const EventTrace &trace)
-{
-    // Meta header: lets a reader map the monotonic wall_s offsets
-    // (shared trace epoch) back to civil time.
-    os << "{\"schema\":\"irtherm.trace.v1\",\"wall_start_unix_s\":"
-       << jsonNumber(wallClockStartUnixSeconds()) << "}\n";
-    for (const TraceEvent &e : trace.snapshot()) {
-        os << "{\"seq\":" << e.seq
-           << ",\"wall_s\":" << jsonNumber(e.wallSeconds)
-           << ",\"type\":" << jsonString(e.type) << ",\"fields\":{";
-        bool first = true;
-        for (const EventField &f : e.fields) {
-            if (!first)
-                os << ",";
-            first = false;
-            os << jsonString(f.key) << ":";
-            if (f.numeric)
-                os << jsonNumber(f.num);
-            else
-                os << jsonString(f.text);
-        }
-        os << "}}\n";
-    }
-}
-
 namespace
 {
 
@@ -344,83 +313,77 @@ struct TraceEntry
     std::string json;
 };
 
-void
-appendAttrJson(std::ostringstream &os, const EventField &f)
-{
-    os << jsonString(f.key) << ":";
-    if (f.numeric)
-        os << jsonNumber(f.num);
-    else
-        os << jsonString(f.text);
-}
-
 } // namespace
 
 std::string
-spansToTraceJson(const SpanRecorder &rec, const EventTrace *overlay)
+fieldsJson(const std::vector<EventField> &fields)
 {
+    std::string out;
+    for (const EventField &f : fields) {
+        if (!out.empty())
+            out += ",";
+        out += jsonString(f.key) + ":";
+        out += f.numeric ? jsonNumber(f.num) : jsonString(f.text);
+    }
+    return out;
+}
+
+std::string
+traceEventJson(const std::vector<TraceProcess> &processes,
+               const std::string &traceId)
+{
+    const std::string rootStamp =
+        traceId.empty() ? "" : ",\"trace\":" + jsonString(traceId);
     std::vector<TraceEntry> entries;
+    for (const TraceProcess &p : processes) {
+        // chrome://tracing keys tracks on (pid, tid).
+        const std::string pid = ",\"pid\":" + std::to_string(p.pid);
+        const auto metadata = [&](const char *kind, std::uint32_t tid,
+                                  const std::string &name) {
+            entries.push_back(
+                {0.0, 0, 0,
+                 std::string("{\"ph\":\"M\",\"name\":\"") + kind +
+                     "\"" + pid + ",\"tid\":" + std::to_string(tid) +
+                     ",\"args\":{\"name\":" + jsonString(name) +
+                     "}}"});
+        };
+        if (!p.name.empty())
+            metadata("process_name", 0, p.name);
+        for (const auto &[tid, label] : p.threads)
+            metadata("thread_name", tid,
+                     label.empty() ? "thread " + std::to_string(tid)
+                                   : label);
 
-    // Thread-name metadata. chrome://tracing keys rows on (pid,
-    // tid); unnamed threads fall back to "thread <i>".
-    for (const auto &[index, label] : rec.threadLabels()) {
-        std::ostringstream os;
-        const std::string name =
-            label.empty() ? "thread " + std::to_string(index) : label;
-        os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1"
-           << ",\"tid\":" << index << ",\"args\":{\"name\":"
-           << jsonString(name) << "}}";
-        entries.push_back({0.0, 0, 0, os.str()});
-    }
-
-    for (const SpanRecord &s : rec.snapshot()) {
-        const double beginUs = s.startSeconds * 1e6;
-        const double endUs =
-            (s.startSeconds + s.durationSeconds) * 1e6;
-        {
-            std::ostringstream os;
-            os << "{\"ph\":\"B\",\"name\":" << jsonString(s.name)
-               << ",\"cat\":\"span\",\"pid\":1,\"tid\":"
-               << s.threadIndex << ",\"ts\":" << jsonNumber(beginUs)
-               << ",\"args\":{\"id\":" << s.id
-               << ",\"parent\":" << s.parentId;
-            for (const EventField &f : s.attrs) {
-                os << ",";
-                appendAttrJson(os, f);
+        for (const SpanRecord &s : *p.records) {
+            const std::string track = ",\"name\":" + jsonString(s.name) +
+                                      pid + ",\"tid\":" +
+                                      std::to_string(s.threadIndex);
+            const std::string fields = fieldsJson(s.attrs);
+            const std::string args =
+                "\"parent\":" + std::to_string(s.parentId) +
+                (fields.empty() ? "" : "," + fields) +
+                (s.parentId == 0 ? rootStamp : "");
+            const double beginUs = s.startSeconds * 1e6;
+            if (s.instant) {
+                entries.push_back({beginUs, 3, 0,
+                                   "{\"ph\":\"i\",\"s\":\"t\"" + track +
+                                       ",\"cat\":\"event\",\"ts\":" +
+                                       jsonNumber(beginUs) +
+                                       ",\"args\":{" + args + "}}"});
+                continue;
             }
-            os << "}}";
-            entries.push_back({beginUs, 2,
-                               static_cast<int>(s.depth), os.str()});
-        }
-        {
-            std::ostringstream os;
-            os << "{\"ph\":\"E\",\"name\":" << jsonString(s.name)
-               << ",\"cat\":\"span\",\"pid\":1,\"tid\":"
-               << s.threadIndex << ",\"ts\":" << jsonNumber(endUs)
-               << "}";
-            entries.push_back({endUs, 1,
-                               -static_cast<int>(s.depth), os.str()});
-        }
-    }
-
-    if (overlay != nullptr) {
-        for (const TraceEvent &e : overlay->snapshot()) {
-            const double tsUs = e.wallSeconds * 1e6;
-            std::ostringstream os;
-            // Process-scoped instants: events carry no thread id.
-            os << "{\"ph\":\"i\",\"s\":\"p\",\"name\":"
-               << jsonString(e.type)
-               << ",\"cat\":\"event\",\"pid\":1,\"tid\":0,\"ts\":"
-               << jsonNumber(tsUs) << ",\"args\":{";
-            bool first = true;
-            for (const EventField &f : e.fields) {
-                if (!first)
-                    os << ",";
-                first = false;
-                appendAttrJson(os, f);
-            }
-            os << "}}";
-            entries.push_back({tsUs, 3, 0, os.str()});
+            const double endUs =
+                (s.startSeconds + s.durationSeconds) * 1e6;
+            const int depth = static_cast<int>(s.depth);
+            entries.push_back(
+                {beginUs, 2, depth,
+                 "{\"ph\":\"B\"" + track + ",\"cat\":\"span\",\"ts\":" +
+                     jsonNumber(beginUs) + ",\"args\":{\"id\":" +
+                     std::to_string(s.id) + "," + args + "}}"});
+            entries.push_back({endUs, 1, -depth,
+                               "{\"ph\":\"E\"" + track +
+                                   ",\"cat\":\"span\",\"ts\":" +
+                                   jsonNumber(endUs) + "}"});
         }
     }
 
@@ -436,24 +399,25 @@ spansToTraceJson(const SpanRecorder &rec, const EventTrace *overlay)
                          return a.depthKey < b.depthKey;
                      });
 
-    std::ostringstream os;
-    os << "{\"displayTimeUnit\":\"ms\",\"wall_start_unix_s\":"
-       << jsonNumber(wallClockStartUnixSeconds())
-       << ",\"traceEvents\":[";
+    std::string out = "{\"displayTimeUnit\":\"ms\",\"wall_start_unix_s\":";
+    out += jsonNumber(wallClockStartUnixSeconds());
+    if (!traceId.empty())
+        out += ",\"trace_id\":" + jsonString(traceId);
+    out += ",\"traceEvents\":[";
     for (std::size_t i = 0; i < entries.size(); ++i) {
         if (i > 0)
-            os << ",";
-        os << "\n" << entries[i].json;
+            out += ",";
+        out += "\n" + entries[i].json;
     }
-    os << "\n]}\n";
-    return os.str();
+    out += "\n]}\n";
+    return out;
 }
 
-void
-writeSpansTraceJson(std::ostream &os, const SpanRecorder &rec,
-                    const EventTrace *overlay)
+std::string
+spansToTraceJson(const SpanRecorder &rec)
 {
-    os << spansToTraceJson(rec, overlay);
+    const std::vector<SpanRecord> records = rec.snapshot();
+    return traceEventJson({{1, "", rec.threadLabels(), &records}});
 }
 
 namespace

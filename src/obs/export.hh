@@ -1,6 +1,6 @@
 /**
  * @file
- * Exporters for the metrics registry and the event trace.
+ * Exporters for the metrics registry and the span recorder.
  *
  * Formats:
  *  - JSON stats document (schema "irtherm.stats.v1"): one object
@@ -8,23 +8,27 @@
  *    metric name. Histograms list only their non-empty buckets.
  *  - CSV flat dump via the base/table machinery: one row per metric
  *    with name, kind, and summary values.
- *  - JSONL trace: a meta header line (schema + wall-clock start of
- *    the shared trace epoch), then one JSON object per line per
- *    event, in recording order.
  *  - Chrome/Perfetto trace_event JSON: spans as matched B/E duration
- *    pairs (plus thread_name metadata and optional event-trace
- *    instants), loadable directly in chrome://tracing or Perfetto.
+ *    pairs and IRTHERM_EVENT instants as thread-scoped "i" entries,
+ *    each on its recording thread's track, plus process/thread name
+ *    metadata; loadable directly in chrome://tracing or Perfetto.
+ *    One renderer serves the local recorder and the fleet merge.
  *  - Prometheus text exposition format for the /metrics endpoint.
  *  - Human summary: aligned TextTable for end-of-run CLI output.
+ *
+ * jsonEscape and jsonNumber are the JSON writer every irtherm
+ * document, journal and wire body shares.
  */
 
 #ifndef IRTHERM_OBS_EXPORT_HH
 #define IRTHERM_OBS_EXPORT_HH
 
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "obs/event_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 
@@ -33,6 +37,18 @@ namespace irtherm::obs
 
 /** Escape a string for embedding inside a JSON string literal. */
 std::string jsonEscape(const std::string &s);
+
+/**
+ * The shortest decimal that parses back to exactly @p v
+ * (std::to_chars), so every double survives a write/read round trip
+ * bit for bit. NaN and infinities, which JSON cannot spell, become
+ * null.
+ */
+std::string jsonNumber(double v);
+
+/** @p fields as comma-separated JSON object members, `"key":value`
+ *  (numbers via jsonNumber, text as escaped strings). */
+std::string fieldsJson(const std::vector<EventField> &fields);
 
 /** Serialize the registry as an "irtherm.stats.v1" JSON document. */
 std::string metricsToJson(const MetricsRegistry &reg);
@@ -43,24 +59,33 @@ void writeMetricsJson(std::ostream &os, const MetricsRegistry &reg);
 /** One CSV row per metric: name, kind, count, value, mean, min, max. */
 void writeMetricsCsv(std::ostream &os, const MetricsRegistry &reg);
 
-/** Meta header line, then one JSON object per buffered event. */
-void writeTraceJsonl(std::ostream &os, const EventTrace &trace);
+/** One process's track group in a Chrome trace document. */
+struct TraceProcess
+{
+    int pid = 1;
+    std::string name; ///< process_name metadata; "" = none
+    /** thread_name metadata per tid; "" reads "thread <tid>". */
+    std::vector<std::pair<std::uint32_t, std::string>> threads;
+    const std::vector<SpanRecord> *records = nullptr;
+};
 
 /**
- * Serialize buffered spans as a Chrome/Perfetto trace_event JSON
- * document: "B"/"E" duration pairs per span (ts in microseconds on
- * the shared trace epoch), "M" thread_name metadata from the
- * recorder's thread labels, and — when @p overlay is non-null — the
- * event trace as "i" instant events on the same timeline. The
- * wall-clock instant of the epoch rides along as a top-level
- * "wall_start_unix_s" field (ignored by viewers, kept for tools).
+ * Render @p processes as one Chrome/Perfetto trace_event JSON
+ * document: name metadata, "B"/"E" pairs per span (args: id, parent,
+ * attributes) and a thread-scoped "i" entry per instant (args:
+ * parent, fields), ts in microseconds on the shared trace epoch,
+ * sorted so duration events nest. A non-empty @p traceId is stamped
+ * on the document ("trace_id") and into the args of every root
+ * record ("trace"). The wall-clock instant of the epoch rides along
+ * as a top-level "wall_start_unix_s" field (ignored by viewers, kept
+ * for tools).
  */
-std::string spansToTraceJson(const SpanRecorder &rec,
-                             const EventTrace *overlay = nullptr);
+std::string traceEventJson(const std::vector<TraceProcess> &processes,
+                           const std::string &traceId = "");
 
-/** Write spansToTraceJson() to @p os. */
-void writeSpansTraceJson(std::ostream &os, const SpanRecorder &rec,
-                         const EventTrace *overlay = nullptr);
+/** traceEventJson of @p rec's buffered records: pid 1, one track
+ *  per recorder thread label. */
+std::string spansToTraceJson(const SpanRecorder &rec);
 
 /**
  * Serialize the registry in Prometheus text exposition format:

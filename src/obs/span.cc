@@ -1,5 +1,7 @@
 #include "obs/span.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 
 namespace irtherm::obs
@@ -84,12 +86,34 @@ SpanRecorder::record(SpanRecord rec)
     std::lock_guard<std::mutex> lock(mu);
     SpanRecord &slot = ring[head];
     if (count == cap)
-        ++droppedCount; // overwriting the oldest span
+        ++droppedCount; // overwriting the oldest record
     else
         ++count;
     slot = std::move(rec);
     head = (head + 1) % cap;
     ++total;
+}
+
+void
+SpanRecorder::recordInstant(std::string name,
+                            std::vector<EventField> fields)
+{
+    SpanRecorder &g = global();
+    if (!g.enabled())
+        return;
+    SpanRecord rec;
+    rec.name = std::move(name);
+    rec.attrs = std::move(fields);
+    rec.instant = true;
+    ThreadSlot &slot = threadSlot();
+    rec.threadIndex = slot.index;
+    rec.startSeconds = monotonicSeconds();
+    {
+        std::lock_guard<std::mutex> lock(slot.mu);
+        rec.parentId = slot.frames.empty() ? 0 : slot.frames.back().id;
+        rec.depth = static_cast<std::uint32_t>(slot.frames.size());
+    }
+    g.record(std::move(rec));
 }
 
 std::size_t
@@ -116,11 +140,27 @@ SpanRecorder::dropped() const
 std::vector<SpanRecord>
 SpanRecorder::snapshot() const
 {
+    std::uint64_t watermark = 0;
+    return snapshotSince(watermark, nullptr);
+}
+
+std::vector<SpanRecord>
+SpanRecorder::snapshotSince(std::uint64_t &watermark,
+                            std::uint64_t *lost) const
+{
     std::lock_guard<std::mutex> lock(mu);
+    if (watermark > total)
+        watermark = 0;
+    const std::uint64_t fresh = total - watermark;
+    const std::size_t take =
+        static_cast<std::size_t>(std::min<std::uint64_t>(fresh, count));
+    if (lost != nullptr)
+        *lost = fresh - take;
+    watermark = total;
     std::vector<SpanRecord> out;
-    out.reserve(count);
-    const std::size_t first = (head + cap - count) % cap;
-    for (std::size_t i = 0; i < count; ++i)
+    out.reserve(take);
+    const std::size_t first = (head + cap - take) % cap;
+    for (std::size_t i = 0; i < take; ++i)
         out.push_back(ring[(first + i) % cap]);
     return out;
 }

@@ -1,27 +1,32 @@
 /**
  * @file
- * Hierarchical causal spans: RAII-scoped timed regions with a
- * thread-local parent stack, per-span key/value attributes, and a
+ * Hierarchical causal spans and point events on one timeline:
+ * RAII-scoped timed regions with a thread-local parent stack,
+ * per-span key/value attributes, zero-duration instants, and a
  * bounded recorder exporting Chrome/Perfetto trace_event JSON.
  *
- * Where the MetricsRegistry answers "how many / how long in total"
- * and the EventTrace answers "what state changes happened", spans
- * answer *why is this slow*: each ScopedSpan nests under whatever
- * span is open on the same thread, so a sweep job's timeline reads
- * sweep.job -> core.steady_solve -> solve.tier -> numeric.cg with
- * the fallback escalations visible as siblings.
+ * Where the MetricsRegistry answers "how many / how long in total",
+ * spans answer *why is this slow*: each ScopedSpan nests under
+ * whatever span is open on the same thread, so a sweep job's
+ * timeline reads sweep.job -> core.steady_solve -> solve.tier ->
+ * numeric.cg with the fallback escalations visible as siblings.
+ * Instants answer *what state changes happened*: IRTHERM_EVENT
+ * records one (DTM engage/disengage, sensor polls, steady init) on
+ * the calling thread, parented under its innermost open span, so a
+ * dtm.engage lands inside the dtm.decision that caused it.
  *
  * Recording is off by default (SpanRecorder::global().setEnabled).
- * A disabled ScopedSpan costs one relaxed atomic load; under
- * IRTHERM_METRICS_ENABLED=0 the class body compiles to nothing, so
- * instrumented hot paths reference no telemetry symbols at all —
- * the same compile-out guarantee the event macro gives.
+ * A disabled ScopedSpan or IRTHERM_EVENT costs one relaxed atomic
+ * load; under IRTHERM_METRICS_ENABLED=0 the ScopedSpan body and the
+ * event macro compile to nothing, so instrumented hot paths
+ * reference no telemetry symbols at all.
  *
- * Completed spans land in a bounded ring (oldest overwritten,
- * dropped count maintained). Live spans are additionally tracked
- * per thread so the status endpoint can report each worker's
- * current span path ("sweep.job/core.steady_solve/numeric.cg")
- * while the job is still running.
+ * Spans and instants share one bounded ring (oldest overwritten,
+ * dropped count maintained) and one clock. Live spans are
+ * additionally tracked per thread so the status endpoint can report
+ * each worker's current span path
+ * ("sweep.job/core.steady_solve/numeric.cg") while the job is still
+ * running.
  */
 
 #ifndef IRTHERM_OBS_SPAN_HH
@@ -34,13 +39,39 @@
 #include <utility>
 #include <vector>
 
-#include "obs/event_trace.hh" // EventField, kMetricsEnabled
+#include "obs/metrics.hh" // kMetricsEnabled
 #include "obs/trace_clock.hh"
 
 namespace irtherm::obs
 {
 
-/** One completed span, as stored by the recorder. */
+/** One span attribute or event field: either numeric or text. */
+struct EventField
+{
+    EventField(std::string k, double v)
+        : key(std::move(k)), num(v), numeric(true)
+    {}
+    EventField(std::string k, int v)
+        : EventField(std::move(k), static_cast<double>(v))
+    {}
+    EventField(std::string k, std::size_t v)
+        : EventField(std::move(k), static_cast<double>(v))
+    {}
+    EventField(std::string k, std::string v)
+        : key(std::move(k)), text(std::move(v)), numeric(false)
+    {}
+    EventField(std::string k, const char *v)
+        : EventField(std::move(k), std::string(v))
+    {}
+
+    std::string key;
+    std::string text;
+    double num = 0.0;
+    bool numeric = true;
+};
+
+/** One ring record: a completed span, or an instant (an
+ *  IRTHERM_EVENT, zero duration, id 0). */
 struct SpanRecord
 {
     std::uint64_t id = 0;       ///< process-unique, starts at 1
@@ -50,7 +81,8 @@ struct SpanRecord
     std::string name;              ///< e.g. "core.steady_solve"
     double startSeconds = 0.0;     ///< from traceEpoch()
     double durationSeconds = 0.0;
-    std::vector<EventField> attrs;
+    std::vector<EventField> attrs; ///< span attributes / event fields
+    bool instant = false;
 };
 
 /**
@@ -77,23 +109,43 @@ class SpanRecorder
     void setCapacity(std::size_t capacity);
     std::size_t capacity() const;
 
-    /** Append one completed span. No-op while disabled. */
+    /** Append one record. No-op while disabled. */
     void record(SpanRecord rec);
 
-    /** Spans currently buffered (<= capacity). */
+    /**
+     * Record an instant named @p name on the global recorder: the
+     * calling thread, now, parented under the thread's innermost
+     * open span. No-op while disabled. Prefer IRTHERM_EVENT, which
+     * skips building @p fields when recording is off.
+     */
+    static void recordInstant(std::string name,
+                              std::vector<EventField> fields);
+
+    /** Records currently buffered (<= capacity). */
     std::size_t size() const;
 
-    /** Total spans ever recorded (including since-overwritten). */
+    /** Total records ever recorded (including since-overwritten). */
     std::uint64_t recorded() const;
 
-    /** Spans overwritten because the ring was full. */
+    /** Records overwritten because the ring was full. */
     std::uint64_t dropped() const;
 
-    /** Copy of the buffered spans, oldest-recorded first. */
+    /** Copy of the buffered records, oldest-recorded first. */
     std::vector<SpanRecord> snapshot() const;
 
-    /** Drop buffered spans and zero the counters. Thread labels and
-     *  live stacks are untouched (they belong to their threads). */
+    /**
+     * The records sealed since recorded() stood at @p watermark,
+     * oldest first. Under the same lock, @p watermark advances to
+     * recorded(), so successive calls return each record exactly
+     * once; @p lost (if non-null) receives how many of the new
+     * records the ring overwrote before this read. A watermark past
+     * recorded() (the recorder was cleared) restarts from zero.
+     */
+    std::vector<SpanRecord> snapshotSince(std::uint64_t &watermark,
+                                          std::uint64_t *lost) const;
+
+    /** Drop buffered records and zero the counters. Thread labels
+     *  and live stacks are untouched (they belong to their threads). */
     void clear();
 
     /** One thread's currently-open span chain, root first. */
@@ -210,5 +262,23 @@ class ScopedSpan
 #endif // IRTHERM_METRICS_ENABLED
 
 } // namespace irtherm::obs
+
+#if IRTHERM_METRICS_ENABLED
+/**
+ * Record an instant on the global recorder iff recording is enabled.
+ * Usage: IRTHERM_EVENT("dtm.engage", {"sim_time_s", now},
+ *                      {"temp_k", temp});
+ */
+#define IRTHERM_EVENT(name, ...)                                        \
+    do {                                                                \
+        if (::irtherm::obs::SpanRecorder::global().enabled())           \
+            ::irtherm::obs::SpanRecorder::recordInstant((name),         \
+                                                        {__VA_ARGS__}); \
+    } while (0)
+#else
+#define IRTHERM_EVENT(name, ...)                                        \
+    do {                                                                \
+    } while (0)
+#endif
 
 #endif // IRTHERM_OBS_SPAN_HH

@@ -1,16 +1,16 @@
 /**
  * @file
- * Process-wide telemetry clock: one monotonic epoch shared by spans
- * (obs/span.hh) and events (obs/event_trace.hh), so both can be laid
- * on the same Perfetto timeline, plus the wall-clock instant that
- * epoch corresponds to (exported as a top-level field so tools can
- * map monotonic offsets back to civil time).
+ * Process-wide telemetry clock: one monotonic epoch that stamps
+ * every span and instant (obs/span.hh), plus the wall-clock instant
+ * that epoch corresponds to (exported as a top-level field so tools
+ * can map monotonic offsets back to civil time, and shipped with
+ * worker span batches so the fleet merge can rebase them).
  *
  * The epoch is captured once, on first use, from both
  * std::chrono::steady_clock and std::chrono::system_clock at the
- * same instant. It never resets — clearing a trace or span buffer
- * does not move the timeline origin, which is exactly what lets a
- * cleared-and-refilled trace still overlay recorded spans.
+ * same instant. It never resets — clearing the span recorder does
+ * not move the timeline origin, so a cleared-and-refilled recorder
+ * stays on the same timeline.
  */
 
 #ifndef IRTHERM_OBS_TRACE_CLOCK_HH

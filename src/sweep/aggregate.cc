@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "obs/export.hh"
@@ -13,14 +12,6 @@ namespace irtherm::sweep
 
 namespace
 {
-
-std::string
-jsonNumber(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 double
 requireNumber(const JsonValue &doc, const char *key,
@@ -170,11 +161,11 @@ SweepAggregator::toJson() const
 
     auto statJson = [](const Stat &s) {
         std::string j = "{\"count\":" + std::to_string(s.count);
-        j += ",\"sum\":" + jsonNumber(s.sum);
-        j += ",\"min\":" + jsonNumber(s.count == 0 ? 0.0 : s.min);
-        j += ",\"max\":" + jsonNumber(s.count == 0 ? 0.0 : s.max);
+        j += ",\"sum\":" + obs::jsonNumber(s.sum);
+        j += ",\"min\":" + obs::jsonNumber(s.count == 0 ? 0.0 : s.min);
+        j += ",\"max\":" + obs::jsonNumber(s.count == 0 ? 0.0 : s.max);
         j += ",\"mean\":" +
-             jsonNumber(s.count == 0
+             obs::jsonNumber(s.count == 0
                             ? 0.0
                             : s.sum / static_cast<double>(s.count));
         return j;
@@ -184,11 +175,11 @@ SweepAggregator::toJson() const
     const double lo = wall.count == 0 ? 0.0 : wall.min;
     const double hi = wall.count == 0 ? 0.0 : wall.max;
     out += ",\"p50\":" +
-           jsonNumber(obs::histogramQuantile(wallBuckets, lo, hi, 0.50));
+           obs::jsonNumber(obs::histogramQuantile(wallBuckets, lo, hi, 0.50));
     out += ",\"p95\":" +
-           jsonNumber(obs::histogramQuantile(wallBuckets, lo, hi, 0.95));
+           obs::jsonNumber(obs::histogramQuantile(wallBuckets, lo, hi, 0.95));
     out += ",\"p99\":" +
-           jsonNumber(obs::histogramQuantile(wallBuckets, lo, hi, 0.99));
+           obs::jsonNumber(obs::histogramQuantile(wallBuckets, lo, hi, 0.99));
     out += ",\"buckets\":{";
     bool first = true;
     for (std::size_t i = 0; i < wallBuckets.size(); ++i) {
@@ -204,7 +195,7 @@ SweepAggregator::toJson() const
 
     auto tempJson = [&](const TempHistogram &h) {
         std::string j = statJson(h.stat);
-        j += ",\"bin_width_c\":" + jsonNumber(kTempBinWidth);
+        j += ",\"bin_width_c\":" + obs::jsonNumber(kTempBinWidth);
         j += ",\"bins\":{";
         bool f = true;
         for (const auto &[bin, count] : h.bins) {
@@ -235,14 +226,14 @@ SweepAggregator::toJson() const
             out += "\"" + obs::jsonEscape(value) + "\":{";
             out += "\"count\":" + std::to_string(cell.count);
             out += ",\"ok\":" + std::to_string(cell.ok);
-            out += ",\"peak_sum\":" + jsonNumber(cell.peakSum);
-            out += ",\"peak_max\":" + jsonNumber(cell.peakMax);
+            out += ",\"peak_sum\":" + obs::jsonNumber(cell.peakSum);
+            out += ",\"peak_max\":" + obs::jsonNumber(cell.peakMax);
             out += ",\"peak_mean\":" +
-                   jsonNumber(cell.ok == 0
+                   obs::jsonNumber(cell.ok == 0
                                   ? 0.0
                                   : cell.peakSum /
                                         static_cast<double>(cell.ok));
-            out += ",\"wall_sum\":" + jsonNumber(cell.wallSum);
+            out += ",\"wall_sum\":" + obs::jsonNumber(cell.wallSum);
             out += "}";
         }
         out += "}";
@@ -258,7 +249,7 @@ SweepAggregator::toJson() const
         first = false;
         out += "{\"name\":\"" + obs::jsonEscape(job.name) + "\"";
         out += ",\"hash\":\"" + obs::jsonEscape(job.hash) + "\"";
-        out += ",\"wall_s\":" + jsonNumber(job.wallSeconds);
+        out += ",\"wall_s\":" + obs::jsonNumber(job.wallSeconds);
         out += ",\"status\":\"" +
                std::string(jobStatusName(job.status)) + "\"}";
     }

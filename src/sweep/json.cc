@@ -1,14 +1,13 @@
 #include "sweep/json.hh"
 
 #include <cctype>
-#include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "base/errors.hh"
 #include "base/logging.hh"
+#include "obs/export.hh"
 
 namespace irtherm::sweep
 {
@@ -373,14 +372,10 @@ scalarToString(const JsonValue &v, const std::string &context)
         return v.text;
       case JsonValue::Kind::Bool:
         return v.boolean ? "1" : "0";
-      case JsonValue::Kind::Number: {
+      case JsonValue::Kind::Number:
         // Shortest round-trip form: unique per double, so it is safe
         // as canonical hash input, and "0.1" stays "0.1" in job names.
-        char buf[40];
-        const auto res =
-            std::to_chars(buf, buf + sizeof(buf), v.number);
-        return std::string(buf, res.ptr);
-      }
+        return obs::jsonNumber(v.number);
       default:
         configError(context, ": expected a scalar, got ",
               JsonValue::kindName(v.kind));

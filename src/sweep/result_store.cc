@@ -1,6 +1,5 @@
 #include "sweep/result_store.hh"
 
-#include <cstdio>
 #include <filesystem>
 #include <tuple>
 #include <vector>
@@ -18,14 +17,6 @@ namespace irtherm::sweep
 
 namespace
 {
-
-std::string
-jsonNumber(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 std::uint64_t
 fileSizeOrZero(const std::string &path)
@@ -108,20 +99,20 @@ JobResult::toJsonLine() const
            std::string(errorClassName(errorClass)) + "\"";
     out += ",\"attempts\":" + std::to_string(attempts);
     out += ",\"fallback_tier\":" + std::to_string(fallbackTier);
-    out += ",\"wall_s\":" + jsonNumber(wallSeconds);
-    out += ",\"peak_c\":" + jsonNumber(peakCelsius);
-    out += ",\"min_c\":" + jsonNumber(minCelsius);
-    out += ",\"gradient_k\":" + jsonNumber(gradientKelvin);
+    out += ",\"wall_s\":" + obs::jsonNumber(wallSeconds);
+    out += ",\"peak_c\":" + obs::jsonNumber(peakCelsius);
+    out += ",\"min_c\":" + obs::jsonNumber(minCelsius);
+    out += ",\"gradient_k\":" + obs::jsonNumber(gradientKelvin);
     out += ",\"hottest\":\"" + obs::jsonEscape(hottestUnit) + "\"";
-    out += ",\"heat_primary_w\":" + jsonNumber(heatPrimaryWatts);
-    out += ",\"heat_secondary_w\":" + jsonNumber(heatSecondaryWatts);
+    out += ",\"heat_primary_w\":" + obs::jsonNumber(heatPrimaryWatts);
+    out += ",\"heat_secondary_w\":" + obs::jsonNumber(heatSecondaryWatts);
     out += ",\"cg_iterations\":" + std::to_string(cgIterations);
     out += ",\"warm_start\":";
     out += warmStarted ? "true" : "false";
     out += ",\"impulse_hit\":";
     out += impulseCacheHit ? "true" : "false";
     out += ",\"resources\":{\"cpu_s\":" +
-           jsonNumber(resources.cpuSeconds) +
+           obs::jsonNumber(resources.cpuSeconds) +
            ",\"rss_delta_kb\":" +
            std::to_string(resources.peakRssDeltaKb) +
            ",\"solver_iterations\":" +
@@ -142,7 +133,7 @@ JobResult::toJsonLine() const
         out += "}";
     }
     // Fabric provenance, omitted at its defaults so single-process
-    // journals stay byte-identical to pre-fabric builds.
+    // journals carry no fabric fields.
     if (!worker.empty())
         out += ",\"worker\":\"" + obs::jsonEscape(worker) + "\"";
     if (leaseRenewals != 0)
@@ -158,7 +149,7 @@ JobResult::toJsonLine() const
             out += ',';
         first = false;
         out += "\"" + obs::jsonEscape(block) +
-               "\":" + jsonNumber(celsius);
+               "\":" + obs::jsonNumber(celsius);
     }
     out += "}}";
     return out;

@@ -136,7 +136,7 @@ struct JobResult
     std::vector<std::pair<std::string, std::string>> axisValues;
     /** Fabric provenance: id of the worker that executed the job
      *  (journal `worker` field, omitted when empty — single-process
-     *  sweeps journal byte-identically to pre-fabric builds). */
+     *  journals carry no fabric fields). */
     std::string worker;
     /** Lease renewals the executing worker performed while holding
      *  this job (journal `lease_renewals`, omitted when zero). */

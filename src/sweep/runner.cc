@@ -23,7 +23,6 @@
 #include "base/units.hh"
 #include "core/simulator.hh"
 #include "core/stack_model.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"

@@ -1,7 +1,6 @@
 #include "sweep/status.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/export.hh"
@@ -15,19 +14,6 @@ namespace
 {
 
 constexpr std::size_t kThroughputWindow = 64;
-
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Trim to %g when it round-trips (shorter, friendlier output).
-    char shortBuf[40];
-    std::snprintf(shortBuf, sizeof(shortBuf), "%g", v);
-    double back = 0.0;
-    std::sscanf(shortBuf, "%lf", &back);
-    return back == v ? shortBuf : buf;
-}
 
 } // namespace
 
@@ -109,8 +95,8 @@ SweepStatusBoard::statusJson() const
     os << "{\"schema\":\"irtherm.sweep.status.v1\""
        << ",\"plan\":\"" << obs::jsonEscape(plan) << "\""
        << ",\"wall_start_unix_s\":"
-       << num(obs::wallClockStartUnixSeconds())
-       << ",\"uptime_s\":" << num(now - beginSeconds)
+       << obs::jsonNumber(obs::wallClockStartUnixSeconds())
+       << ",\"uptime_s\":" << obs::jsonNumber(now - beginSeconds)
        << ",\"workers\":" << workers << ",\"jobs\":{"
        << "\"total\":" << total << ",\"pending\":" << pending
        << ",\"cached\":" << cached << ",\"done\":" << done
@@ -118,7 +104,7 @@ SweepStatusBoard::statusJson() const
        << ",\"timeout\":" << timedOut << ",\"hung\":" << hung
        << ",\"running\":" << running << ",\"remaining\":" << remaining
        << "}";
-    os << ",\"throughput_jobs_per_s\":" << num(throughput);
+    os << ",\"throughput_jobs_per_s\":" << obs::jsonNumber(throughput);
     // Zero (or denormal-tiny) trailing throughput must never produce
     // an inf/nan ETA — "inf" is not even valid JSON. No estimate ->
     // an honest null.
@@ -126,7 +112,7 @@ SweepStatusBoard::statusJson() const
                            ? static_cast<double>(remaining) / throughput
                            : -1.0;
     if (throughput > 0.0 && std::isfinite(eta))
-        os << ",\"eta_s\":" << num(eta);
+        os << ",\"eta_s\":" << obs::jsonNumber(eta);
     else
         os << ",\"eta_s\":null";
 
@@ -143,7 +129,7 @@ SweepStatusBoard::statusJson() const
            << obs::jsonEscape(p.label) << "\",\"span_path\":\""
            << obs::jsonEscape(p.path) << "\"";
         if (!p.path.empty())
-            os << ",\"open_for_s\":" << num(now - p.openSeconds);
+            os << ",\"open_for_s\":" << obs::jsonNumber(now - p.openSeconds);
         os << "}";
     }
     os << "]}";

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -37,8 +38,10 @@
 #include "fabric/result_cache.hh"
 #include "fabric/worker.hh"
 #include "obs/http_server.hh"
+#include "obs/span.hh"
 #include "obs/trace_clock.hh"
 #include "obs/trace_context.hh"
+#include "sweep/json.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
 #include "sweep/runner.hh"
@@ -708,6 +711,46 @@ TEST_F(Fabric, TraceContextPropagatesFromLeaseToMergedTrace)
     EXPECT_EQ(wsum.traceId, ctx.traceId);
     EXPECT_GE(csum.spansMerged, 1u);
     EXPECT_EQ(csum.sweep.ok, plan.jobCount());
+}
+
+TEST_F(Fabric, WorkerEventsLandOnTheWorkerTrackOfTheMergedTrace)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const sweep::SweepPlan plan = distinctStackPlan();
+    CoordinatorOptions copts;
+    copts.outDir = freshDir("events_fabric");
+    copts.writeReports = false;
+    copts.fleetTraceOut = copts.outDir + "/fleet_trace.json";
+    WorkerOptions wo;
+    wo.name = "eventer";
+    ASSERT_EQ(runFleet(plan, copts, {wo}).sweep.ok, plan.jobCount());
+    obs::SpanRecorder::global().setEnabled(false);
+    obs::SpanRecorder::global().clear();
+
+    std::ifstream in(copts.fleetTraceOut);
+    const std::string body((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const sweep::JsonValue doc = sweep::parseJson(body, "fleet trace");
+    double workerPid = -1.0;
+    for (const sweep::JsonValue &e : doc.at("traceEvents").items) {
+        if (e.at("name").text == "process_name" &&
+            e.at("args").at("name").text == "eventer")
+            workerPid = e.at("pid").number;
+    }
+    ASSERT_GT(workerPid, 1.0) << "no process track for the worker";
+    const auto hasInstant = [&](const std::string &name, double pid) {
+        for (const sweep::JsonValue &e : doc.at("traceEvents").items) {
+            if (e.at("ph").text == "i" && e.at("name").text == name &&
+                e.at("pid").number == pid)
+                return true;
+        }
+        return false;
+    };
+    // The worker's own event, shipped in its /spans batches, and the
+    // coordinator's grant on pid 1.
+    EXPECT_TRUE(hasInstant("fabric.worker.lease", workerPid));
+    EXPECT_TRUE(hasInstant("fabric.lease.granted", 1.0));
 }
 
 TEST_F(Fabric, MalformedTraceContextDegradesToLocalTrace)

@@ -1,8 +1,9 @@
 /**
  * @file
  * Observability layer: metrics registry semantics, histogram
- * bucketing, JSON/CSV/JSONL export, event-trace ring behaviour, and
- * the pluggable logging sink.
+ * bucketing, JSON/CSV export, the shared JSON number writer, event
+ * instants in the span recorder's ring, and the pluggable logging
+ * sink.
  *
  * Value assertions are skipped when the instrumentation is compiled
  * out (IRTHERM_ENABLE_METRICS=OFF) — update methods are no-ops then
@@ -12,16 +13,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/logging.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
+#include "sweep/json.hh"
 
 using namespace irtherm;
 
@@ -444,113 +450,176 @@ TEST(Export, JsonEscapeHandlesSpecials)
     EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
+TEST(Export, JsonNumberRoundTripsBitExactly)
+{
+    const double values[] = {-0.0,
+                             5e-324, // smallest subnormal
+                             std::numeric_limits<double>::max(),
+                             0.1,
+                             1.0 / 3.0,
+                             9007199254740992.0, // 2^53
+                             1e21,
+                             1e-7,
+                             100000.0};
+    for (const double v : values) {
+        const std::string text = obs::jsonNumber(v);
+        const sweep::JsonValue back =
+            sweep::parseJson("[" + text + "]", "jsonNumber");
+        ASSERT_TRUE(back.items.at(0).isNumber()) << text;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.items[0].number),
+                  std::bit_cast<std::uint64_t>(v))
+            << text;
+    }
+    // JSON cannot spell non-finite values.
+    EXPECT_EQ(obs::jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(obs::jsonNumber(HUGE_VAL), "null");
+    EXPECT_EQ(obs::jsonNumber(-HUGE_VAL), "null");
+}
+
 // ---------------------------------------------------------------
-// EventTrace
+// Events: IRTHERM_EVENT instants in the span recorder's ring
 // ---------------------------------------------------------------
+
+namespace
+{
+
+/** RAII: enable the global recorder, restore off + empty. */
+struct RecorderScope
+{
+    RecorderScope()
+    {
+        obs::SpanRecorder::global().clear();
+        obs::SpanRecorder::global().setEnabled(true);
+    }
+    ~RecorderScope()
+    {
+        obs::SpanRecorder::global().setEnabled(false);
+        obs::SpanRecorder::global().clear();
+        obs::SpanRecorder::global().setCapacity(
+            obs::SpanRecorder::kDefaultCapacity);
+    }
+};
+
+} // namespace
 
 TEST(EventTrace, DisabledTraceRecordsNothing)
 {
-    obs::EventTrace trace(8);
-    trace.record("t.event", {{"k", 1.0}});
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.recorded(), 0u);
-}
-
-TEST(EventTrace, RingOverwritesOldestAndCountsDrops)
-{
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace trace(4);
-    trace.setEnabled(true);
-    for (int i = 0; i < 6; ++i)
-        trace.record("t.tick", {{"i", i}});
-    EXPECT_EQ(trace.size(), 4u);
-    EXPECT_EQ(trace.recorded(), 6u);
-    EXPECT_EQ(trace.dropped(), 2u);
-
-    const auto events = trace.snapshot();
-    ASSERT_EQ(events.size(), 4u);
-    // Oldest-first and monotonically sequenced.
-    for (std::size_t i = 1; i < events.size(); ++i)
-        EXPECT_LT(events[i - 1].seq, events[i].seq);
-    EXPECT_DOUBLE_EQ(events.front().fields.at(0).num, 2.0);
-    EXPECT_DOUBLE_EQ(events.back().fields.at(0).num, 5.0);
-}
-
-TEST(EventTrace, SetCapacityDiscardsAndClearZeroes)
-{
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace trace(4);
-    trace.setEnabled(true);
-    trace.record("t.a", {});
-    trace.setCapacity(2);
-    EXPECT_EQ(trace.capacity(), 2u);
-    EXPECT_EQ(trace.size(), 0u);
-
-    trace.record("t.b", {});
-    trace.clear();
-    EXPECT_EQ(trace.size(), 0u);
-    EXPECT_EQ(trace.recorded(), 0u);
-    EXPECT_EQ(trace.dropped(), 0u);
-}
-
-TEST(EventTrace, ZeroCapacityIsFatal)
-{
-    EXPECT_THROW(obs::EventTrace trace(0), FatalError);
-}
-
-TEST(EventTrace, JsonlLinesAreValidJson)
-{
-    if (!obs::kMetricsEnabled)
-        GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace trace(8);
-    trace.setEnabled(true);
-    trace.record("t.engage",
-                 {{"temp_k", 374.5}, {"note", "line\nbreak"}});
-    trace.record("t.disengage", {{"temp_k", 371.0}});
-
-    std::ostringstream os;
-    obs::writeTraceJsonl(os, trace);
-    std::istringstream is(os.str());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(is, line)) {
-        ++lines;
-        EXPECT_TRUE(JsonChecker::valid(line)) << line;
-        if (lines == 1) {
-            // Meta header: schema marker plus the wall-clock origin
-            // of the shared monotonic timeline.
-            EXPECT_NE(line.find("\"irtherm.trace.v1\""),
-                      std::string::npos);
-            EXPECT_NE(line.find("\"wall_start_unix_s\""),
-                      std::string::npos);
-            continue;
-        }
-        EXPECT_NE(line.find("\"seq\""), std::string::npos);
-        EXPECT_NE(line.find("\"wall_s\""), std::string::npos);
-        EXPECT_NE(line.find("\"type\""), std::string::npos);
-        EXPECT_NE(line.find("\"fields\""), std::string::npos);
-    }
-    EXPECT_EQ(lines, 3u);
-    EXPECT_NE(os.str().find("line\\nbreak"), std::string::npos);
+    auto &rec = obs::SpanRecorder::global();
+    rec.clear();
+    rec.setEnabled(false);
+    IRTHERM_EVENT("t.off", {"x", 1});
+    obs::SpanRecorder::recordInstant("t.off", {{"k", 1.0}});
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(rec.recorded(), 0u);
 }
 
 TEST(EventTrace, MacroRecordsOnlyWhileGlobalTraceEnabled)
 {
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
-    obs::EventTrace &g = obs::EventTrace::global();
-    g.clear();
-    IRTHERM_EVENT("t.off", {"x", 1});
-    EXPECT_EQ(g.size(), 0u);
+    const RecorderScope scope;
+    auto &rec = obs::SpanRecorder::global();
+    IRTHERM_EVENT("t.on", {"x", 2}, {"note", "line\nbreak"});
+    rec.setEnabled(false);
+    IRTHERM_EVENT("t.off", {"x", 3});
+    const std::vector<obs::SpanRecord> records = rec.snapshot();
+    ASSERT_EQ(records.size(), 1u);
+    const obs::SpanRecord &e = records.front();
+    EXPECT_TRUE(e.instant);
+    EXPECT_EQ(e.name, "t.on");
+    EXPECT_EQ(e.durationSeconds, 0.0);
+    ASSERT_EQ(e.attrs.size(), 2u);
+    EXPECT_EQ(e.attrs[0].key, "x");
+    EXPECT_DOUBLE_EQ(e.attrs[0].num, 2.0);
+    EXPECT_EQ(e.attrs[1].text, "line\nbreak");
+}
 
-    g.setEnabled(true);
-    IRTHERM_EVENT("t.on", {"x", 2});
-    g.setEnabled(false);
-    ASSERT_EQ(g.size(), 1u);
-    EXPECT_EQ(g.snapshot().front().type, "t.on");
-    g.clear();
+TEST(EventTrace, InstantNestsUnderOpenSpanOnItsThread)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const RecorderScope scope;
+    auto &rec = obs::SpanRecorder::global();
+    {
+        obs::ScopedSpan outer("t.decision");
+        IRTHERM_EVENT("t.engage", {"temp_k", 374.5});
+        // Another thread's instant is a root on its own track, not
+        // a child of this thread's open span.
+        std::thread other([] { IRTHERM_EVENT("t.elsewhere", {"k", 1}); });
+        other.join();
+    }
+    const std::vector<obs::SpanRecord> records = rec.snapshot();
+    ASSERT_EQ(records.size(), 3u);
+    const obs::SpanRecord *span = nullptr;
+    const obs::SpanRecord *engage = nullptr;
+    const obs::SpanRecord *elsewhere = nullptr;
+    for (const obs::SpanRecord &r : records) {
+        if (r.name == "t.decision")
+            span = &r;
+        else if (r.name == "t.engage")
+            engage = &r;
+        else if (r.name == "t.elsewhere")
+            elsewhere = &r;
+    }
+    ASSERT_TRUE(span && engage && elsewhere);
+    EXPECT_FALSE(span->instant);
+    EXPECT_EQ(engage->parentId, span->id);
+    EXPECT_EQ(engage->depth, 1u);
+    EXPECT_EQ(engage->threadIndex, span->threadIndex);
+    EXPECT_GE(engage->startSeconds, span->startSeconds);
+    EXPECT_LE(engage->startSeconds,
+              span->startSeconds + span->durationSeconds);
+    EXPECT_EQ(elsewhere->parentId, 0u);
+    EXPECT_NE(elsewhere->threadIndex, span->threadIndex);
+}
+
+TEST(EventTrace, RingOverwritesOldestAndCountsDrops)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const RecorderScope scope;
+    auto &rec = obs::SpanRecorder::global();
+    rec.setCapacity(4);
+    // Spans and instants share one ring and one drop counter.
+    for (int i = 0; i < 3; ++i) {
+        IRTHERM_EVENT("t.tick", {"i", i});
+        obs::ScopedSpan span("t.span");
+    }
+    EXPECT_EQ(rec.size(), 4u);
+    EXPECT_EQ(rec.recorded(), 6u);
+    EXPECT_EQ(rec.dropped(), 2u);
+
+    const std::vector<obs::SpanRecord> records = rec.snapshot();
+    ASSERT_EQ(records.size(), 4u);
+    // Oldest first: tick 1, span, tick 2, span.
+    EXPECT_TRUE(records[0].instant);
+    EXPECT_DOUBLE_EQ(records[0].attrs.at(0).num, 1.0);
+    EXPECT_FALSE(records[1].instant);
+    EXPECT_DOUBLE_EQ(records[2].attrs.at(0).num, 2.0);
+    EXPECT_EQ(records[3].name, "t.span");
+}
+
+TEST(EventTrace, SetCapacityDiscardsAndClearZeroes)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const RecorderScope scope;
+    auto &rec = obs::SpanRecorder::global();
+    IRTHERM_EVENT("t.a", {"k", 1});
+    rec.setCapacity(2);
+    EXPECT_EQ(rec.capacity(), 2u);
+    EXPECT_EQ(rec.size(), 0u);
+
+    IRTHERM_EVENT("t.b", {"k", 2});
+    rec.clear();
+    EXPECT_EQ(rec.size(), 0u);
+    EXPECT_EQ(rec.recorded(), 0u);
+    EXPECT_EQ(rec.dropped(), 0u);
+}
+
+TEST(EventTrace, ZeroCapacityIsFatal)
+{
+    EXPECT_THROW(obs::SpanRecorder rec(0), FatalError);
 }
 
 // ---------------------------------------------------------------

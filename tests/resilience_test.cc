@@ -14,17 +14,22 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "base/errors.hh"
 #include "base/fault_injection.hh"
+#include "core/package.hh"
+#include "core/stack_model.hh"
 #include "fabric/result_cache.hh"
+#include "floorplan/presets.hh"
 #include "numeric/grid_stencil.hh"
 #include "numeric/impulse_cache.hh"
 #include "numeric/linear_operator.hh"
 #include "numeric/robust_solve.hh"
 #include "numeric/sparse.hh"
+#include "obs/span.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
 #include "sweep/runner.hh"
@@ -380,6 +385,61 @@ TEST(RobustSolve, InjectedMgDivergenceDemotesToSsorCg)
     EXPECT_EQ(r.fallbackTier, 1);
     EXPECT_EQ(r.method, "ssor-cg");
     EXPECT_GE(FaultInjector::global().fired(), 1u);
+}
+
+TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
+{
+    // The stack network is CSR, where Multigrid degrades to SSOR: the
+    // primary tier must be named for the SSOR solve it runs, and the
+    // chain must not queue that same solve again as a fallback.
+    const Floorplan fp = floorplans::alphaEv6();
+    ModelOptions mo;
+    mo.mode = ModelMode::Grid;
+    mo.gridNx = 16;
+    mo.gridNy = 16;
+    const StackModel model(fp, PackageConfig::makeOilSilicon(10.0), mo);
+    const std::vector<double> powers(fp.blockCount(), 1.0);
+
+    StackModel::SteadySolveOptions so;
+    so.preconditioner = PreconditionerKind::Multigrid;
+    StackModel::SteadySolveInfo info;
+    const std::vector<double> viaMg =
+        model.steadyNodeTemperatures(powers, so, &info);
+    EXPECT_EQ(info.method, "ssor-cg");
+    EXPECT_EQ(info.fallbackTier, 0);
+    so.preconditioner = PreconditionerKind::Ssor;
+    EXPECT_EQ(model.steadyNodeTemperatures(powers, so), viaMg);
+
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // Starved of iterations, the iterative tiers fail in turn; the
+    // solve.tier spans name each distinct solve once.
+    obs::SpanRecorder &rec = obs::SpanRecorder::global();
+    rec.clear();
+    rec.setEnabled(true);
+    so.preconditioner = PreconditionerKind::Multigrid;
+    so.maxIterations = 20;
+    try {
+        model.steadyNodeTemperatures(powers, so);
+    } catch (const NumericError &) {
+        // Chain exhausted; the tiers it tried are still recorded.
+    }
+    rec.setEnabled(false);
+    std::vector<std::string> methods;
+    for (const obs::SpanRecord &r : rec.snapshot()) {
+        for (const obs::EventField &f : r.attrs) {
+            if (r.name == "solve.tier" && f.key == "method")
+                methods.push_back(f.text);
+        }
+    }
+    rec.clear();
+    ASSERT_GE(methods.size(), 3u);
+    EXPECT_EQ(methods[0], "ssor-cg");
+    EXPECT_EQ(methods[1], "jacobi-cg");
+    EXPECT_EQ(methods[2], "bicgstab");
+    EXPECT_EQ(std::set<std::string>(methods.begin(), methods.end())
+                  .size(),
+              methods.size());
 }
 
 // ---------------------------------------------------------------

@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "base/errors.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
@@ -207,28 +206,81 @@ TEST(Span, TraceEventJsonIsValidAndPairsBeginEnd)
     EXPECT_NE(doc.find("\"tier\""), std::string::npos);
 }
 
-TEST(Span, TraceEventExportCarriesEventOverlay)
+TEST(Span, TraceEventExportDrawsInstantsOnThreadTrack)
 {
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
     SpanScope scope;
-    obs::EventTrace trace(8);
-    trace.setEnabled(true);
-    {
-        obs::ScopedSpan span("t.with_overlay");
-        trace.record("t.instant", {{"x", 1.0}});
+    std::thread worker([] {
+        obs::SpanRecorder::setThreadLabel("t-eventer");
+        obs::ScopedSpan span("t.with_instant");
+        IRTHERM_EVENT("t.instant", {"x", 1.0});
+    });
+    worker.join();
+    double workerTid = -1.0;
+    for (const auto &[index, label] :
+         obs::SpanRecorder::global().threadLabels()) {
+        if (label == "t-eventer")
+            workerTid = index;
     }
-    const std::string doc = obs::spansToTraceJson(
-        obs::SpanRecorder::global(), &trace);
-    const sweep::JsonValue root =
-        sweep::parseJson(doc, "spans trace overlay");
-    bool sawInstant = false;
+    const std::string doc =
+        obs::spansToTraceJson(obs::SpanRecorder::global());
+    const sweep::JsonValue root = sweep::parseJson(doc, "spans trace");
+    const sweep::JsonValue *instant = nullptr;
+    double spanId = -1.0;
     for (const sweep::JsonValue &e : root.at("traceEvents").items) {
-        if (e.at("ph").text == "i" &&
-            e.at("name").text == "t.instant")
-            sawInstant = true;
+        if (e.at("ph").text == "i" && e.at("name").text == "t.instant")
+            instant = &e;
+        if (e.at("ph").text == "B" &&
+            e.at("name").text == "t.with_instant")
+            spanId = e.at("args").at("id").number;
     }
-    EXPECT_TRUE(sawInstant);
+    ASSERT_NE(instant, nullptr) << doc;
+    // Thread-scoped, on the recording thread's track, parented under
+    // the span open there, fields in args.
+    EXPECT_EQ(instant->at("s").text, "t");
+    EXPECT_EQ(instant->at("pid").number, 1.0);
+    EXPECT_EQ(instant->at("tid").number, workerTid);
+    EXPECT_EQ(instant->at("args").at("parent").number, spanId);
+    EXPECT_EQ(instant->at("args").at("x").number, 1.0);
+}
+
+TEST(Span, SnapshotSinceReadsEachRecordOnce)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    SpanScope scope;
+    auto &rec = obs::SpanRecorder::global();
+    rec.setCapacity(4);
+    const auto record = [](int from, int to) {
+        for (int i = from; i < to; ++i)
+            obs::SpanRecorder::recordInstant("t.rec", {{"i", i}});
+    };
+    // Record, ship, record, ship — the way a worker flushes.
+    std::uint64_t watermark = 0;
+    std::uint64_t lost = 0;
+    std::vector<double> shipped;
+    std::uint64_t dropped = 0;
+    const auto ship = [&] {
+        for (const obs::SpanRecord &r :
+             rec.snapshotSince(watermark, &lost))
+            shipped.push_back(r.attrs.at(0).num);
+        dropped += lost;
+    };
+    record(0, 3);
+    ship();
+    ship(); // nothing new: nothing shipped twice
+    record(3, 5);
+    ship();
+    // Six more overrun the 4-slot ring: 5 and 6 are overwritten
+    // before the next ship and count as dropped.
+    record(5, 11);
+    ship();
+    EXPECT_EQ(watermark, rec.recorded());
+    EXPECT_EQ(dropped, 2u);
+    const std::vector<double> expected = {0, 1, 2, 3, 4, 7, 8, 9, 10};
+    EXPECT_EQ(shipped, expected);
+    rec.setCapacity(obs::SpanRecorder::kDefaultCapacity);
 }
 
 TEST(Histogram, QuantilesInterpolateWithinBuckets)

@@ -17,14 +17,16 @@
  *   <prefix>.ttrace   per-block temperatures per sample (-transient)
  *
  * Observability: --stats-out dumps the metrics registry as JSON
- * (schema irtherm.stats.v1) at exit, --trace-out records structured
- * events (DTM engage/disengage, sensor polls, steady init) and
- * writes them as JSONL. Either flag implies -transient when a power
- * trace is given, since most solver telemetry is generated by the
- * replay. During an instrumented replay a shadow DTM monitor polls
- * per-block sensors and emits engagement events without perturbing
- * the run; -dtm <celsius> makes the controller real (DVFS actuation
- * applied to the trace powers).
+ * (schema irtherm.stats.v1) at exit, --spans-out writes the span
+ * timeline as a Chrome trace_event document, with the structured
+ * events (DTM engage/disengage, sensor polls, steady init) as
+ * instants on the thread that raised them. Either flag implies
+ * -transient when a power trace is given, since most solver
+ * telemetry is generated by the replay. During an instrumented
+ * replay a shadow DTM monitor polls per-block sensors and emits
+ * engagement events without perturbing the run; -dtm <celsius>
+ * makes the controller real (DVFS actuation applied to the trace
+ * powers).
  *
  * -demo generates a small EV6/gcc run end-to-end (used as the
  * install smoke test).
@@ -61,7 +63,6 @@
 #include "dtm/policy.hh"
 #include "dtm/sensor.hh"
 #include "floorplan/presets.hh"
-#include "obs/event_trace.hh"
 #include "obs/export.hh"
 #include "obs/log_json.hh"
 #include "obs/metrics.hh"
@@ -112,10 +113,9 @@ usage()
         "observability:\n"
         "  --stats-out <file>   write the metrics registry as JSON "
         "(implies -transient)\n"
-        "  --trace-out <file>   write structured events as JSONL "
-        "(implies -transient)\n"
-        "  --spans-out <file>   write hierarchical spans as Chrome "
-        "trace_event JSON (load in Perfetto; implies -transient)\n"
+        "  --spans-out <file>   write hierarchical spans and event "
+        "instants as Chrome trace_event JSON (load in Perfetto; "
+        "implies -transient)\n"
         "  --log-level <level>  debug|info|warn|error|silent "
         "(default info)\n"
         "  --version            print version and exit\n"
@@ -196,7 +196,6 @@ runSweepCommand(int argc, char **argv)
 {
     std::string planPath;
     std::string statsOutPath;
-    std::string traceOutPath;
     std::string spansOutPath;
     std::string cacheDir;
     std::string fleetTraceOutPath;
@@ -276,8 +275,6 @@ runSweepCommand(int argc, char **argv)
                       admitRps);
         } else if (arg == "--stats-out") {
             statsOutPath = value();
-        } else if (arg == "--trace-out") {
-            traceOutPath = value();
         } else if (arg == "--spans-out") {
             spansOutPath = value();
         } else if (arg == "--fleet-trace-out") {
@@ -306,8 +303,6 @@ runSweepCommand(int argc, char **argv)
         usage();
         return 2;
     }
-    if (!traceOutPath.empty())
-        obs::EventTrace::global().setEnabled(true);
     // The /status endpoint reports per-worker span paths, so serving
     // implies span recording even without --spans-out. A fleet trace
     // needs the coordinator's own track recorded too.
@@ -400,24 +395,13 @@ runSweepCommand(int argc, char **argv)
         obs::writeMetricsJson(out, obs::MetricsRegistry::global());
         std::printf("wrote %s (stats)\n", statsOutPath.c_str());
     }
-    if (!traceOutPath.empty()) {
-        const obs::EventTrace &trace = obs::EventTrace::global();
-        std::ofstream out(traceOutPath);
-        if (!out)
-            fatal("cannot write ", traceOutPath);
-        obs::writeTraceJsonl(out, trace);
-        std::printf("wrote %s (%zu events)\n", traceOutPath.c_str(),
-                    trace.size());
-    }
     if (!spansOutPath.empty()) {
         const obs::SpanRecorder &rec = obs::SpanRecorder::global();
         std::ofstream out(spansOutPath);
         if (!out)
             fatal("cannot write ", spansOutPath);
-        const obs::EventTrace &trace = obs::EventTrace::global();
-        obs::writeSpansTraceJson(
-            out, rec, trace.size() > 0 ? &trace : nullptr);
-        std::printf("wrote %s (%zu spans)\n", spansOutPath.c_str(),
+        out << obs::spansToTraceJson(rec);
+        std::printf("wrote %s (%zu records)\n", spansOutPath.c_str(),
                     rec.size());
     }
     return (sum.failed == 0 && sum.timedOut == 0 && sum.hung == 0)
@@ -515,7 +499,6 @@ struct CliOptions
     std::string configPath;
     std::string outPrefix = "irtherm_out";
     std::string statsOutPath;
-    std::string traceOutPath;
     std::string spansOutPath;
     bool transient = false;
     bool demo = false;
@@ -558,8 +541,6 @@ parseArgs(int argc, char **argv)
             ThreadPool::setGlobalThreads(static_cast<std::size_t>(n));
         } else if (arg == "--stats-out") {
             opt.statsOutPath = value();
-        } else if (arg == "--trace-out") {
-            opt.traceOutPath = value();
         } else if (arg == "--spans-out") {
             opt.spansOutPath = value();
         } else if (arg == "--log-level") {
@@ -576,10 +557,9 @@ parseArgs(int argc, char **argv)
             fatal("unknown argument '", arg, "'");
         }
     }
-    // Solver telemetry comes from the replay; asking for stats, a
-    // trace, or spans without -transient would observe almost nothing.
-    if (!opt.statsOutPath.empty() || !opt.traceOutPath.empty() ||
-        !opt.spansOutPath.empty())
+    // Solver telemetry comes from the replay; asking for stats or
+    // spans without -transient would observe almost nothing.
+    if (!opt.statsOutPath.empty() || !opt.spansOutPath.empty())
         opt.transient = true;
     return opt;
 }
@@ -706,7 +686,7 @@ runTransient(const CliOptions &opt, const Floorplan &fp,
     }
 }
 
-/** Write the stats / trace files and print the end-of-run summary. */
+/** Write the stats / spans files and print the end-of-run summary. */
 void
 writeObservabilityOutputs(const CliOptions &opt)
 {
@@ -721,25 +701,13 @@ writeObservabilityOutputs(const CliOptions &opt)
         obs::printMetricsSummary(std::cout,
                                  obs::MetricsRegistry::global());
     }
-    if (!opt.traceOutPath.empty()) {
-        const obs::EventTrace &trace = obs::EventTrace::global();
-        std::ofstream out(opt.traceOutPath);
-        if (!out)
-            fatal("cannot write ", opt.traceOutPath);
-        obs::writeTraceJsonl(out, trace);
-        std::printf("wrote %s (%zu events, %llu dropped)\n",
-                    opt.traceOutPath.c_str(), trace.size(),
-                    static_cast<unsigned long long>(trace.dropped()));
-    }
     if (!opt.spansOutPath.empty()) {
         const obs::SpanRecorder &rec = obs::SpanRecorder::global();
         std::ofstream out(opt.spansOutPath);
         if (!out)
             fatal("cannot write ", opt.spansOutPath);
-        const obs::EventTrace &trace = obs::EventTrace::global();
-        obs::writeSpansTraceJson(
-            out, rec, trace.size() > 0 ? &trace : nullptr);
-        std::printf("wrote %s (%zu spans, %llu dropped)\n",
+        out << obs::spansToTraceJson(rec);
+        std::printf("wrote %s (%zu records, %llu dropped)\n",
                     opt.spansOutPath.c_str(), rec.size(),
                     static_cast<unsigned long long>(rec.dropped()));
     }
@@ -749,8 +717,6 @@ int
 run(const CliOptions &opt)
 {
     auto &reg = obs::MetricsRegistry::global();
-    if (!opt.traceOutPath.empty())
-        obs::EventTrace::global().setEnabled(true);
     if (!opt.spansOutPath.empty())
         obs::SpanRecorder::global().setEnabled(true);
 
@@ -862,7 +828,7 @@ runDemo()
     opt.outPrefix = "demo_out";
     opt.transient = true;
     opt.statsOutPath = "demo_out.stats.json";
-    opt.traceOutPath = "demo_out.trace.jsonl";
+    opt.spansOutPath = "demo_out.spans.json";
     const int rc = run(opt);
 
     // Sanity: the steady file must exist and name every block.
@@ -883,6 +849,15 @@ runDemo()
                           std::istreambuf_iterator<char>());
     if (statsBody.find("irtherm.stats.v1") == std::string::npos)
         fatal("demo: stats dump missing schema marker");
+
+    // The shadow DTM monitor engages at least once, and the trace
+    // must carry that instant (unless telemetry is compiled out).
+    std::ifstream spans("demo_out.spans.json");
+    std::string spansBody((std::istreambuf_iterator<char>(spans)),
+                          std::istreambuf_iterator<char>());
+    if (obs::kMetricsEnabled &&
+        spansBody.find("\"dtm.engage\"") == std::string::npos)
+        fatal("demo: span trace missing the dtm.engage instant");
     std::printf("demo OK\n");
     return rc;
 }
