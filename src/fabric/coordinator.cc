@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -175,6 +176,10 @@ runCoordinator(const sweep::SweepPlan &plan,
     // Handler-shared mutable state. Handlers run on the one listener
     // thread, but the main loop reads the summary too.
     std::mutex mu;
+    // Workers told by a /complete reply that the sweep is done that
+    // still owe their final span flush (guarded by mu).
+    std::set<std::string> owedFlush;
+    std::condition_variable flushed;
 
     // Fleet observability: heartbeats + federated snapshots, shipped
     // span batches, and per-lease span ids minted from a counter in
@@ -336,12 +341,34 @@ runCoordinator(const sweep::SweepPlan &plan,
         std::size_t accepted = 0;
         std::size_t duplicates = 0;
         std::size_t unknown = 0;
+        // A worker that ships spans owes its final flush once a reply
+        // says the sweep is done. The debt is booked before the batch
+        // can complete the sweep, so the main loop never sees it done
+        // first, and dropped again unless the reply says done.
+        std::string flushWorker;
+        const auto owe = [&](bool owed) {
+            if (flushWorker.empty())
+                return;
+            std::lock_guard<std::mutex> lock(mu);
+            if (owed) {
+                owedFlush.insert(flushWorker);
+            } else {
+                owedFlush.erase(flushWorker);
+                flushed.notify_all();
+            }
+        };
         try {
             const JsonValue doc =
                 sweep::parseJson(req.body, "POST /complete");
             const std::string token =
                 requireString(doc, "token", "POST /complete");
             boardUpdate(doc);
+            const JsonValue *flush = doc.find("flush");
+            const JsonValue *worker = doc.find("worker");
+            if (flush != nullptr && flush->isBool() && flush->boolean &&
+                worker != nullptr && worker->isString())
+                flushWorker = worker->text;
+            owe(true);
             const JsonValue *results = doc.find("results");
             if (results == nullptr || !results->isArray())
                 configError(
@@ -407,31 +434,41 @@ runCoordinator(const sweep::SweepPlan &plan,
                     ++sum.fallbacks;
             }
         } catch (const FatalError &e) {
+            owe(false);
             return jsonResponse(
                 400, std::string("{\"error\":\"") +
                          obs::jsonEscape(e.what()) + "\"}");
         }
+        const bool done = table.allComplete();
+        owe(done);
         std::string body =
             "{\"accepted\":" + std::to_string(accepted) +
             ",\"duplicates\":" + std::to_string(duplicates) +
             ",\"unknown\":" + std::to_string(unknown) + ",\"done\":";
-        body += table.allComplete() ? "true" : "false";
+        body += done ? "true" : "false";
         body += "}";
         return jsonResponse(200, body);
     });
 
     server.route("POST", "/spans", [&](const obs::HttpRequest &req) {
         std::string worker;
+        bool final = false;
         std::size_t acceptedSpans = 0;
         try {
             acceptedSpans = traceStore.ingestBatch(
-                req.body, obs::wallClockStartUnixSeconds(), &worker);
+                req.body, obs::wallClockStartUnixSeconds(), &worker,
+                &final);
         } catch (const FatalError &e) {
             return jsonResponse(
                 400, std::string("{\"error\":\"") +
                          obs::jsonEscape(e.what()) + "\"}");
         }
         fleet.heartbeat(worker);
+        if (final) {
+            std::lock_guard<std::mutex> lock(mu);
+            owedFlush.erase(worker);
+            flushed.notify_all();
+        }
         return jsonResponse(
             200, "{\"accepted\":" + std::to_string(acceptedSpans) +
                      ",\"dropped\":" +
@@ -464,6 +501,14 @@ runCoordinator(const sweep::SweepPlan &plan,
             sweepForSuspects();
     }
     sweepForSuspects();
+    {
+        // A worker told "done" ships its last spans (its own done
+        // instant among them) right after the reply; keep listening
+        // for them, for at most 2 s in case it died in between.
+        std::unique_lock<std::mutex> lock(mu);
+        flushed.wait_for(lock, std::chrono::seconds(2),
+                         [&] { return owedFlush.empty(); });
+    }
 
     // Stop accepting before finalizing: no /complete can race the
     // seal-and-checkpoint below.

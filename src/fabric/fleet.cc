@@ -335,7 +335,7 @@ FleetTraceStore::FleetTraceStore(std::size_t capacity) : cap(capacity)
 std::size_t
 FleetTraceStore::ingestBatch(const std::string &body,
                              double coordEpochUnixSeconds,
-                             std::string *workerOut)
+                             std::string *workerOut, bool *finalOut)
 {
     const sweep::JsonValue doc = sweep::parseJson(body, "/spans body");
     if (!doc.isObject())
@@ -346,6 +346,10 @@ FleetTraceStore::ingestBatch(const std::string &body,
     const std::string worker = workerVal.text;
     if (workerOut != nullptr)
         *workerOut = worker;
+    if (finalOut != nullptr) {
+        const sweep::JsonValue *v = doc.find("final");
+        *finalOut = v != nullptr && v->isBool() && v->boolean;
+    }
 
     double epochDelta = 0.0;
     if (const sweep::JsonValue *v = doc.find("wall_epoch_unix_s")) {

@@ -175,11 +175,13 @@ class FleetTraceStore
      * parsed here (throws FatalError on malformed JSON, which the
      * HTTP handler maps to a 400). Returns the number of records
      * accepted. @p coordEpochUnixSeconds anchors the rebase: stored
-     * start times are on the coordinator's trace epoch.
+     * start times are on the coordinator's trace epoch. @p finalOut
+     * reports whether the batch ends the worker's final flush.
      */
     std::size_t ingestBatch(const std::string &body,
                             double coordEpochUnixSeconds,
-                            std::string *workerOut = nullptr);
+                            std::string *workerOut = nullptr,
+                            bool *finalOut = nullptr);
 
     std::uint64_t received() const; ///< spans ever accepted
     std::uint64_t dropped() const;  ///< spans shed at capacity

@@ -145,9 +145,11 @@ runWorker(const WorkerOptions &opts)
     // watermark are read under one lock, so a record sealed
     // concurrently (another thread of an in-process fleet, or an
     // abandoned hung job) ships exactly once. A failed POST costs
-    // observability, never the job.
+    // observability, never the job. The last batch of the @p final
+    // flush says so: a coordinator that told this worker the sweep
+    // is done holds its listener open until then.
     std::uint64_t shippedWatermark = 0;
-    const auto shipSpans = [&] {
+    const auto shipSpans = [&](bool final) {
         constexpr std::size_t kShipBatch = 1024;
         auto &rec = obs::SpanRecorder::global();
         if (!rec.enabled() || !adopted.valid())
@@ -163,12 +165,14 @@ runWorker(const WorkerOptions &opts)
             "\",\"lease_span\":\"" + obs::spanIdHex(adopted.spanId) +
             "\",\"wall_epoch_unix_s\":" +
             obs::jsonNumber(obs::wallClockStartUnixSeconds()) +
-            ",\"dropped\":" + std::to_string(rec.dropped()) +
-            ",\"spans\":[";
+            ",\"dropped\":" + std::to_string(rec.dropped());
         for (std::size_t i = 0; i < tail.size(); i += kShipBatch) {
             const std::size_t end =
                 std::min(tail.size(), i + kShipBatch);
             std::string body = head;
+            if (final && end == tail.size())
+                body += ",\"final\":true";
+            body += ",\"spans\":[";
             for (std::size_t j = i; j < end; ++j) {
                 const obs::SpanRecord &s = tail[j];
                 if (j != i)
@@ -361,6 +365,9 @@ runWorker(const WorkerOptions &opts)
                            obs::jsonEscape(name) + "\",\"trace\":\"" +
                            wireCtx +
                            "\",\"metrics\":" + metricsJson() +
+                           (obs::SpanRecorder::global().enabled()
+                                ? ",\"flush\":true"
+                                : "") +
                            ",\"results\":[";
         for (std::size_t i = 0; i < results.size(); ++i) {
             if (i)
@@ -410,13 +417,8 @@ runWorker(const WorkerOptions &opts)
             }
             break;
         }
-        shipSpans();
+        shipSpans(false);
     }
-
-    // Final flush: spans sealed since the last report (a died worker
-    // ships nothing — that is the point of the fault).
-    if (!sum.died)
-        shipSpans();
 
     IRTHERM_EVENT("fabric.worker.done", {"worker", name},
                   {"executed", sum.executed}, {"ok", sum.ok},
@@ -424,6 +426,12 @@ runWorker(const WorkerOptions &opts)
                   {"renewals", sum.renewals},
                   {"duplicates", sum.duplicates},
                   {"rejected", sum.rejected}, {"died", sum.died});
+    // Final flush, after the done instant so that it reaches the
+    // merged trace too (a died worker ships nothing — that is the
+    // point of the fault).
+    if (!sum.died)
+        shipSpans(true);
+
     span.attr("executed", sum.executed).attr("leases", sum.leases);
     inform("fabric: worker '", name, "' finished: ", sum.executed,
            " executed (", sum.ok, " ok), ", sum.leases, " leases, ",

@@ -6,6 +6,8 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -52,33 +54,190 @@ checkDeadline(Clock::time_point deadline)
 }
 
 /**
- * Steady-state temperature-rise vectors of completed jobs, keyed by
- * stack hash. A later job over the same RC network starts its CG
- * solve from a neighbor's field instead of from zero.
+ * What jobs over one RC network share, keyed by stack hash: the
+ * assembled StackModel and the last steady rise vector (a later job
+ * starts its CG solve from a neighbor's field instead of from zero).
+ *
+ * A model is kept only for a stack that expectJobs() said still has
+ * jobs left, and only until its last job is done; at most maxModels
+ * are kept at once, least recently used evicted first (a rebuilt
+ * model is bit-identical). A stack that was never counted builds a
+ * model per job and keeps only its warm start. StackModel is
+ * immutable after construction, so jobs share one without locking.
  */
-class WarmStartCache
+class StackCache
 {
   public:
-    /** Copy of the cached rise vector; empty when none. */
-    std::vector<double>
-    lookup(std::uint64_t stack_hash) const
+    using ModelPtr = std::shared_ptr<const StackModel>;
+
+    explicit StackCache(std::size_t bound)
+        : maxModels(std::max<std::size_t>(1, bound))
+    {
+    }
+
+    ~StackCache()
+    {
+        retainedGauge().add(-static_cast<double>(retained));
+    }
+
+    StackCache(const StackCache &) = delete;
+    StackCache &operator=(const StackCache &) = delete;
+
+    void
+    expectJobs(const std::map<std::uint64_t, std::size_t> &jobsPerStack)
     {
         std::lock_guard<std::mutex> lock(mu);
-        const auto it = riseByStack.find(stack_hash);
-        return it == riseByStack.end() ? std::vector<double>{}
-                                       : it->second;
+        for (const auto &[stack, jobs] : jobsPerStack)
+            entries[stack].jobsLeft += jobs;
+    }
+
+    /**
+     * The model of @p stack: the kept one, or the one @p build makes.
+     * Concurrent jobs of a kept stack wait for its single build and
+     * share its model; when that build threw, each of them runs
+     * @p build itself and fails on its own exception, as it would
+     * without the cache. @p built reports whether this call ran
+     * @p build.
+     */
+    ModelPtr
+    model(std::uint64_t stack, const std::function<ModelPtr()> &build,
+          bool &built)
+    {
+        static obs::Counter &builds =
+            obs::MetricsRegistry::global().counter(
+                "sweep.stack_cache.builds");
+        static obs::Counter &hits =
+            obs::MetricsRegistry::global().counter(
+                "sweep.stack_cache.hits");
+
+        std::unique_lock<std::mutex> lock(mu);
+        const auto it = entries.find(stack);
+        if (it != entries.end() && it->second.model.valid()) {
+            it->second.lastUse = ++useClock;
+            const std::shared_future<ModelPtr> kept = it->second.model;
+            lock.unlock();
+            if (ModelPtr m = kept.get()) {
+                hits.add();
+                built = false;
+                return m;
+            }
+            built = true;
+            builds.add();
+            return build();
+        }
+        built = true;
+        builds.add();
+        if (it == entries.end() || it->second.jobsLeft < 2) {
+            // No other job will ask for this stack: nothing to keep.
+            lock.unlock();
+            return build();
+        }
+        std::promise<ModelPtr> promise;
+        Entry &e = it->second;
+        e.model = promise.get_future().share();
+        e.lastUse = ++useClock;
+        ++retained;
+        retainedGauge().add(1.0);
+        evictBeyondBound();
+        lock.unlock();
+        try {
+            ModelPtr m = build();
+            promise.set_value(m);
+            return m;
+        } catch (...) {
+            // Waiting and later jobs of the stack find no model and
+            // build on their own, as they would without the cache.
+            promise.set_value(nullptr);
+            throw;
+        }
+    }
+
+    /** Copy of the stack's last rise vector; empty when none. */
+    std::vector<double>
+    warmStart(std::uint64_t stack) const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        const auto it = entries.find(stack);
+        return it == entries.end() ? std::vector<double>{}
+                                   : it->second.rise;
     }
 
     void
-    store(std::uint64_t stack_hash, std::vector<double> rise)
+    storeRise(std::uint64_t stack, std::vector<double> rise)
     {
         std::lock_guard<std::mutex> lock(mu);
-        riseByStack[stack_hash] = std::move(rise);
+        entries[stack].rise = std::move(rise);
+    }
+
+    /** One counted job of @p stack reached its terminal state; the
+     *  last one takes the stack's model and warm start with it. */
+    void
+    jobDone(std::uint64_t stack)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        const auto it = entries.find(stack);
+        if (it == entries.end() || it->second.jobsLeft == 0)
+            return;
+        if (--it->second.jobsLeft == 0) {
+            dropModel(it->second);
+            entries.erase(it);
+        }
     }
 
   private:
+    struct Entry
+    {
+        std::size_t jobsLeft = 0; ///< counted jobs not yet done
+        /** Valid while the model is kept; ready once built (null
+         *  when the build threw). */
+        std::shared_future<ModelPtr> model;
+        std::uint64_t lastUse = 0;
+        std::vector<double> rise;
+    };
+
+    /** Models held by every StackCache in the process. */
+    static obs::Gauge &
+    retainedGauge()
+    {
+        static obs::Gauge &g = obs::MetricsRegistry::global().gauge(
+            "sweep.stack_cache.models");
+        return g;
+    }
+
+    void
+    dropModel(Entry &e)
+    {
+        if (!e.model.valid())
+            return;
+        e.model = {};
+        --retained;
+        retainedGauge().add(-1.0);
+    }
+
+    void
+    evictBeyondBound()
+    {
+        static obs::Counter &evictions =
+            obs::MetricsRegistry::global().counter(
+                "sweep.stack_cache.evictions");
+        while (retained > maxModels) {
+            Entry *lru = nullptr;
+            for (auto &kv : entries) {
+                Entry &e = kv.second;
+                if (e.model.valid() &&
+                    (lru == nullptr || e.lastUse < lru->lastUse))
+                    lru = &e;
+            }
+            dropModel(*lru);
+            evictions.add();
+        }
+    }
+
+    const std::size_t maxModels;
     mutable std::mutex mu;
-    std::map<std::uint64_t, std::vector<double>> riseByStack;
+    std::map<std::uint64_t, Entry> entries;
+    std::size_t retained = 0;
+    std::uint64_t useClock = 0;
 };
 
 /** Fill the thermal summary of @p r from a solved node state. */
@@ -123,7 +282,7 @@ summarize(JobResult &r, const StackModel &model,
  *  for the impulse-response matrix to amortize. */
 JobResult
 runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
-          WarmStartCache &warm, std::size_t attempt,
+          StackCache &stacks, std::size_t attempt,
           const std::string &workerLabel, bool allowSuperposition)
 {
     JobResult r;
@@ -159,15 +318,27 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(secs));
         }
-        const ResolvedScenario rs = spec.resolve();
+        const ResolvedScenario rs = [&] {
+            obs::ScopedSpan span("sweep.resolve");
+            return spec.resolve();
+        }();
         checkDeadline(deadline);
-        const StackModel model(rs.floorplan, rs.config.package,
-                               rs.config.model);
+        const std::uint64_t stack = spec.stackHash();
+        bool built = false;
+        const StackCache::ModelPtr shared = stacks.model(
+            stack,
+            [&] {
+                obs::ScopedSpan span("core.assemble");
+                return std::make_shared<const StackModel>(
+                    rs.floorplan, rs.config.package, rs.config.model);
+            },
+            built);
+        const StackModel &model = *shared;
+        jobSpan.attr("model", built ? "built" : "reused");
         checkDeadline(deadline);
 
         std::vector<double> nodes;
         if (!rs.transient) {
-            const std::uint64_t stack = spec.stackHash();
             StackModel::SteadySolveOptions sopts;
             sopts.maxIterations = rs.maxIterations;
             sopts.tolerance = rs.tolerance;
@@ -183,7 +354,7 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
                 sopts.superposition = true;
                 sopts.stackKey = stack;
             } else {
-                guess = warm.lookup(stack);
+                guess = stacks.warmStart(stack);
                 if (!guess.empty())
                     sopts.warmStart = &guess;
             }
@@ -194,12 +365,13 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
             r.warmStarted = info.warmStarted;
             r.fallbackTier = info.fallbackTier;
             r.impulseCacheHit = info.impulseCacheHit;
-            // Keep the warm cache fresh even on superposed jobs: a
+            // Keep the warm start fresh even on superposed jobs: a
             // demoted neighbor still gets a good starting guess.
             std::vector<double> rise = nodes;
             for (double &t : rise)
                 t -= rs.config.package.ambient;
-            warm.store(stack, std::move(rise));
+            stacks.storeRise(stack, std::move(rise));
+            obs::ScopedSpan span("core.summarize");
             summarize(r, model, nodes);
         } else {
             SimulatorOptions so;
@@ -218,6 +390,7 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
                     checkDeadline(deadline);
             }
             nodes = sim.nodeTemperatures();
+            obs::ScopedSpan span("core.summarize");
             summarize(r, model, nodes);
             // Report the replay-wide peak, not just the final
             // sample's (the warm-up / pulse experiments care about
@@ -226,6 +399,7 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
         }
 
         if (rs.writeMap && rs.config.model.mode == ModelMode::Grid) {
+            obs::ScopedSpan span("sweep.map_write");
             const ThermalMap map = ThermalMap::fromModel(model, nodes);
             const std::filesystem::path base =
                 std::filesystem::path(opts.outDir) / r.hash;
@@ -329,25 +503,25 @@ class AbandonedJobs
  * thread; if it is still unresponsive at
  * jobTimeoutSeconds * watchdogGraceFactor (past every cooperative
  * checkpoint), the thread is abandoned — it holds only copies of the
- * spec/options and the shared warm-start cache, so it can outlive
+ * spec and options and the shared stack cache, so it can outlive
  * the sweep safely — and the job is recorded as `hung`.
  */
 JobResult
 runGuarded(const ScenarioSpec &spec, const SweepOptions &opts,
-           const std::shared_ptr<WarmStartCache> &warm,
+           const std::shared_ptr<StackCache> &stacks,
            AbandonedJobs &abandoned, std::size_t attempt,
            const std::string &workerLabel, bool allowSuperposition)
 {
     if (opts.jobTimeoutSeconds <= 0.0)
-        return runOneJob(spec, opts, *warm, attempt, workerLabel,
+        return runOneJob(spec, opts, *stacks, attempt, workerLabel,
                          allowSuperposition);
 
     auto cell = std::make_shared<JobCell>();
     auto specCopy = std::make_shared<ScenarioSpec>(spec);
     auto optsCopy = std::make_shared<SweepOptions>(opts);
-    std::thread runner([cell, specCopy, optsCopy, warm, attempt,
+    std::thread runner([cell, specCopy, optsCopy, stacks, attempt,
                         workerLabel, allowSuperposition] {
-        JobResult jr = runOneJob(*specCopy, *optsCopy, *warm, attempt,
+        JobResult jr = runOneJob(*specCopy, *optsCopy, *stacks, attempt,
                                  workerLabel, allowSuperposition);
         std::lock_guard<std::mutex> lock(cell->mu);
         cell->result = std::move(jr);
@@ -413,8 +587,11 @@ struct JobExecutor::Impl
     /** Jobs solve single-threaded; the executor's threads (or the
      *  fabric's processes) provide the parallelism. */
     SerialKernelGuard serialKernels;
-    std::shared_ptr<WarmStartCache> warm =
-        std::make_shared<WarmStartCache>();
+    /** One kept model per job thread: enough for every worker to
+     *  drain a different stack without rebuilding. */
+    std::shared_ptr<StackCache> stacks = std::make_shared<StackCache>(
+        opts.workers != 0 ? opts.workers
+                          : ThreadPool::plannedGlobalThreads());
     AbandonedJobs abandoned;
 
     explicit Impl(const SweepOptions &o) : opts(o) {}
@@ -443,7 +620,7 @@ JobExecutor::run(const ScenarioSpec &spec, bool allowSuperposition,
     {
         obs::ScopedTimer jobTimer(reg.timer("sweep.job_time"));
         for (;; ++attempt) {
-            r = runGuarded(spec, opts, impl->warm, impl->abandoned,
+            r = runGuarded(spec, opts, impl->stacks, impl->abandoned,
                            attempt, workerLabel, allowSuperposition);
             acc.cpuSeconds += r.resources.cpuSeconds;
             acc.peakRssDeltaKb += r.resources.peakRssDeltaKb;
@@ -467,11 +644,19 @@ JobExecutor::run(const ScenarioSpec &spec, bool allowSuperposition,
                 std::chrono::duration<double>(delay));
         }
     }
+    impl->stacks->jobDone(spec.stackHash());
     r.attempts = attempt;
     acc.retries = attempt - 1;
     acc.fallbackEscalations = r.fallbackTier;
     r.resources = acc;
     return r;
+}
+
+void
+JobExecutor::expectJobs(
+    const std::map<std::uint64_t, std::size_t> &jobsPerStack)
+{
+    impl->stacks->expectJobs(jobsPerStack);
 }
 
 void
@@ -547,22 +732,24 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
         pending.push_back(&spec);
     }
 
-    // Steady jobs per stack hash: a stack crossing the superposition
-    // threshold amortizes its impulse-response build (one solve per
-    // block) across all of its jobs.
+    // Jobs per stack hash. The executor keeps a stack's model while
+    // the stack has jobs left; a stack whose steady jobs cross the
+    // superposition threshold amortizes its impulse-response build
+    // (one solve per block) across all of them.
     std::map<std::uint64_t, std::size_t> stackJobs;
-    if (opts.superpositionMinJobs != 0) {
-        for (const ScenarioSpec *spec : pending) {
-            const std::string *mode = spec->find("mode");
-            if (mode == nullptr || *mode == "steady")
-                ++stackJobs[spec->stackHash()];
-        }
+    std::map<std::uint64_t, std::size_t> steadyStackJobs;
+    for (const ScenarioSpec *spec : pending) {
+        const std::uint64_t stack = spec->stackHash();
+        ++stackJobs[stack];
+        const std::string *mode = spec->find("mode");
+        if (mode == nullptr || *mode == "steady")
+            ++steadyStackJobs[stack];
     }
     const auto superpositionEligible = [&](const ScenarioSpec &spec) {
         if (opts.superpositionMinJobs == 0)
             return false;
-        const auto it = stackJobs.find(spec.stackHash());
-        return it != stackJobs.end() &&
+        const auto it = steadyStackJobs.find(spec.stackHash());
+        return it != steadyStackJobs.end() &&
                it->second >= opts.superpositionMinJobs;
     };
 
@@ -572,6 +759,7 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
                   {"shared_cache_hits", sum.sharedCacheHits});
 
     JobExecutor executor(opts);
+    executor.expectJobs(stackJobs);
     std::atomic<std::size_t> nextJob{0};
     std::atomic<std::size_t> executed{0};
     std::mutex sumMu;

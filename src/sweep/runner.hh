@@ -1,8 +1,9 @@
 /**
  * @file
  * Batch job runner: schedules expanded scenarios across worker
- * threads with failure isolation, per-job deadlines, steady-state
- * warm-start reuse, and journal-backed resume.
+ * threads with failure isolation, per-job deadlines, a per-stack
+ * cache of assembled models and warm starts, and journal-backed
+ * resume.
  *
  * Scheduling model: the runner owns its worker threads (one job per
  * worker) and *disables* the numeric kernels' thread-pool
@@ -25,9 +26,30 @@
  * watchdog's hard deadline (timeout x grace factor) has its thread
  * abandoned and is recorded as `hung`.
  *
- * Warm starts: jobs sharing a stack hash (same floorplan + config
- * keys, i.e. the same RC network) seed their steady CG solve from
- * the most recent completed neighbor's temperature-rise vector.
+ * Stack cache: jobs sharing a stack hash (same floorplan + config
+ * keys, i.e. the same RC network) share what depends only on the
+ * network. Each JobExecutor keeps one entry per stack hash holding
+ *  - the assembled StackModel, built once: concurrent jobs of the
+ *    stack wait for the single build and share its model (if the
+ *    build throws, each job of the stack builds on its own and fails
+ *    the same way); StackModel is immutable, so sharing needs no lock;
+ *  - the last completed job's steady temperature-rise vector, which
+ *    seeds the next job's steady CG solve (a warm start).
+ * Lifetime: runSweep counts its pending jobs per stack and hands the
+ * counts to the executor (JobExecutor::expectJobs) before any job
+ * starts. A model is kept only while its stack still has jobs left,
+ * and the entry goes with the stack's last job, so a plan whose
+ * every job has its own stack keeps nothing. Bound: at most one
+ * model per job thread (SweepOptions::workers) is kept; past that
+ * the least recently used is dropped and rebuilt when next needed
+ * (bit-identical), so an interleaved plan cannot pin one model per
+ * stack. An executor that was never given counts (a fabric worker,
+ * which cannot know them) assembles a model per job and keeps only
+ * warm starts. Telemetry: counters sweep.stack_cache.{builds,hits,
+ * evictions}, gauge sweep.stack_cache.models (models kept), and per
+ * job the spans sweep.resolve, core.assemble (on the job that builds
+ * the model), core.summarize and sweep.map_write, with
+ * model=built|reused on sweep.job.
  *
  * Resume: with SweepOptions::resume, previously journaled hashes are
  * skipped entirely — a re-run of a completed sweep performs zero
@@ -38,7 +60,9 @@
 #define IRTHERM_SWEEP_RUNNER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -162,8 +186,8 @@ struct SweepSummary
  * Single-job execution engine: everything between "here is a
  * scenario" and "here is its terminal JobResult" — failure isolation,
  * bounded retry with backoff, the cooperative deadline and watchdog
- * hard deadline, warm-start reuse across jobs, and resource
- * accounting across attempts. runSweep() drives one of these from
+ * hard deadline, the stack cache (see the top of this file), and
+ * resource accounting across attempts. runSweep() drives one of these from
  * its scheduler threads; a fabric worker drives one from its lease
  * loop — the same engine either way, so local and distributed
  * execution of a scenario cannot diverge.
@@ -194,6 +218,16 @@ class JobExecutor
     JobResult run(const ScenarioSpec &spec,
                   bool allowSuperposition = false,
                   const std::string &workerLabel = "");
+
+    /**
+     * Count jobs about to run per stack (ScenarioSpec::stackHash() ->
+     * jobs; adds to earlier counts). A counted stack keeps its
+     * assembled model between its jobs until run() has returned for
+     * the last of them; jobs of uncounted stacks assemble their own.
+     * Call before running the counted jobs.
+     */
+    void expectJobs(
+        const std::map<std::uint64_t, std::size_t> &jobsPerStack);
 
     /** Join watchdog-abandoned job threads that finish within
      *  @p budgetSeconds total; detach the rest. */

@@ -747,9 +747,11 @@ TEST_F(Fabric, WorkerEventsLandOnTheWorkerTrackOfTheMergedTrace)
         }
         return false;
     };
-    // The worker's own event, shipped in its /spans batches, and the
-    // coordinator's grant on pid 1.
+    // The worker's own events, shipped in its /spans batches (the
+    // done instant in the final flush), and the coordinator's grant
+    // on pid 1.
     EXPECT_TRUE(hasInstant("fabric.worker.lease", workerPid));
+    EXPECT_TRUE(hasInstant("fabric.worker.done", workerPid));
     EXPECT_TRUE(hasInstant("fabric.lease.granted", 1.0));
 }
 

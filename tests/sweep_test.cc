@@ -8,13 +8,19 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
+#include "campaign/invariants.hh"
+#include "floorplan/presets.hh"
+#include "numeric/impulse_cache.hh"
+#include "obs/metrics.hh"
 #include "sweep/json.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
@@ -452,6 +458,311 @@ TEST(SweepRunner, ReportsAreWritten)
     EXPECT_EQ(root.find("schema")->text, "irtherm.sweep.v1");
     ASSERT_NE(root.find("results"), nullptr);
     EXPECT_EQ(root.find("results")->items.size(), 2u);
+}
+
+// ---------------------------------------------------------------
+// Stack cache: one model (and warm start) per stack hash
+// ---------------------------------------------------------------
+
+double
+counterValue(const char *name)
+{
+    return static_cast<double>(
+        obs::MetricsRegistry::global().counter(name).value());
+}
+
+double
+modelsKept()
+{
+    return obs::MetricsRegistry::global()
+        .gauge("sweep.stack_cache.models")
+        .value();
+}
+
+/** Grid-8 oil base: cheap, but still a real grid model with
+ *  superposition and advection. */
+constexpr const char *kOilGridBase =
+    R"("base": {"floorplan": "preset:ev6", "mode": "steady",
+                "config": {"cooling": "oil", "model_mode": "grid",
+                           "grid_nx": 8, "grid_ny": 8}})";
+
+/** One steady scenario object on the stack of @p velocity. */
+std::string
+steadyScenario(const std::string &name, double velocity, double watts,
+               const std::string &extra = "")
+{
+    return "{\"name\": \"" + name +
+           "\", \"config.oil_velocity\": " + std::to_string(velocity) +
+           ", \"power.uniform\": " + std::to_string(watts) + extra + "}";
+}
+
+std::string
+planOf(const std::vector<std::string> &scenarios,
+       const std::string &axes = "")
+{
+    std::string text = std::string("{") + kOilGridBase +
+                       ", \"scenarios\": [";
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        text += (i ? ",\n" : "\n") + scenarios[i];
+    text += "]";
+    if (!axes.empty())
+        text += ", \"axes\": " + axes;
+    return text + "}";
+}
+
+/** Steady jobs per stack, as runSweep counts them for the
+ *  superposition gate. */
+std::map<std::uint64_t, std::size_t>
+steadyJobsPerStack(const std::vector<ScenarioSpec> &jobs)
+{
+    std::map<std::uint64_t, std::size_t> out;
+    for (const ScenarioSpec &spec : jobs) {
+        const std::string *mode = spec.find("mode");
+        if (mode == nullptr || *mode == "steady")
+            ++out[spec.stackHash()];
+    }
+    return out;
+}
+
+/** @p jobs run in order through an executor that was never told any
+ *  counts: every job assembles its own model. */
+std::vector<JobResult>
+runPerJobBuild(const std::vector<ScenarioSpec> &jobs,
+               const SweepOptions &opts)
+{
+    const std::map<std::uint64_t, std::size_t> steady =
+        steadyJobsPerStack(jobs);
+    ImpulseResponseCache::global().clear();
+    JobExecutor executor(opts);
+    std::vector<JobResult> out;
+    for (const ScenarioSpec &spec : jobs) {
+        const std::size_t n = steady.count(spec.stackHash())
+                                  ? steady.at(spec.stackHash())
+                                  : 0;
+        out.push_back(
+            executor.run(spec, n >= opts.superpositionMinJobs));
+    }
+    return out;
+}
+
+TEST(StackCache, SharingIsTransparentToJournaledRows)
+{
+    const std::string dir = freshOutDir("stack_transparent");
+    std::filesystem::create_directories(dir);
+    const std::string ptrace = dir + "/pulse.ptrace";
+    {
+        std::ofstream out(ptrace);
+        const Floorplan fp = floorplans::alphaEv6();
+        for (std::size_t b = 0; b < fp.blockCount(); ++b)
+            out << (b ? " " : "") << fp.block(b).name;
+        out << "\n";
+        for (int row = 0; row < 12; ++row) {
+            for (std::size_t b = 0; b < fp.blockCount(); ++b)
+                out << (b ? " " : "") << (row % 4 < 2 ? 2.0 : 0.5);
+            out << "\n";
+        }
+    }
+    // Stack A: 12 superposed jobs with 3 iterative ones (warm
+    // started from their superposed neighbours) and 2 transient
+    // replays between them; stack B: 12 superposed jobs. The stacks
+    // take turns in blocks of four, so the one kept model (one
+    // worker) is evicted at every turn but the last.
+    std::vector<std::string> scenarios;
+    for (int j = 0; j < 12; ++j) {
+        scenarios.push_back(steadyScenario(
+            "a" + std::to_string(j), 8.0, 0.3 + 0.05 * j));
+        if (j % 4 == 1)
+            scenarios.push_back(steadyScenario(
+                "a-cg" + std::to_string(j), 8.0, 0.35 + 0.05 * j,
+                ", \"solver.superposition\": false"));
+        if (j == 5 || j == 9)
+            scenarios.push_back(
+                "{\"name\": \"a-pulse" + std::to_string(j) +
+                "\", \"config.oil_velocity\": 8.0, \"mode\": "
+                "\"transient\", \"integrator\": \"be\", \"ptrace\": \"" +
+                ptrace + "\", \"ptrace.sampling\": " +
+                (j == 5 ? "0.001" : "0.002") + "}");
+        if (j % 4 == 3)
+            for (int b = j - 3; b <= j; ++b)
+                scenarios.push_back(steadyScenario(
+                    "b" + std::to_string(b), 12.0, 0.4 + 0.05 * b));
+    }
+    const SweepPlan plan = SweepPlan::parse(planOf(scenarios), "clear");
+    const std::vector<ScenarioSpec> jobs = plan.expand();
+    ASSERT_EQ(jobs.size(), 29u);
+
+    SweepOptions opts;
+    opts.outDir = dir + "/sweep";
+    opts.workers = 1;
+    ImpulseResponseCache::global().clear();
+    const double builds = counterValue("sweep.stack_cache.builds");
+    const double hits = counterValue("sweep.stack_cache.hits");
+    const double evictions =
+        counterValue("sweep.stack_cache.evictions");
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.ok, jobs.size());
+    EXPECT_EQ(sum.impulseCacheHits, 22u);
+    EXPECT_EQ(sum.warmStarted, 3u);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(counterValue("sweep.stack_cache.builds") - builds, 6.0);
+        EXPECT_EQ(counterValue("sweep.stack_cache.hits") - hits, 23.0);
+        EXPECT_EQ(
+            counterValue("sweep.stack_cache.evictions") - evictions, 4.0);
+    }
+
+    const std::vector<JobResult> reference = runPerJobBuild(jobs, opts);
+    ResultStore store(opts.outDir);
+    ASSERT_EQ(store.loadJournal(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobResult *row = store.findResult(jobs[i].hashHex());
+        ASSERT_NE(row, nullptr) << jobs[i].displayName();
+        EXPECT_EQ(campaign::normalizedLine(*row),
+                  campaign::normalizedLine(reference[i]))
+            << jobs[i].displayName();
+    }
+}
+
+TEST(StackCache, ConcurrentJobsOfAStackShareOneBuild)
+{
+    std::vector<std::string> scenarios;
+    for (const double v : {6.0, 9.0, 12.0})
+        for (int j = 0; j < 16; ++j)
+            scenarios.push_back(steadyScenario(
+                "v" + std::to_string(v) + "-" + std::to_string(j), v,
+                0.3 + 0.02 * j));
+    const SweepPlan plan = SweepPlan::parse(planOf(scenarios), "share");
+    SweepOptions opts;
+    opts.outDir = freshOutDir("stack_share");
+    opts.workers = 4;
+    const double builds = counterValue("sweep.stack_cache.builds");
+    const double hits = counterValue("sweep.stack_cache.hits");
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.executed, 48u);
+    EXPECT_EQ(sum.ok, 48u);
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    EXPECT_EQ(counterValue("sweep.stack_cache.builds") - builds, 3.0);
+    EXPECT_EQ(counterValue("sweep.stack_cache.hits") - hits, 45.0);
+}
+
+TEST(StackCache, DistinctStacksKeepNoModel)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    std::string values;
+    for (int j = 0; j < 40; ++j)
+        values += (j ? ", " : "") + std::to_string(4.0 + 0.25 * j);
+    const SweepPlan plan = SweepPlan::parse(
+        planOf({steadyScenario("d", 8.0, 0.5)},
+               "{\"config.oil_velocity\": [" + values + "]}"),
+        "distinct");
+    const std::vector<ScenarioSpec> jobs = plan.expand();
+    ASSERT_EQ(jobs.size(), 40u);
+
+    SweepOptions opts;
+    opts.workers = 2;
+    std::map<std::uint64_t, std::size_t> perStack;
+    for (const ScenarioSpec &spec : jobs)
+        ++perStack[spec.stackHash()];
+    ASSERT_EQ(perStack.size(), 40u);
+    const double kept = modelsKept();
+    const double builds = counterValue("sweep.stack_cache.builds");
+    const double hits = counterValue("sweep.stack_cache.hits");
+    JobExecutor executor(opts);
+    executor.expectJobs(perStack);
+    for (const ScenarioSpec &spec : jobs) {
+        EXPECT_EQ(executor.run(spec).status, JobStatus::Ok);
+        EXPECT_EQ(modelsKept(), kept) << spec.displayName();
+    }
+    EXPECT_EQ(counterValue("sweep.stack_cache.builds") - builds, 40.0);
+    EXPECT_EQ(counterValue("sweep.stack_cache.hits") - hits, 0.0);
+}
+
+TEST(StackCache, InterleavedStacksStayWithinTheBound)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // Power outer, stack inner: consecutive jobs cycle through three
+    // stacks, which a two-model bound cannot all keep.
+    std::vector<std::string> scenarios;
+    for (int j = 0; j < 8; ++j)
+        scenarios.push_back("{\"name\": \"p" + std::to_string(j) +
+                            "\", \"power.uniform\": " +
+                            std::to_string(0.3 + 0.05 * j) + "}");
+    const SweepPlan plan = SweepPlan::parse(
+        planOf(scenarios, R"({"config.oil_velocity": [6, 9, 12]})"),
+        "interleaved");
+    const std::vector<ScenarioSpec> jobs = plan.expand();
+    ASSERT_EQ(jobs.size(), 24u);
+    ASSERT_NE(jobs[0].stackHash(), jobs[1].stackHash());
+
+    SweepOptions opts;
+    opts.workers = 2; // bound: two kept models
+    std::map<std::uint64_t, std::size_t> perStack;
+    for (const ScenarioSpec &spec : jobs)
+        ++perStack[spec.stackHash()];
+    const std::map<std::uint64_t, std::size_t> steady =
+        steadyJobsPerStack(jobs);
+    const double kept = modelsKept();
+    const double evictions =
+        counterValue("sweep.stack_cache.evictions");
+    std::vector<JobResult> rows;
+    {
+        ImpulseResponseCache::global().clear();
+        JobExecutor executor(opts);
+        executor.expectJobs(perStack);
+        for (const ScenarioSpec &spec : jobs) {
+            rows.push_back(executor.run(
+                spec, steady.at(spec.stackHash()) >=
+                          opts.superpositionMinJobs));
+            EXPECT_LE(modelsKept() - kept, 2.0) << spec.displayName();
+        }
+        EXPECT_EQ(modelsKept(), kept); // every stack ran out of jobs
+    }
+    EXPECT_GT(counterValue("sweep.stack_cache.evictions") - evictions,
+              0.0);
+
+    const std::vector<JobResult> reference = runPerJobBuild(jobs, opts);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(rows[i].status, JobStatus::Ok);
+        EXPECT_EQ(campaign::normalizedLine(rows[i]),
+                  campaign::normalizedLine(reference[i]))
+            << jobs[i].displayName();
+    }
+}
+
+TEST(StackCache, FailedBuildFailsOnlyItsOwnStack)
+{
+    // Microchannel cooling needs grid mode: its block-mode model
+    // throws while assembling, for every job of that stack.
+    const SweepPlan plan = SweepPlan::parse(
+        R"({"base": {"floorplan": "preset:ev6"},
+            "axes": {"config.cooling": ["air", "microchannel"],
+                     "power.uniform": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8]}})",
+        "badstack");
+    const std::vector<ScenarioSpec> jobs = plan.expand();
+    SweepOptions opts;
+    opts.outDir = freshOutDir("stack_failed_build");
+    opts.workers = 4;
+    const SweepSummary sum = runSweep(plan, opts);
+    EXPECT_EQ(sum.executed, 12u);
+    EXPECT_EQ(sum.ok, 6u);
+    EXPECT_EQ(sum.failed, 6u);
+
+    const std::vector<JobResult> reference = runPerJobBuild(jobs, opts);
+    ResultStore store(opts.outDir);
+    ASSERT_EQ(store.loadJournal(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JobResult *row = store.findResult(jobs[i].hashHex());
+        ASSERT_NE(row, nullptr) << jobs[i].displayName();
+        const bool microchannel =
+            *jobs[i].find("config.cooling") == "microchannel";
+        EXPECT_EQ(row->status,
+                  microchannel ? JobStatus::Failed : JobStatus::Ok);
+        EXPECT_EQ(row->status, reference[i].status);
+        EXPECT_EQ(row->errorClass, reference[i].errorClass);
+        EXPECT_EQ(row->error, reference[i].error);
+    }
 }
 
 } // namespace
