@@ -169,13 +169,6 @@ GridStencilOperator::diagonal() const
     return diag;
 }
 
-PreconditionerKind
-GridStencilOperator::builtPreconditioner(PreconditionerKind kind) const
-{
-    return kind == PreconditionerKind::Ic0 ? PreconditionerKind::Ssor
-                                           : kind;
-}
-
 std::unique_ptr<Preconditioner>
 GridStencilOperator::makePreconditioner(PreconditionerKind kind,
                                         double ssorOmega) const

@@ -83,10 +83,6 @@ class GridStencilOperator final : public LinearOperator
                          double alpha) const override;
     std::vector<double> diagonal() const override;
 
-    /** Ic0 degrades to Ssor (no entry-level factor storage). */
-    PreconditionerKind
-    builtPreconditioner(PreconditionerKind kind) const override;
-
     /** Ssor -> matrix-free sweeps; Ic0 degrades to Ssor; Multigrid
      *  builds a geometric V-cycle (multigrid.hh). */
     std::unique_ptr<Preconditioner>
@@ -151,6 +147,10 @@ class StencilSsorPreconditioner final : public Preconditioner
 
     void apply(const std::vector<double> &r,
                std::vector<double> &z) const override;
+    PreconditionerKind kind() const override
+    {
+        return PreconditionerKind::Ssor;
+    }
 
   private:
     const GridStencilOperator &op;

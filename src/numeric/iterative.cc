@@ -240,7 +240,8 @@ conjugateGradient(const CsrMatrix &a, const std::vector<double> &b,
 
 IterativeResult
 biCgStab(const CsrMatrix &a, const std::vector<double> &b,
-         const std::vector<double> &x0, const IterativeOptions &opts)
+         const std::vector<double> &x0, const IterativeOptions &opts,
+         const Preconditioner *precond)
 {
     const std::size_t n = a.rows();
     if (a.cols() != n || b.size() != n)
@@ -251,9 +252,13 @@ biCgStab(const CsrMatrix &a, const std::vector<double> &b,
     if (res.x.size() != n)
         fatal("biCgStab: bad initial guess size");
 
-    CsrOperator op(a);
-    const std::unique_ptr<Preconditioner> precond =
-        op.makePreconditioner(opts.preconditioner, opts.ssorOmega);
+    const CsrOperator op(a);
+    std::unique_ptr<Preconditioner> owned;
+    if (!precond) {
+        owned = op.makePreconditioner(opts.preconditioner,
+                                      opts.ssorOmega);
+        precond = owned.get();
+    }
 
     std::vector<double> r = b;
     a.multiplyAccumulate(res.x, r, -1.0);

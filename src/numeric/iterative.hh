@@ -102,11 +102,14 @@ IterativeResult gaussSeidel(const CsrMatrix &a,
  * Needed once fluid advection enters the network: upwind advection
  * stamps are one-sided, so microchannel and caloric-heating models
  * produce non-symmetric conductance matrices that CG cannot handle.
+ * A null @p precond means build one from @p opts, as in
+ * conjugateGradient().
  */
 IterativeResult biCgStab(const CsrMatrix &a,
                          const std::vector<double> &b,
                          const std::vector<double> &x0 = {},
-                         const IterativeOptions &opts = {});
+                         const IterativeOptions &opts = {},
+                         const Preconditioner *precond = nullptr);
 
 /**
  * Dispatch: CG when @p symmetric, BiCGSTAB otherwise.

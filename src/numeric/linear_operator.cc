@@ -28,8 +28,7 @@ JacobiPreconditioner::apply(const std::vector<double> &r,
         z[i] = r[i] * invDiag[i];
 }
 
-SsorPreconditioner::SsorPreconditioner(const CsrMatrix &a_, double w)
-    : a(a_), omega(w), diag(a_.diagonal())
+SsorPreconditioner::SsorPreconditioner(const CsrMatrix &a, double omega)
 {
     if (a.rows() != a.cols())
         fatal("SsorPreconditioner: matrix not square");
@@ -38,16 +37,49 @@ SsorPreconditioner::SsorPreconditioner(const CsrMatrix &a_, double w)
     const std::size_t n = a.rows();
     const auto &rp = a.rowPointers();
     const auto &ci = a.columnIndices();
-    upperStart.resize(n);
+    const auto &av = a.storedValues();
+    const double scale = omega * (2.0 - omega);
+
+    // Columns are sorted, so each row is its lower entries, then the
+    // diagonal (if stored), then its upper entries. Find the split,
+    // size both parts exactly, then copy the two ranges.
+    lower.rowPtr.assign(n + 1, 0);
+    upper.rowPtr.assign(n + 1, 0);
+    for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t *first = ci.data() + rp[r];
+        const std::size_t *last = ci.data() + rp[r + 1];
+        const std::size_t *diagAt = std::lower_bound(first, last, r);
+        const std::size_t *upperAt =
+            diagAt != last && *diagAt == r ? diagAt + 1 : diagAt;
+        lower.rowPtr[r + 1] =
+            lower.rowPtr[r] + static_cast<std::size_t>(diagAt - first);
+        upper.rowPtr[r + 1] =
+            upper.rowPtr[r] + static_cast<std::size_t>(last - upperAt);
+    }
+    lower.cols.resize(lower.rowPtr[n]);
+    lower.vals.resize(lower.rowPtr[n]);
+    upper.cols.resize(upper.rowPtr[n]);
+    upper.vals.resize(upper.rowPtr[n]);
+    midScale.resize(n);
     invDiag.resize(n);
     for (std::size_t r = 0; r < n; ++r) {
-        if (diag[r] == 0.0)
+        const std::size_t nLower = lower.rowPtr[r + 1] - lower.rowPtr[r];
+        const std::size_t nUpper = upper.rowPtr[r + 1] - upper.rowPtr[r];
+        const std::size_t diagAt = rp[r] + nLower;
+        const std::size_t upperAt = rp[r + 1] - nUpper;
+        const double d = diagAt < upperAt ? av[diagAt] : 0.0;
+        if (d == 0.0)
             fatal("SsorPreconditioner: zero diagonal at ", r);
-        invDiag[r] = 1.0 / diag[r];
-        std::size_t k = rp[r];
-        while (k < rp[r + 1] && ci[k] <= r)
-            ++k;
-        upperStart[r] = k;
+        midScale[r] = scale * d;
+        invDiag[r] = 1.0 / d;
+        for (std::size_t k = 0; k < nLower; ++k) {
+            lower.cols[lower.rowPtr[r] + k] = ci[rp[r] + k];
+            lower.vals[lower.rowPtr[r] + k] = omega * av[rp[r] + k];
+        }
+        for (std::size_t k = 0; k < nUpper; ++k) {
+            upper.cols[upper.rowPtr[r] + k] = ci[upperAt + k];
+            upper.vals[upper.rowPtr[r] + k] = omega * av[upperAt + k];
+        }
     }
 }
 
@@ -57,35 +89,36 @@ SsorPreconditioner::apply(const std::vector<double> &r,
 {
     // z = w(2-w) (D + wU)^-1 D (D + wL)^-1 r, both triangular solves
     // done in place. Sequential by design: the sweeps carry a loop
-    // dependence, which also keeps the result deterministic.
-    const std::size_t n = a.rows();
-    const auto &rp = a.rowPointers();
-    const auto &ci = a.columnIndices();
-    const auto &av = a.storedValues();
+    // dependence, which also keeps the result deterministic. Pivot
+    // divisions are precomputed reciprocals: the sweeps run once per
+    // CG iteration and division does not pipeline.
+    const std::size_t n = invDiag.size();
+    z.resize(n);
+    const double *rd = r.data();
+    double *zd = z.data();
 
-    z = r;
-    // Forward: (D + wL) t = r. Row entries with col < row are exactly
-    // [rowPtr[i], upperStart[i]) minus the diagonal (cols sorted).
-    // Pivot divisions are precomputed reciprocals: the sweeps run
-    // once per CG iteration and division does not pipeline.
+    // Forward: (D + wL) t = r. Row i reads only t[c] for c < i, so
+    // z[i] still holds r[i] when the row starts (also when z is r).
+    const std::size_t *lrp = lower.rowPtr.data();
+    const std::size_t *lci = lower.cols.data();
+    const double *lv = lower.vals.data();
     for (std::size_t i = 0; i < n; ++i) {
-        double acc = z[i];
-        for (std::size_t k = rp[i]; k < upperStart[i]; ++k) {
-            const std::size_t c = ci[k];
-            if (c != i)
-                acc -= omega * av[k] * z[c];
-        }
-        z[i] = acc * invDiag[i];
+        double acc = rd[i];
+        for (std::size_t k = lrp[i]; k < lrp[i + 1]; ++k)
+            acc -= lv[k] * zd[lci[k]];
+        zd[i] = acc * invDiag[i];
     }
-    const double scale = omega * (2.0 - omega);
-    for (std::size_t i = 0; i < n; ++i)
-        z[i] *= scale * diag[i];
-    // Backward: (D + wU) z = t.
+    // Backward: (D + wU) z = w(2-w) D t. Row i reads only z[c] for
+    // c > i, which are final, so scaling t[i] as the row starts is
+    // the same as scaling all of t before the sweep.
+    const std::size_t *urp = upper.rowPtr.data();
+    const std::size_t *uci = upper.cols.data();
+    const double *uv = upper.vals.data();
     for (std::size_t i = n; i-- > 0;) {
-        double acc = z[i];
-        for (std::size_t k = upperStart[i]; k < rp[i + 1]; ++k)
-            acc -= omega * av[k] * z[ci[k]];
-        z[i] = acc * invDiag[i];
+        double acc = zd[i] * midScale[i];
+        for (std::size_t k = urp[i]; k < urp[i + 1]; ++k)
+            acc -= uv[k] * zd[uci[k]];
+        zd[i] = acc * invDiag[i];
     }
 }
 
@@ -196,12 +229,6 @@ Ic0Preconditioner::apply(const std::vector<double> &r,
     }
 }
 
-PreconditionerKind
-LinearOperator::builtPreconditioner(PreconditionerKind) const
-{
-    return PreconditionerKind::Jacobi;
-}
-
 std::unique_ptr<Preconditioner>
 LinearOperator::makePreconditioner(PreconditionerKind,
                                    double) const
@@ -230,21 +257,14 @@ CsrOperator::diagonal() const
     return m.diagonal();
 }
 
-PreconditionerKind
-CsrOperator::builtPreconditioner(PreconditionerKind kind) const
-{
-    // Geometric coarsening needs grid structure a CSR matrix does
-    // not expose; SSOR is the strongest fallback here.
-    return kind == PreconditionerKind::Multigrid
-               ? PreconditionerKind::Ssor
-               : kind;
-}
-
 std::unique_ptr<Preconditioner>
 CsrOperator::makePreconditioner(PreconditionerKind kind,
                                 double ssorOmega) const
 {
-    kind = builtPreconditioner(kind);
+    // Geometric coarsening needs grid structure a CSR matrix does
+    // not expose; SSOR is the strongest fallback here.
+    if (kind == PreconditionerKind::Multigrid)
+        kind = PreconditionerKind::Ssor;
     if (kind == PreconditionerKind::Ic0) {
         if (auto ic = Ic0Preconditioner::tryFactor(m))
             return ic;

@@ -57,6 +57,10 @@ class Preconditioner
     /** z = M^-1 r. @p z is resized as needed. */
     virtual void apply(const std::vector<double> &r,
                        std::vector<double> &z) const = 0;
+
+    /** What this object is, which may differ from the kind that was
+     *  requested (an Ic0 whose factorization broke down is Ssor). */
+    virtual PreconditionerKind kind() const = 0;
 };
 
 /** z = D^-1 r. */
@@ -68,6 +72,10 @@ class JacobiPreconditioner final : public Preconditioner
 
     void apply(const std::vector<double> &r,
                std::vector<double> &z) const override;
+    PreconditionerKind kind() const override
+    {
+        return PreconditionerKind::Jacobi;
+    }
 
   private:
     std::vector<double> invDiag;
@@ -76,8 +84,12 @@ class JacobiPreconditioner final : public Preconditioner
 /**
  * SSOR: M^-1 = w(2-w) (D + wU)^-1 D (D + wL)^-1 over the stored
  * entries of a CSR matrix (columns sorted within each row, as
- * SparseBuilder produces). Holds a reference to the matrix — it must
- * outlive the preconditioner.
+ * SparseBuilder produces).
+ *
+ * Keeps its own copies of the strictly lower and strictly upper
+ * parts with every entry pre-scaled by w, plus w(2-w) d_i and 1/d_i
+ * per row, so the sweeps test no entry for the diagonal and multiply
+ * by no w. Independent of the source matrix's lifetime.
  */
 class SsorPreconditioner final : public Preconditioner
 {
@@ -87,14 +99,22 @@ class SsorPreconditioner final : public Preconditioner
 
     void apply(const std::vector<double> &r,
                std::vector<double> &z) const override;
+    PreconditionerKind kind() const override
+    {
+        return PreconditionerKind::Ssor;
+    }
 
   private:
-    const CsrMatrix &a;
-    double omega;
-    std::vector<double> diag;
-    std::vector<double> invDiag;
-    /** Index of the first strictly-upper entry in each row. */
-    std::vector<std::size_t> upperStart;
+    /** One strictly triangular part in CSR, values times w. */
+    struct Triangle
+    {
+        std::vector<std::size_t> rowPtr, cols;
+        std::vector<double> vals;
+    };
+
+    Triangle lower, upper;
+    std::vector<double> midScale; ///< w(2-w) d_i
+    std::vector<double> invDiag;  ///< 1 / d_i
 };
 
 /**
@@ -108,6 +128,10 @@ class Ic0Preconditioner final : public Preconditioner
   public:
     void apply(const std::vector<double> &r,
                std::vector<double> &z) const override;
+    PreconditionerKind kind() const override
+    {
+        return PreconditionerKind::Ic0;
+    }
 
     /** Factor @p a; null when a pivot goes non-positive. */
     static std::unique_ptr<Ic0Preconditioner>
@@ -146,19 +170,12 @@ class LinearOperator
     virtual std::vector<double> diagonal() const = 0;
 
     /**
-     * The kind makePreconditioner(@p kind) builds: @p kind itself,
-     * or what it degrades to when this operator cannot provide it.
-     * (An Ic0 whose factorization breaks down still falls back to
-     * Ssor at build time.) The base operator offers only Jacobi.
-     */
-    virtual PreconditionerKind
-    builtPreconditioner(PreconditionerKind kind) const;
-
-    /**
      * Best preconditioner of the requested kind this operator can
      * provide, degrading gracefully (Ic0 -> Ssor -> Jacobi) when a
-     * kind is unsupported or its construction breaks down. Never
-     * null. The operator must outlive the returned object.
+     * kind is unsupported or its construction breaks down; its
+     * kind() says what was built. Never null. The base operator
+     * offers only Jacobi. The operator must outlive the returned
+     * object.
      */
     virtual std::unique_ptr<Preconditioner>
     makePreconditioner(PreconditionerKind kind, double ssorOmega) const;
@@ -180,10 +197,9 @@ class CsrOperator final : public LinearOperator
                          double alpha) const override;
     std::vector<double> diagonal() const override;
 
-    /** Multigrid degrades to Ssor (no grid structure to coarsen). */
-    PreconditionerKind
-    builtPreconditioner(PreconditionerKind kind) const override;
-
+    /** Multigrid degrades to Ssor (no grid structure to coarsen).
+     *  Every CSR preconditioner owns its data, so it may outlive
+     *  this view and the matrix. */
     std::unique_ptr<Preconditioner>
     makePreconditioner(PreconditionerKind kind,
                        double ssorOmega) const override;

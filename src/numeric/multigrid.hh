@@ -96,6 +96,10 @@ class MultigridPreconditioner final : public Preconditioner
 
     void apply(const std::vector<double> &r,
                std::vector<double> &z) const override;
+    PreconditionerKind kind() const override
+    {
+        return PreconditionerKind::Multigrid;
+    }
 
     /** Hierarchy depth including the fine grid. */
     std::size_t levelCount() const { return levels.size(); }

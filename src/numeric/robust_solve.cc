@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "base/errors.hh"
@@ -199,15 +201,37 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
     IterativeOptions ssor = primary;
     ssor.preconditioner = PreconditionerKind::Ssor;
 
-    // Tiers are named by the preconditioner the operator actually
-    // builds (a CSR network turns Multigrid into SSOR), so a chain
-    // never queues the same solve twice under two names.
+    // Build the primary preconditioner here and name the tier after
+    // what was built: a CSR network turns Multigrid into SSOR, and so
+    // does an IC(0) factorization that breaks down, so a chain never
+    // runs a solve under another method's name or queues it twice.
+    // BiCGSTAB preconditions through the stored CSR matrix. A build
+    // that throws fails the primary tier, named for the requested
+    // kind, like a failed solve.
+    std::unique_ptr<Preconditioner> precond;
+    std::exception_ptr buildError;
+    try {
+        precond = opts.symmetric
+                      ? a.makePreconditioner(primary.preconditioner,
+                                             primary.ssorOmega)
+                      : CsrOperator(*csr).makePreconditioner(
+                            primary.preconditioner, primary.ssorOmega);
+    } catch (const FatalError &) {
+        buildError = std::current_exception();
+    }
+    const PreconditionerKind built =
+        precond ? precond->kind() : primary.preconditioner;
+    const auto checkBuilt = [&] {
+        if (buildError)
+            std::rethrow_exception(buildError);
+    };
+
     std::vector<Tier> tiers;
     if (opts.symmetric) {
-        const PreconditionerKind built =
-            a.builtPreconditioner(primary.preconditioner);
         tiers.push_back({cgMethodName(built), [&] {
-            return conjugateGradient(a, b, x0, primary, nullptr, ws);
+            checkBuilt();
+            return conjugateGradient(a, b, x0, primary, precond.get(),
+                                     ws);
         }});
         if (built == PreconditionerKind::Multigrid) {
             // A broken V-cycle (mg.diverge, non-SPD hierarchy) should
@@ -228,11 +252,9 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
             }});
         }
     } else {
-        // BiCGSTAB preconditions through the stored CSR matrix.
-        const PreconditionerKind built =
-            CsrOperator(*csr).builtPreconditioner(primary.preconditioner);
         tiers.push_back({bicgMethodName(built), [&] {
-            return biCgStab(*csr, b, x0, primary);
+            checkBuilt();
+            return biCgStab(*csr, b, x0, primary, precond.get());
         }});
         if (built != PreconditionerKind::Jacobi) {
             tiers.push_back({"jacobi-bicgstab", [&] {

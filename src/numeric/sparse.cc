@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
@@ -175,37 +174,74 @@ SparseBuilder::stampGroundConductance(std::size_t a, double g)
 CsrMatrix
 SparseBuilder::build() const
 {
-    const std::size_t nnz = tripVal.size();
-    std::vector<std::size_t> order(nnz);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (tripRow[a] != tripRow[b])
-                      return tripRow[a] < tripRow[b];
-                  return tripCol[a] < tripCol[b];
-              });
+    // Rows up to this length are insertion-sorted; longer ones (the
+    // ring strips' rows) go through a merge sort so they stay
+    // O(k log k). Both sorts are stable.
+    constexpr std::size_t kInsertionSortMax = 32;
 
+    // Bucket the stamp indices by row with a stable counting sort, so
+    // each row's stamps keep the order they were added in. Sorting
+    // indices rather than (column, value) copies keeps the scratch at
+    // one word per stamp.
+    const std::size_t nnz = tripVal.size();
+    std::vector<std::size_t> start(numRows + 1, 0);
+    for (std::size_t r : tripRow)
+        ++start[r + 1];
+    for (std::size_t r = 0; r < numRows; ++r)
+        start[r + 1] += start[r];
+    std::vector<std::size_t> order(nnz);
+    {
+        std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
+        for (std::size_t i = 0; i < nnz; ++i)
+            order[cursor[tripRow[i]]++] = i;
+    }
+
+    // Order each row by column and count its distinct columns, so the
+    // CSR arrays can be sized exactly.
+    const std::size_t *col = tripCol.data();
     CsrMatrix m;
     m.numRows = numRows;
     m.numCols = numCols;
     m.rowPtr.assign(numRows + 1, 0);
-
-    std::size_t i = 0;
     for (std::size_t r = 0; r < numRows; ++r) {
-        m.rowPtr[r] = m.values.size();
-        while (i < nnz && tripRow[order[i]] == r) {
-            const std::size_t c = tripCol[order[i]];
-            double acc = 0.0;
-            while (i < nnz && tripRow[order[i]] == r &&
-                   tripCol[order[i]] == c) {
-                acc += tripVal[order[i]];
-                ++i;
+        std::size_t *row = order.data() + start[r];
+        const std::size_t len = start[r + 1] - start[r];
+        if (len <= kInsertionSortMax) {
+            for (std::size_t i = 1; i < len; ++i) {
+                const std::size_t x = row[i];
+                std::size_t j = i;
+                for (; j > 0 && col[row[j - 1]] > col[x]; --j)
+                    row[j] = row[j - 1];
+                row[j] = x;
             }
-            m.cols_.push_back(c);
-            m.values.push_back(acc);
+        } else {
+            std::stable_sort(row, row + len,
+                             [col](std::size_t a, std::size_t b) {
+                                 return col[a] < col[b];
+                             });
+        }
+        std::size_t distinct = 0;
+        for (std::size_t i = 0; i < len; ++i)
+            distinct += i == 0 || col[row[i]] != col[row[i - 1]];
+        m.rowPtr[r + 1] = m.rowPtr[r] + distinct;
+    }
+
+    // Sum each column's duplicates in stamp order, from +0.0.
+    m.cols_.resize(m.rowPtr[numRows]);
+    m.values.resize(m.rowPtr[numRows]);
+    for (std::size_t r = 0; r < numRows; ++r) {
+        const std::size_t *row = order.data() + start[r];
+        const std::size_t len = start[r + 1] - start[r];
+        std::size_t k = m.rowPtr[r];
+        for (std::size_t i = 0; i < len; ++k) {
+            const std::size_t c = col[row[i]];
+            double acc = 0.0;
+            for (; i < len && col[row[i]] == c; ++i)
+                acc += tripVal[row[i]];
+            m.cols_[k] = c;
+            m.values[k] = acc;
         }
     }
-    m.rowPtr[numRows] = m.values.size();
     return m;
 }
 

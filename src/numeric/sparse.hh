@@ -77,7 +77,9 @@ class CsrMatrix
 /**
  * Accumulating triplet builder: duplicate (row, col) entries are
  * summed, which is exactly the stamping pattern of conductance
- * assembly.
+ * assembly. Duplicates are summed in the order they were stamped
+ * (starting from +0.0), so the assembled values depend only on the
+ * stamp sequence.
  */
 class SparseBuilder
 {
@@ -96,7 +98,13 @@ class SparseBuilder
     /** Stamp a conductance from node @p a to ground: +g on diagonal. */
     void stampGroundConductance(std::size_t a, double g);
 
-    /** Sort, merge duplicates, and produce the CSR matrix. */
+    /**
+     * Produce the CSR matrix (columns strictly increasing within each
+     * row, arrays sized to the merged entry count) in O(stamps + rows):
+     * a stable counting sort buckets the stamps by row, each row is
+     * stably sorted by column, and duplicates are summed in stamp
+     * order.
+     */
     CsrMatrix build() const;
 
   private:

@@ -1,15 +1,63 @@
 #include "power/power_trace.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "base/logging.hh"
 #include "base/str.hh"
 
 namespace irtherm
 {
+
+namespace
+{
+
+/** Split @p line at whitespace (the C locale's isspace set) into
+ *  views of its fields. */
+void
+splitFields(const std::string &line, std::vector<std::string_view> &out)
+{
+    out.clear();
+    const auto space = [](char c) {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    };
+    std::size_t i = 0;
+    while (i < line.size()) {
+        while (i < line.size() && space(line[i]))
+            ++i;
+        const std::size_t begin = i;
+        while (i < line.size() && !space(line[i]))
+            ++i;
+        if (i > begin)
+            out.emplace_back(line.data() + begin, i - begin);
+    }
+}
+
+/**
+ * One ptrace value. from_chars and strtod are both correctly
+ * rounded, so they agree wherever from_chars accepts the whole field
+ * with a finite result; anything else (a '+' sign, hex, inf/nan,
+ * out of range, malformed) goes through parseDouble, which keeps the
+ * accepted inputs and the error text.
+ */
+double
+parseValue(std::string_view field, std::size_t lineno)
+{
+    double v = 0.0;
+    const char *end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+    if (ec == std::errc() && ptr == end && std::isfinite(v))
+        return v;
+    return parseDouble(std::string(field),
+                       "ptrace line " + std::to_string(lineno));
+}
+
+} // namespace
 
 PowerTrace::PowerTrace(std::vector<std::string> unit_names,
                        double sample_interval)
@@ -134,14 +182,18 @@ PowerTrace::decimated(std::size_t factor) const
 PowerTrace
 PowerTrace::parsePtrace(std::istream &in, double sample_interval)
 {
+    // Fields are views into the current line: no per-value copies.
     std::string line;
+    std::vector<std::string_view> tok;
+    const auto skip = [&] { return tok.empty() || tok[0][0] == '#'; };
+
     // Header: unit names.
     std::vector<std::string> header;
     while (std::getline(in, line)) {
-        const std::string stripped = trim(line);
-        if (stripped.empty() || stripped[0] == '#')
+        splitFields(line, tok);
+        if (skip())
             continue;
-        header = splitWhitespace(stripped);
+        header.assign(tok.begin(), tok.end());
         break;
     }
     if (header.empty())
@@ -151,19 +203,16 @@ PowerTrace::parsePtrace(std::istream &in, double sample_interval)
     std::size_t lineno = 1;
     while (std::getline(in, line)) {
         ++lineno;
-        const std::string stripped = trim(line);
-        if (stripped.empty() || stripped[0] == '#')
+        splitFields(line, tok);
+        if (skip())
             continue;
-        const std::vector<std::string> tok = splitWhitespace(stripped);
         if (tok.size() != header.size()) {
             fatal("ptrace line ", lineno, ": expected ", header.size(),
                   " values, got ", tok.size());
         }
         std::vector<double> row(tok.size());
-        for (std::size_t u = 0; u < tok.size(); ++u) {
-            row[u] = parseDouble(
-                tok[u], "ptrace line " + std::to_string(lineno));
-        }
+        for (std::size_t u = 0; u < tok.size(); ++u)
+            row[u] = parseValue(tok[u], lineno);
         trace.addSample(std::move(row));
     }
     return trace;

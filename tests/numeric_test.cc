@@ -6,15 +6,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
+#include "core/package.hh"
+#include "core/stack_model.hh"
+#include "floorplan/presets.hh"
 #include "numeric/dense_matrix.hh"
 #include "numeric/fit.hh"
 #include "numeric/iterative.hh"
+#include "numeric/linear_operator.hh"
 #include "numeric/lu.hh"
 #include "numeric/ode.hh"
+#include "numeric/robust_solve.hh"
 #include "numeric/sparse.hh"
 
 namespace irtherm
@@ -161,6 +170,241 @@ TEST(Sparse, NegativeConductanceRejected)
     SparseBuilder sb(2, 2);
     EXPECT_THROW(sb.stampConductance(0, 1, -1.0), FatalError);
     EXPECT_THROW(sb.stampGroundConductance(0, -0.1), FatalError);
+}
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(Sparse, BuildSumsDuplicatesInStampOrder)
+{
+    // Seeded stamps, about 15 per row over 12 columns (so most rows
+    // hold duplicates) with magnitudes spread over 16 decades, so the
+    // summation order shows in the last bits; every third row stays
+    // empty, and one long row is stamped four times over in reverse
+    // column order (past the insertion-sort cutoff).
+    const std::size_t rows = 60, cols = 70, longRow = 5;
+    struct Stamp
+    {
+        std::size_t r, c;
+        double v;
+    };
+    Rng rng(41);
+    std::vector<Stamp> stamps;
+    for (int k = 0; k < 900; ++k) {
+        const std::size_t r = rng.index(rows);
+        if (r % 3 == 2 || r == longRow)
+            continue;
+        const double v = rng.gaussian(0.0, 1.0) *
+                         std::pow(10.0, rng.uniform(-8.0, 8.0));
+        stamps.push_back({r, rng.index(12) * 5, v});
+    }
+    for (int pass = 0; pass < 4; ++pass) {
+        for (std::size_t c = cols; c-- > 0;)
+            stamps.push_back({longRow, c, rng.uniform(-1.0, 1.0)});
+    }
+    // A lone -0.0 stamp sums to +0.0 (the sum starts from +0.0).
+    stamps.push_back({0, 3, -0.0});
+    SparseBuilder sb(rows, cols);
+    for (const Stamp &s : stamps)
+        sb.add(s.r, s.c, s.v);
+    const CsrMatrix m = sb.build();
+
+    const auto &rp = m.rowPointers();
+    const auto &ci = m.columnIndices();
+    const auto &av = m.storedValues();
+    ASSERT_EQ(rp.size(), rows + 1);
+    EXPECT_EQ(rp[rows], m.nonZeros());
+    EXPECT_EQ(ci.size(), m.nonZeros());
+    EXPECT_EQ(av.capacity(), m.nonZeros());
+    EXPECT_EQ(ci.capacity(), m.nonZeros());
+    for (std::size_t r = 0; r < rows; ++r) {
+        // Reference: the row's stamps in stamp order, stably sorted
+        // by column, duplicates summed front to back from +0.0.
+        std::vector<Stamp> row;
+        for (const Stamp &s : stamps) {
+            if (s.r == r)
+                row.push_back(s);
+        }
+        std::stable_sort(row.begin(), row.end(),
+                         [](const Stamp &a, const Stamp &b) {
+                             return a.c < b.c;
+                         });
+        std::vector<std::size_t> wantCols;
+        std::vector<double> wantVals;
+        for (std::size_t i = 0; i < row.size();) {
+            double acc = 0.0;
+            const std::size_t c = row[i].c;
+            for (; i < row.size() && row[i].c == c; ++i)
+                acc += row[i].v;
+            wantCols.push_back(c);
+            wantVals.push_back(acc);
+        }
+        ASSERT_EQ(rp[r + 1] - rp[r], wantCols.size()) << "row " << r;
+        for (std::size_t k = 0; k < wantCols.size(); ++k) {
+            EXPECT_EQ(ci[rp[r] + k], wantCols[k]) << "row " << r;
+            EXPECT_EQ(bits(av[rp[r] + k]), bits(wantVals[k]))
+                << "row " << r << " col " << wantCols[k];
+            if (k > 0) {
+                EXPECT_LT(ci[rp[r] + k - 1], ci[rp[r] + k]);
+            }
+        }
+    }
+    EXPECT_EQ(rp[3] - rp[2], 0u);
+    EXPECT_EQ(rp[longRow + 1] - rp[longRow], cols);
+}
+
+/**
+ * SSOR as first written: one pass over whole CSR rows, a diagonal
+ * test on every lower entry, w applied inside every product, and a
+ * separate w(2-w) D scaling pass between the sweeps. The
+ * preconditioner must reproduce it bit for bit.
+ */
+std::vector<double>
+referenceSsor(const CsrMatrix &a, double omega, const std::vector<double> &r)
+{
+    const std::size_t n = a.rows();
+    const auto &rp = a.rowPointers();
+    const auto &ci = a.columnIndices();
+    const auto &av = a.storedValues();
+    const std::vector<double> diag = a.diagonal();
+    std::vector<double> invDiag(n);
+    std::vector<std::size_t> upperStart(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        invDiag[i] = 1.0 / diag[i];
+        std::size_t k = rp[i];
+        while (k < rp[i + 1] && ci[k] <= i)
+            ++k;
+        upperStart[i] = k;
+    }
+    std::vector<double> z = r;
+    for (std::size_t i = 0; i < n; ++i) {
+        double acc = z[i];
+        for (std::size_t k = rp[i]; k < upperStart[i]; ++k) {
+            const std::size_t c = ci[k];
+            if (c != i)
+                acc -= omega * av[k] * z[c];
+        }
+        z[i] = acc * invDiag[i];
+    }
+    const double scale = omega * (2.0 - omega);
+    for (std::size_t i = 0; i < n; ++i)
+        z[i] *= scale * diag[i];
+    for (std::size_t i = n; i-- > 0;) {
+        double acc = z[i];
+        for (std::size_t k = upperStart[i]; k < rp[i + 1]; ++k)
+            acc -= omega * av[k] * z[ci[k]];
+        z[i] = acc * invDiag[i];
+    }
+    return z;
+}
+
+void
+expectSsorMatchesReference(const CsrMatrix &a, double omega,
+                           std::uint64_t seed)
+{
+    const SsorPreconditioner ssor(a, omega);
+    Rng rng(seed);
+    for (int v = 0; v < 4; ++v) {
+        std::vector<double> r(a.rows());
+        for (double &x : r)
+            x = v == 0 ? 1.0 : rng.gaussian(0.0, 1.0);
+        const std::vector<double> want = referenceSsor(a, omega, r);
+        std::vector<double> got;
+        ssor.apply(r, got);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(bits(got[i]), bits(want[i]))
+                << "omega " << omega << " vector " << v << " row " << i;
+        // In place (z aliasing r) gives the same answer.
+        ssor.apply(r, r);
+        EXPECT_EQ(r, got);
+    }
+}
+
+TEST(Ssor, ApplyMatchesReferenceSweepOnStackConductance)
+{
+    const Floorplan fp = floorplans::alphaEv6();
+    ModelOptions mo;
+    mo.mode = ModelMode::Grid;
+    mo.gridNx = 32;
+    mo.gridNy = 32;
+    const StackModel model(fp, PackageConfig::makeOilSilicon(10.0), mo);
+    for (double omega : {1.5, 1.0, 0.7})
+        expectSsorMatchesReference(model.conductance(), omega, 3);
+}
+
+TEST(Ssor, ApplyMatchesReferenceSweepOnRandomSpd)
+{
+    // A random conductance network with ground ties: SPD, irregular
+    // row lengths, some rows with no lower or no upper part.
+    const std::size_t n = 300;
+    Rng rng(29);
+    SparseBuilder sb(n, n);
+    for (int k = 0; k < 1500; ++k) {
+        const std::size_t a = rng.index(n);
+        const std::size_t b = rng.index(n);
+        if (a != b)
+            sb.stampConductance(a, b, rng.uniform(0.01, 10.0));
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        sb.stampGroundConductance(i, rng.uniform(0.1, 1.0));
+    const CsrMatrix a = sb.build();
+    ASSERT_TRUE(a.isSymmetric(1e-14));
+    for (double omega : {1.5, 1.9})
+        expectSsorMatchesReference(a, omega, 5);
+}
+
+TEST(Ssor, KeepsItsConstructionChecks)
+{
+    SparseBuilder sb(2, 2);
+    sb.add(0, 0, 1.0);
+    sb.add(0, 1, -0.5);
+    sb.add(1, 0, -0.5);
+    const CsrMatrix noDiag = sb.build();
+    EXPECT_THROW(SsorPreconditioner(noDiag, 1.5), FatalError);
+    sb.add(1, 1, 1.0);
+    const CsrMatrix spd = sb.build();
+    EXPECT_NO_THROW(SsorPreconditioner(spd, 1.5));
+    EXPECT_THROW(SsorPreconditioner(spd, 2.0), FatalError);
+    EXPECT_THROW(SsorPreconditioner(spd, 0.0), FatalError);
+}
+
+TEST(RobustSolve, BrokenDownIc0IsNamedForTheSsorItRuns)
+{
+    // SPD (its full Cholesky pivots are 3, 5/3, 3/5 and 1/3), but
+    // IC(0) drops the (4,2) fill and its last pivot is 3 - 4/3 -
+    // 20/3 < 0: CSR falls back to SSOR, and the tier must say so.
+    SparseBuilder sb(4, 4);
+    const double a[4][4] = {{3, -2, 0, 2},
+                            {-2, 3, -2, 0},
+                            {0, -2, 3, -2},
+                            {2, 0, -2, 3}};
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (std::size_t j = 0; j < 4; ++j) {
+            if (a[i][j] != 0.0)
+                sb.add(i, j, a[i][j]);
+        }
+    }
+    const CsrMatrix m = sb.build();
+    ASSERT_EQ(Ic0Preconditioner::tryFactor(m), nullptr);
+    EXPECT_EQ(CsrOperator(m)
+                  .makePreconditioner(PreconditionerKind::Ic0, 1.5)
+                  ->kind(),
+              PreconditionerKind::Ssor);
+
+    RobustSolveOptions opts;
+    opts.iterative.preconditioner = PreconditionerKind::Ic0;
+    const std::vector<double> b = {1.0, 2.0, 3.0, 4.0};
+    const RobustSolveResult r = robustSolve(m, b, {}, opts);
+    EXPECT_TRUE(r.solve.converged);
+    EXPECT_EQ(r.method, "ssor-cg");
+    EXPECT_EQ(r.fallbackTier, 0);
+    const std::vector<double> ax = m.multiply(r.solve.x);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_NEAR(ax[i], b[i], 1e-8);
 }
 
 /** Build a 1-D resistive chain with ground at both ends. */

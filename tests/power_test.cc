@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
+#include "base/errors.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "floorplan/presets.hh"
 #include "power/power_trace.hh"
 #include "power/synthetic_cpu.hh"
@@ -59,6 +65,102 @@ TEST(PowerTrace, PtraceParserRejectsRaggedRows)
 {
     std::istringstream in("a b\n1.0\n");
     EXPECT_THROW(PowerTrace::parsePtrace(in, 1e-3), FatalError);
+}
+
+TEST(PowerTrace, PtraceParserAcceptsEveryStrtodForm)
+{
+    // '+' signs, exponents, tabs, CRLF line ends, comments and blank
+    // lines, plus the forms only strtod takes (hex, a NaN payload,
+    // an underflow); every value must be the double strtod gives.
+    const char *text = "# units\r\n"
+                       "\n"
+                       "\tIntReg  Dcache\tL2 \r\n"
+                       "+1.5\t2.5e-3  +3E+2\r\n"
+                       "   \r\n"
+                       "# between samples\n"
+                       "0.1 .5 7.\n"
+                       "1e0\t\t0x1p-2 +0\r\n"
+                       "0.30000000000000004 4.9406564584124654e-324 "
+                       "1.7976931348623157e308\n"
+                       "Inf nan(123) 1e-400\n";
+    std::istringstream in(text);
+    const PowerTrace t = PowerTrace::parsePtrace(in, 1e-3);
+    ASSERT_EQ(t.unitCount(), 3u);
+    EXPECT_EQ(t.unitNames()[0], "IntReg");
+    EXPECT_EQ(t.unitNames()[2], "L2");
+    const std::vector<std::vector<const char *>> want = {
+        {"+1.5", "2.5e-3", "+3E+2"},
+        {"0.1", ".5", "7."},
+        {"1e0", "0x1p-2", "+0"},
+        {"0.30000000000000004", "4.9406564584124654e-324",
+         "1.7976931348623157e308"},
+        {"Inf", "nan(123)", "1e-400"}};
+    ASSERT_EQ(t.sampleCount(), want.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+        for (std::size_t u = 0; u < 3; ++u) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(t.sample(s)[u]),
+                      std::bit_cast<std::uint64_t>(
+                          std::strtod(want[s][u], nullptr)))
+                << want[s][u];
+        }
+    }
+}
+
+TEST(PowerTrace, PtraceValuesAreBitEqualToStrtod)
+{
+    // Seeded decimal strings with 1 to 20 significant digits and
+    // magnitudes between about 1e-300 and 1e300.
+    Rng rng(53);
+    std::string text = "a b c d\n";
+    std::vector<std::string> fields;
+    for (int row = 0; row < 250; ++row) {
+        for (int u = 0; u < 4; ++u) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf, "%.*e",
+                          static_cast<int>(rng.index(20)),
+                          rng.uniform() *
+                              std::pow(10.0, rng.uniform(-300, 300)));
+            fields.push_back(buf);
+            text += buf;
+            text += u < 3 ? " " : "\n";
+        }
+    }
+    std::istringstream in(text);
+    const PowerTrace t = PowerTrace::parsePtrace(in, 1e-3);
+    ASSERT_EQ(t.sampleCount(), 250u);
+    for (std::size_t k = 0; k < fields.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(t.sample(k / 4)[k % 4]),
+                  std::bit_cast<std::uint64_t>(
+                      std::strtod(fields[k].c_str(), nullptr)))
+            << fields[k];
+    }
+}
+
+TEST(PowerTrace, PtraceParserErrorTextsNameTheLine)
+{
+    const auto message = [](const char *text) -> std::string {
+        std::istringstream in(text);
+        try {
+            PowerTrace::parsePtrace(in, 1e-3);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    EXPECT_EQ(message("a b\n1 2\n\n1 2 3\n"),
+              "fatal: ptrace line 4: expected 2 values, got 3");
+    EXPECT_EQ(message("a b\r\n1 2\r\n3\r\n"),
+              "fatal: ptrace line 3: expected 2 values, got 1");
+    EXPECT_EQ(message("a b\n1 2\n3 1.5e\n"),
+              "fatal: ptrace line 3: invalid number '1.5e'");
+    EXPECT_EQ(message("a b\n1 2,5\n"),
+              "fatal: ptrace line 2: invalid number '2,5'");
+    EXPECT_EQ(message("a b\n1 --2\n"),
+              "fatal: ptrace line 2: invalid number '--2'");
+    EXPECT_EQ(message("# only comments\n\n"),
+              "fatal: ptrace: missing header line");
+    std::istringstream bad("a\nx1\n");
+    EXPECT_THROW(PowerTrace::parsePtrace(bad, 1e-3), ConfigError);
 }
 
 TEST(PowerTrace, ReorderedForFloorplan)
