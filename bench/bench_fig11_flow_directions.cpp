@@ -6,7 +6,8 @@
  * Paper: with flows that do not start at the top edge, IntReg (on
  * the top edge) is the hottest unit; with a top-to-bottom flow the
  * leading edge cools IntReg so effectively that Dcache (farther from
- * the leading edge) becomes the hottest unit instead.
+ * the leading edge) becomes the hottest unit instead. Exits non-zero
+ * when the hottest units differ from that.
  */
 
 #include <cstdio>
@@ -58,6 +59,8 @@ main()
     }
     table.print(std::cout);
 
+    const char *paper[4] = {"IntReg", "IntReg", "IntReg", "Dcache"};
+    bool holds = true;
     std::printf("\nhottest unit per direction:");
     for (std::size_t d = 0; d < 4; ++d) {
         std::size_t hot = 0;
@@ -68,7 +71,13 @@ main()
         std::printf("  %s: %s (%.1f C)", flowDirectionName(dirs[d]),
                     fp.block(hot).name.c_str(),
                     toCelsius(temps[d][hot]));
+        holds = holds && fp.block(hot).name == paper[d];
     }
     std::printf("\npaper: IntReg, IntReg, IntReg, Dcache\n");
+    if (!holds) {
+        std::printf("claim broken: the hottest units differ from "
+                    "the paper's\n");
+        return 1;
+    }
     return 0;
 }

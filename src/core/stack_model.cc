@@ -77,6 +77,73 @@ ringStrips(double in_x0, double in_y0, double in_x1, double in_y1,
     return strips;
 }
 
+/**
+ * G as the steady solvers see it: the CSR matvec, with a Multigrid
+ * request answered by the bordered V-cycle over the model's planes
+ * (without planes it degrades to SSOR, as on any CSR matrix). The
+ * V-cycle is built on the first request and shared by every solve
+ * through this operator, so an impulse build sets up one hierarchy
+ * for all its columns. One solve at a time.
+ */
+class StackOperator final : public LinearOperator
+{
+  public:
+    StackOperator(const CsrMatrix &g, const PlaneLayout *layout)
+        : csr(g), layout(layout)
+    {
+    }
+
+    std::size_t rows() const override { return csr.rows(); }
+    std::size_t cols() const override { return csr.cols(); }
+    void apply(const std::vector<double> &x,
+               std::vector<double> &y) const override
+    {
+        csr.apply(x, y);
+    }
+    void applyAccumulate(const std::vector<double> &x,
+                         std::vector<double> &y,
+                         double alpha) const override
+    {
+        csr.applyAccumulate(x, y, alpha);
+    }
+    std::vector<double> diagonal() const override
+    {
+        return csr.diagonal();
+    }
+
+    std::unique_ptr<Preconditioner>
+    makePreconditioner(PreconditionerKind kind,
+                       double ssorOmega) const override
+    {
+        if (kind != PreconditionerKind::Multigrid || layout == nullptr)
+            return csr.makePreconditioner(kind, ssorOmega);
+        if (!cycle)
+            cycle = makeBorderedMultigrid(csr.matrix(), *layout);
+        return std::make_unique<Handle>(*cycle);
+    }
+
+  private:
+    /** Borrows the operator's V-cycle for one solve. */
+    class Handle final : public Preconditioner
+    {
+      public:
+        explicit Handle(const Preconditioner &p) : p(p) {}
+        void apply(const std::vector<double> &r,
+                   std::vector<double> &z) const override
+        {
+            p.apply(r, z);
+        }
+        PreconditionerKind kind() const override { return p.kind(); }
+
+      private:
+        const Preconditioner &p;
+    };
+
+    CsrOperator csr;
+    const PlaneLayout *layout;
+    mutable std::unique_ptr<Preconditioner> cycle;
+};
+
 } // namespace
 
 StackModel::StackModel(const Floorplan &fp, const PackageConfig &pkg,
@@ -605,6 +672,15 @@ StackModel::assemble()
     g_ = sb.build();
     if (!advection && !g_.isSymmetric(1e-9))
         panic("StackModel: assembled conductance matrix not symmetric");
+    if (opts_.mode == ModelMode::Grid && !advection) {
+        planes_.nx = opts_.gridNx;
+        planes_.ny = opts_.gridNy;
+        for (std::size_t li = 0; li < layers_.size(); ++li) {
+            if (li == dieLayer && split_oil)
+                planes_.planeOffsets.push_back(oilNodeOffset);
+            planes_.planeOffsets.push_back(layers_[li].nodeOffset);
+        }
+    }
     for (std::size_t i = 0; i < cap_.size(); ++i) {
         if (cap_[i] <= 0.0)
             panic("StackModel: non-positive capacitance at node ",
@@ -622,6 +698,12 @@ const std::vector<StackModel::GroundStamp> &
 StackModel::groundStamps() const
 {
     return grounds_;
+}
+
+const PlaneLayout *
+StackModel::planeLayout() const
+{
+    return planes_.planeOffsets.empty() ? nullptr : &planes_;
 }
 
 std::size_t
@@ -720,6 +802,8 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
                     solve_opts.preconditioner;
                 ropts.symmetric = true;
                 ropts.scope = FaultInjector::currentContext();
+                const StackOperator op(g_, planeLayout());
+                CgWorkspace ws;
                 std::vector<double> unit(blocks, 0.0);
                 for (std::size_t b = 0; b < blocks; ++b) {
                     unit[b] = 1.0;
@@ -727,7 +811,7 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
                         nodePowerVector(unit);
                     unit[b] = 0.0;
                     const RobustSolveResult rob =
-                        robustSolve(g_, pb, {}, ropts);
+                        robustSolve(op, &g_, pb, {}, ropts, &ws);
                     std::copy(rob.solve.x.begin(), rob.solve.x.end(),
                               m->values.begin() +
                                   static_cast<std::ptrdiff_t>(
@@ -797,9 +881,6 @@ StackModel::steadyNodeTemperatures(
     IterativeOptions opts;
     opts.tolerance = solve_opts.tolerance;
     opts.maxIterations = solve_opts.maxIterations;
-    // The stack network mixes regular grid cells with irregular strip
-    // and package nodes, so it stays CSR (no stencil operator); the
-    // Multigrid kind degrades to SSOR through the CSR path.
     opts.preconditioner = solve_opts.preconditioner;
 
     if (solve_opts.superposition && solve_opts.stackKey != 0 &&
@@ -827,17 +908,19 @@ StackModel::steadyNodeTemperatures(
     IterativeResult res;
     int tier = 0;
     std::string method;
+    const StackOperator op(g_, planeLayout());
     if (solve_opts.fallback) {
         RobustSolveOptions ropts;
         ropts.iterative = opts;
         ropts.symmetric = !advection;
         ropts.scope = FaultInjector::currentContext();
-        RobustSolveResult rob = robustSolve(g_, p, x0, ropts);
+        RobustSolveResult rob = robustSolve(op, &g_, p, x0, ropts);
         res = std::move(rob.solve);
         tier = rob.fallbackTier;
         method = std::move(rob.method);
     } else {
-        res = solveLinear(g_, p, !advection, x0, opts);
+        res = advection ? biCgStab(g_, p, x0, opts)
+                        : conjugateGradient(op, p, x0, opts);
         if (!res.converged) {
             numericError("steadyNodeTemperatures: solver failed, "
                          "residual ", res.residualNorm);

@@ -41,6 +41,7 @@
 #include "core/package.hh"
 #include "floorplan/floorplan.hh"
 #include "floorplan/grid_mapping.hh"
+#include "numeric/bordered_stencil.hh"
 #include "numeric/linear_operator.hh"
 #include "numeric/sparse.hh"
 
@@ -86,6 +87,15 @@ class StackModel
     std::size_t nodeCount() const { return cap_.size(); }
     const std::string &nodeName(std::size_t node) const;
     const std::vector<GroundStamp> &groundStamps() const;
+
+    /**
+     * Where the grid layers sit in node order: one plane per layer,
+     * top to bottom, with the split-capacitance oil nodes as the
+     * plane above the die; the ring strips are the border. Null in
+     * block mode and for advective networks, whose solves stay on
+     * the CSR preconditioners.
+     */
+    const PlaneLayout *planeLayout() const;
 
     // --- mappings ---------------------------------------------------------
     const Floorplan &floorplan() const { return fp_; }
@@ -138,12 +148,13 @@ class StackModel
          */
         bool fallback = true;
         /**
-         * Preconditioner for the primary CG tier. The stack network
-         * is CSR (irregular strip/package nodes), so Multigrid
-         * degrades gracefully to SSOR here; the knob exists so sweep
-         * scenarios can tune the whole tier chain uniformly.
+         * Preconditioner for the primary CG tier. Multigrid runs a
+         * V-cycle over planeLayout()'s planes with an exact solve of
+         * the strip nodes around it (BorderedPreconditioner); without
+         * a plane layout (block mode) it degrades to SSOR, as on any
+         * CSR matrix.
          */
-        PreconditionerKind preconditioner = PreconditionerKind::Ssor;
+        PreconditionerKind preconditioner = PreconditionerKind::Multigrid;
         /**
          * Answer via impulse-response superposition: one unit-power
          * steady solve per block is cached under @ref stackKey, and
@@ -281,6 +292,7 @@ class StackModel
     CsrMatrix g_;
     std::vector<double> cap_;
     std::vector<GroundStamp> grounds_;
+    PlaneLayout planes_; ///< no planes: no multigrid view
     double primaryConductance = 0.0;
     double oilCapacitanceTotal = 0.0;
     /** Extra nodes for the split-capacitance oil variant. */

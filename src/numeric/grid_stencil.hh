@@ -109,6 +109,7 @@ class GridStencilOperator final : public LinearOperator
   private:
     friend class StencilSsorPreconditioner;
     friend class MultigridPreconditioner;
+    friend class BorderedStencil;
 
     // Flat indices into the per-axis link arrays for the face
     // between a cell and its +axis neighbour.

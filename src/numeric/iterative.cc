@@ -29,14 +29,14 @@ constexpr std::size_t kReduceChunk = 1024;
 /** Below this many elements a pool dispatch costs more than it saves. */
 constexpr std::size_t kParallelThreshold = 4096;
 
+/** A template for the same reason as forEachRange(). */
+template <typename Fn>
 double
-reduceChunked(std::size_t n,
-              const std::function<double(std::size_t, std::size_t)> &fn)
+reduceChunked(std::size_t n, const Fn &fn)
 {
-    if (n >= kParallelThreshold && ThreadPool::parallelEnabled()) {
-        ThreadPool &pool = ThreadPool::global();
-        if (pool.threadCount() > 1)
-            return pool.parallelReduceSum(0, n, kReduceChunk, fn);
+    if (rangeRunsPooled(n)) {
+        return ThreadPool::global().parallelReduceSum(0, n, kReduceChunk,
+                                                      fn);
     }
     double total = 0.0;
     for (std::size_t b = 0; b < n; b += kReduceChunk)
@@ -46,20 +46,21 @@ reduceChunked(std::size_t n,
 
 } // namespace
 
-void
-forEachRange(std::size_t n,
-             const std::function<void(std::size_t, std::size_t)> &fn)
+bool
+rangeRunsPooled(std::size_t n)
 {
-    if (n >= kParallelThreshold && ThreadPool::parallelEnabled()) {
-        ThreadPool &pool = ThreadPool::global();
-        if (pool.threadCount() > 1) {
-            const std::size_t grain = std::max<std::size_t>(
-                kReduceChunk, n / (4 * pool.threadCount()));
-            pool.parallelFor(0, n, grain, fn);
-            return;
-        }
-    }
-    fn(0, n);
+    return n >= kParallelThreshold && ThreadPool::parallelEnabled() &&
+           ThreadPool::global().threadCount() > 1;
+}
+
+void
+forEachRangePooled(
+    std::size_t n, const std::function<void(std::size_t, std::size_t)> &fn)
+{
+    ThreadPool &pool = ThreadPool::global();
+    const std::size_t grain = std::max<std::size_t>(
+        kReduceChunk, n / (4 * pool.threadCount()));
+    pool.parallelFor(0, n, grain, fn);
 }
 
 double
@@ -348,15 +349,6 @@ biCgStab(const CsrMatrix &a, const std::vector<double> &b,
     res.converged = res.residualNorm <= opts.tolerance * bnorm;
     res.iterations = used;
     return res;
-}
-
-IterativeResult
-solveLinear(const CsrMatrix &a, const std::vector<double> &b,
-            bool symmetric, const std::vector<double> &x0,
-            const IterativeOptions &opts)
-{
-    return symmetric ? conjugateGradient(a, b, x0, opts)
-                     : biCgStab(a, b, x0, opts);
 }
 
 IterativeResult

@@ -111,29 +111,36 @@ IterativeResult biCgStab(const CsrMatrix &a,
                          const IterativeOptions &opts = {},
                          const Preconditioner *precond = nullptr);
 
-/**
- * Dispatch: CG when @p symmetric, BiCGSTAB otherwise.
- */
-IterativeResult solveLinear(const CsrMatrix &a,
-                            const std::vector<double> &b,
-                            bool symmetric,
-                            const std::vector<double> &x0 = {},
-                            const IterativeOptions &opts = {});
-
 /** Euclidean norm. */
 double norm2(const std::vector<double> &v);
 
 /** Dot product. @pre a.size() == b.size() */
 double dot(const std::vector<double> &a, const std::vector<double> &b);
 
+/** True when forEachRange() over @p n elements runs on the pool. */
+bool rangeRunsPooled(std::size_t n);
+
+/** forEachRange()'s pooled path. @pre rangeRunsPooled(n) */
+void forEachRangePooled(
+    std::size_t n, const std::function<void(std::size_t, std::size_t)> &fn);
+
 /**
  * Run an elementwise kernel over [0, n) on the shared ThreadPool
  * above a size threshold, serially below it. The kernel receives
  * disjoint [begin, end) ranges; ranges depend only on n, so parallel
- * and serial execution visit identical partitions.
+ * and serial execution visit identical partitions. The serial path
+ * calls the kernel directly: a std::function would heap-allocate
+ * most closures, and a multigrid cycle runs hundreds of kernels.
  */
-void forEachRange(std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)> &fn);
+template <typename Fn>
+void
+forEachRange(std::size_t n, const Fn &fn)
+{
+    if (rangeRunsPooled(n))
+        forEachRangePooled(n, fn);
+    else
+        fn(0, n);
+}
 
 } // namespace irtherm
 

@@ -232,14 +232,11 @@ MultigridPreconditioner::makeAxisTransfer(std::size_t fineN,
 }
 
 void
-MultigridPreconditioner::factorLines(Level &lv) const
+MultigridPreconditioner::factorLines(Level &lv,
+                                     const GridStencilOperator &op)
 {
-    const GridStencilOperator &op = *lv.op;
     const std::size_t plane = op.nx_ * op.ny_;
     const std::size_t nz = op.nz_;
-    const std::size_t n = op.diag.size();
-    lv.tinv.assign(n, 0.0f);
-    lv.tup.assign(n, 0.0f);
     // The recurrence runs in double off the double operator; only
     // the factors are stored in float.
     for (std::size_t col = 0; col < plane; ++col) {
@@ -272,49 +269,79 @@ MultigridPreconditioner::MultigridPreconditioner(
         fatal("MultigridPreconditioner: smoother pass counts must be "
               "positive");
 
-    Level top;
-    top.op = &fine;
-    levels.push_back(std::move(top));
+    // The double operators drive setup only; the cycle runs on the
+    // float copies each Level takes below.
+    std::vector<const GridStencilOperator *> ops{&fine};
+    std::vector<std::unique_ptr<GridStencilOperator>> coarse;
     const std::size_t coarseBound =
         std::max<std::size_t>(opts.maxCoarseCells, 1);
-    while (levels.size() < std::max<std::size_t>(opts.maxLevels, 2)) {
-        const GridStencilOperator &cur = *levels.back().op;
+    while (ops.size() < std::max<std::size_t>(opts.maxLevels, 2)) {
+        const GridStencilOperator &cur = *ops.back();
         if (cur.rows() <= coarseBound)
             break;
         if (cur.nx() == 1 && cur.ny() == 1)
             break; // pure z line; the smoother solves it exactly
-        Level next;
-        next.owned = coarsenLateral(cur);
-        next.op = next.owned.get();
-        Level &fl = levels.back();
-        fl.tx = makeAxisTransfer(cur.nx(), next.op->nx());
-        fl.ty = makeAxisTransfer(cur.ny(), next.op->ny());
-        levels.push_back(std::move(next));
+        coarse.push_back(coarsenLateral(cur));
+        ops.push_back(coarse.back().get());
     }
 
-    const Level &bottom = levels.back();
-    exactLine = bottom.op->nx() == 1 && bottom.op->ny() == 1 &&
-                bottom.op->rows() > coarseBound;
+    const GridStencilOperator &bottom = *ops.back();
+    exactLine = bottom.nx() == 1 && bottom.ny() == 1 &&
+                bottom.rows() > coarseBound;
+
+    levels.resize(ops.size());
+    // Lay every level's arrays out in one zeroed allocation: a first
+    // pass sizes it, a second points the levels into it. Runs start
+    // on 64-byte offsets.
+    auto layOut = [&](bool place) {
+        std::size_t at = 0;
+        auto take = [&](Floats &f, std::size_t n) {
+            if (place)
+                f = {store.data() + at, n};
+            at += (n + 15) & ~std::size_t{15};
+        };
+        for (std::size_t l = 0; l < levels.size(); ++l) {
+            Level &lv = levels[l];
+            const GridStencilOperator &op = *ops[l];
+            const std::size_t n = op.rows();
+            take(lv.diag, n);
+            take(lv.gx, op.gx.size());
+            take(lv.gy, op.gy.size());
+            take(lv.gz, op.gz.size());
+            take(lv.zrow, op.nx());
+            take(lv.b, n);
+            take(lv.x, n);
+            take(lv.d, n);
+            const bool coarsened = l + 1 < levels.size();
+            if (coarsened || exactLine) {
+                take(lv.tinv, n);
+                take(lv.tup, n);
+            }
+            if (coarsened) {
+                take(lv.rp, op.nx() * op.ny());
+                take(lv.rp2, ops[l + 1]->nx() * op.ny());
+            }
+        }
+        return at;
+    };
+    store.assign(layOut(false), 0.0f);
+    layOut(true);
 
     for (std::size_t l = 0; l < levels.size(); ++l) {
         Level &lv = levels[l];
-        const GridStencilOperator &op = *lv.op;
+        const GridStencilOperator &op = *ops[l];
         lv.nx = op.nx_;
         lv.ny = op.ny_;
         lv.nz = op.nz_;
-        const std::size_t n = op.rows();
-        lv.diag.assign(op.diag.begin(), op.diag.end());
-        lv.gx.assign(op.gx.begin(), op.gx.end());
-        lv.gy.assign(op.gy.begin(), op.gy.end());
-        lv.gz.assign(op.gz.begin(), op.gz.end());
-        lv.zrow.assign(lv.nx, 0.0f);
-        lv.b.assign(n, 0.0f);
-        lv.x.assign(n, 0.0f);
-        lv.d.assign(n, 0.0f);
+        std::copy(op.diag.begin(), op.diag.end(), lv.diag.data());
+        std::copy(op.gx.begin(), op.gx.end(), lv.gx.data());
+        std::copy(op.gy.begin(), op.gy.end(), lv.gy.data());
+        std::copy(op.gz.begin(), op.gz.end(), lv.gz.data());
         if (l + 1 < levels.size()) {
-            lv.rp.assign(lv.nx * lv.ny, 0.0f);
-            lv.rp2.assign(levels[l + 1].op->nx() * lv.ny, 0.0f);
-            factorLines(lv);
+            const GridStencilOperator &next = *ops[l + 1];
+            lv.tx = makeAxisTransfer(op.nx(), next.nx());
+            lv.ty = makeAxisTransfer(op.ny(), next.ny());
+            factorLines(lv, op);
         }
     }
     Level &last = levels.back();
@@ -322,11 +349,11 @@ MultigridPreconditioner::MultigridPreconditioner(
     if (exactLine) {
         // A 1x1xnz stack is a single tridiagonal: the line solve IS
         // the exact inverse; no LU needed.
-        factorLines(last);
+        factorLines(last, bottom);
     } else {
         // Direct solve at the bottom of the hierarchy; fatal() if
         // the coarsest grid is singular (then so was the fine one).
-        const CsrMatrix csr = last.op->toCsr();
+        const CsrMatrix csr = bottom.toCsr();
         const std::size_t cn = csr.rows();
         DenseMatrix dense(cn, cn);
         const auto &rp = csr.rowPointers();

@@ -46,13 +46,15 @@
  * recurrence and the independent robustSolve residual check both run
  * in double, and halving the memory traffic nearly halves the cycle
  * cost on bandwidth-bound hosts. Setup (coarsening, factorization,
- * float conversion) happens once per operator and is amortized by
- * reuse across the solves of a sweep.
+ * float conversion) costs a few V-cycles and is paid once per
+ * preconditioner: once per solve, or once for all the columns of an
+ * impulse build.
  *
  * Used through GridStencilOperator::makePreconditioner(
- * PreconditionerKind::Multigrid) and the "mg-cg" tier of
- * robustSolve. Fault point `mg.diverge` poisons the cycle output to
- * exercise the fallback chain.
+ * PreconditionerKind::Multigrid), as the plane step of a grid stack's
+ * BorderedPreconditioner (bordered_stencil.hh), and in the "mg-cg"
+ * tier of robustSolve. Fault point `mg.diverge` poisons the cycle
+ * output to exercise the fallback chain.
  */
 
 #ifndef IRTHERM_NUMERIC_MULTIGRID_HH
@@ -85,8 +87,8 @@ struct MultigridOptions
 };
 
 /**
- * One V-cycle per apply(); z ~= A^-1 r. References the fine operator
- * (must outlive this object); owns all coarse levels.
+ * One V-cycle per apply(); z ~= A^-1 r. Setup copies what the cycle
+ * needs from the fine operator, which need not outlive this object.
  */
 class MultigridPreconditioner final : public Preconditioner
 {
@@ -121,23 +123,30 @@ class MultigridPreconditioner final : public Preconditioner
         std::vector<std::size_t> rCount;     ///< used slots per coarse
     };
 
+    /** A run of floats inside the hierarchy's one allocation. */
+    struct Floats
+    {
+        float *p = nullptr;
+        std::size_t n = 0;
+        float *data() const { return p; }
+        std::size_t size() const { return n; }
+        float &operator[](std::size_t i) const { return p[i]; }
+    };
+
     /** One grid in the hierarchy plus its smoother factorization,
      *  all in single precision (see file comment). */
     struct Level
     {
         std::size_t nx = 0, ny = 0, nz = 0;
-        /** Double-precision operator, kept only as the source of
-         *  truth for setup of this and the next level. */
-        const GridStencilOperator *op = nullptr;
-        std::unique_ptr<GridStencilOperator> owned; ///< null on level 0
-        /** Float copies of the stencil coefficients. */
-        std::vector<float> diag, gx, gy, gz;
+        /** Float copies of the stencil coefficients (the double
+         *  operators are the source of truth during setup only). */
+        Floats diag, gx, gy, gz;
         /** Thomas factorization of the per-column tridiagonal
          *  (diag, -gz): inverse pivots and upper multipliers. */
-        std::vector<float> tinv, tup;
+        Floats tinv, tup;
         /** nx zeros: branchless edge handling in the row kernels
          *  (absent neighbours read weight 0 from here). */
-        std::vector<float> zrow;
+        Floats zrow;
         /** Transfers to the next-coarser level (empty on the last). */
         AxisTransfer tx, ty;
         /** Cycle workspaces (b: RHS, x: iterate, d: correction).
@@ -148,7 +157,7 @@ class MultigridPreconditioner final : public Preconditioner
          *  4x4 indexed gather per coarse cell into two short passes
          *  whose inner loops are unit-stride (the profile put the
          *  fused gather at ~1/3 of the whole cycle). */
-        mutable std::vector<float> b, x, d, rp, rp2;
+        Floats b, x, d, rp, rp2;
     };
 
     static std::unique_ptr<GridStencilOperator>
@@ -157,7 +166,8 @@ class MultigridPreconditioner final : public Preconditioner
     static AxisTransfer makeAxisTransfer(std::size_t fineN,
                                          std::size_t coarseN);
 
-    void factorLines(Level &lv) const;
+    /** Thomas factors of @p op's z lines into @p lv. */
+    static void factorLines(Level &lv, const GridStencilOperator &op);
 
     /**
      * r = b - A x for one z-plane of @p lv, written to @p out
@@ -187,6 +197,11 @@ class MultigridPreconditioner final : public Preconditioner
 
     MultigridOptions opts;
     std::vector<Level> levels;
+    /** Every level's arrays, one allocation: a hierarchy is built
+     *  per stack solve, and a few dozen separate mid-sized blocks per
+     *  build fragment the allocator's per-thread arenas. Mutable:
+     *  the cycle workspaces live here too. */
+    mutable std::vector<float> store;
     std::unique_ptr<LuDecomposition> coarseLu;
     /** Workspaces for the double LU solve at the coarsest level. */
     mutable std::vector<double> luB, luX;

@@ -34,8 +34,11 @@
  *                          solves through the verified fallback
  *                          chain; off = fail fast on first
  *                          non-convergence
- *   solver.preconditioner  "jacobi" | "ssor" (default) | "ic0" |
- *                          "mg": primary-tier CG preconditioner
+ *   solver.preconditioner  "jacobi" | "ssor" | "ic0" | "mg"
+ *                          (default): primary-tier CG
+ *                          preconditioner; "mg" is the bordered
+ *                          V-cycle on grid stacks and SSOR in
+ *                          block mode
  *   solver.superposition   bool (default true): answer repeated
  *                          steady solves of one stack from the
  *                          cached impulse-response matrix (every
@@ -88,7 +91,7 @@ struct ResolvedScenario
     /** Escalate failed solves through the fallback chain. */
     bool solverFallback = true;
     /** Primary-tier CG preconditioner for the steady solve. */
-    PreconditionerKind preconditioner = PreconditionerKind::Ssor;
+    PreconditionerKind preconditioner = PreconditionerKind::Multigrid;
     /** Allow the impulse-response superposition fast path. */
     bool superposition = true;
     bool writeMap = false;

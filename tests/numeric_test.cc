@@ -12,19 +12,24 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
 #include "core/package.hh"
 #include "core/stack_model.hh"
 #include "floorplan/presets.hh"
+#include "numeric/bordered_stencil.hh"
 #include "numeric/dense_matrix.hh"
 #include "numeric/fit.hh"
+#include "numeric/impulse_cache.hh"
 #include "numeric/iterative.hh"
 #include "numeric/linear_operator.hh"
 #include "numeric/lu.hh"
 #include "numeric/ode.hh"
 #include "numeric/robust_solve.hh"
 #include "numeric/sparse.hh"
+#include "obs/metrics.hh"
 
 namespace irtherm
 {
@@ -417,6 +422,360 @@ chainMatrix(std::size_t n, double g)
     sb.stampGroundConductance(0, g);
     sb.stampGroundConductance(n - 1, g);
     return sb.build();
+}
+
+// ---------------------------------------------------------------
+// The stencil view of a grid stack and its bordered V-cycle
+// ---------------------------------------------------------------
+
+/** A grid-mode stack of one of the paper's packages. */
+struct StackCase
+{
+    const char *name;
+    bool athlon;
+    bool oil;
+    bool splitOil;
+    bool secondary;
+    std::size_t nx, ny;
+    std::size_t borderNodes;
+};
+
+StackModel
+buildStack(const StackCase &c)
+{
+    const Floorplan fp =
+        c.athlon ? floorplans::athlon64() : floorplans::alphaEv6();
+    PackageConfig pkg = c.oil ? PackageConfig::makeOilSilicon(10.0)
+                              : PackageConfig::makeAirSink(0.3, 45.0);
+    pkg.oilFlow.capacitanceAtInterface = !c.splitOil;
+    pkg.secondary.enabled = c.secondary;
+    ModelOptions mo;
+    mo.mode = ModelMode::Grid;
+    mo.gridNx = c.nx;
+    mo.gridNy = c.ny;
+    return StackModel(fp, pkg, mo);
+}
+
+std::vector<double>
+stackPowers(const StackModel &m)
+{
+    std::vector<double> p(m.floorplan().blockCount());
+    for (std::size_t b = 0; b < p.size(); ++b)
+        p[b] = 0.5 + 0.25 * static_cast<double>(b % 7);
+    return p;
+}
+
+const StackCase kStackCases[] = {
+    {"ev6 air", false, false, false, true, 16, 16, 16},
+    {"ev6 oil", false, true, false, true, 16, 16, 4},
+    {"ev6 oil split", false, true, true, true, 16, 16, 4},
+    {"ev6 oil no secondary", false, true, false, false, 16, 16, 0},
+    {"athlon air 10x12", true, false, false, true, 10, 12, 16},
+    {"athlon oil 10x12", true, true, false, true, 10, 12, 4},
+    {"athlon air 15x17", true, false, false, true, 15, 17, 16},
+    {"athlon oil 15x17", true, true, true, true, 15, 17, 4},
+};
+
+/** The matrix put back together from a view's planes and border. */
+CsrMatrix
+reassemble(const BorderedStencil &view)
+{
+    const PlaneLayout &layout = view.layout();
+    const std::size_t plane = layout.nx * layout.ny;
+    auto node = [&](std::size_t cell) {
+        return layout.planeOffsets[cell / plane] + cell % plane;
+    };
+    SparseBuilder sb(view.nodeCount(), view.nodeCount());
+    // The stencil's CSR form stores every link, zero ones (the split
+    // oil plane has no lateral links) included; those are no entries.
+    const CsrMatrix cells = view.planes().toCsr();
+    for (std::size_t r = 0; r < cells.rows(); ++r) {
+        for (std::size_t k = cells.rowPointers()[r];
+             k < cells.rowPointers()[r + 1]; ++k) {
+            const std::size_t c = cells.columnIndices()[k];
+            const double v = cells.storedValues()[k];
+            if (c == r || v != 0.0)
+                sb.add(node(r), node(c), v);
+        }
+    }
+    const std::vector<std::size_t> &border = view.borderNodes();
+    const std::size_t nb = border.size();
+    for (std::size_t b = 0; b < nb; ++b) {
+        for (std::size_t j = 0; j < nb; ++j) {
+            if (view.borderBlock()[b * nb + j] != 0.0)
+                sb.add(border[b], border[j], view.borderBlock()[b * nb + j]);
+        }
+        for (std::size_t k = view.couplingRows()[b];
+             k < view.couplingRows()[b + 1]; ++k) {
+            const std::size_t n = node(view.couplingCells()[k]);
+            sb.add(border[b], n, view.couplingValues()[k]);
+            sb.add(n, border[b], view.couplingValues()[k]);
+        }
+    }
+    return sb.build();
+}
+
+TEST(BorderedStencil, PlanesAndBorderReassembleTheStackBitwise)
+{
+    for (const StackCase &c : kStackCases) {
+        SCOPED_TRACE(c.name);
+        const StackModel m = buildStack(c);
+        ASSERT_NE(m.planeLayout(), nullptr);
+        const BorderedStencil view(m.conductance(), *m.planeLayout());
+        EXPECT_EQ(view.borderNodes().size(), c.borderNodes);
+        EXPECT_EQ(view.planes().rows() + c.borderNodes, m.nodeCount());
+        for (std::size_t b : view.borderNodes())
+            EXPECT_EQ(m.nodeName(b).find(":c"), std::string::npos)
+                << m.nodeName(b) << " is a cell";
+
+        const CsrMatrix &g = m.conductance();
+        const CsrMatrix back = reassemble(view);
+        EXPECT_EQ(back.rowPointers(), g.rowPointers());
+        EXPECT_EQ(back.columnIndices(), g.columnIndices());
+        ASSERT_EQ(back.storedValues().size(), g.storedValues().size());
+        for (std::size_t k = 0; k < g.storedValues().size(); ++k)
+            ASSERT_EQ(bits(back.storedValues()[k]),
+                      bits(g.storedValues()[k]))
+                << "entry " << k;
+    }
+}
+
+TEST(BorderedStencil, SplitOilNodesArePlaneAboveTheDie)
+{
+    const StackModel m = buildStack(kStackCases[2]);
+    const PlaneLayout &layout = *m.planeLayout();
+    ASSERT_GE(layout.planeOffsets.size(), 2u);
+    EXPECT_EQ(m.nodeName(layout.planeOffsets[0]), "oil:c0_0");
+    EXPECT_EQ(layout.planeOffsets[1], m.siliconNodeBegin());
+}
+
+TEST(BorderedStencil, RejectsLayoutsThatDoNotFitTheMatrix)
+{
+    const StackModel m = buildStack(kStackCases[1]);
+    PlaneLayout layout = *m.planeLayout();
+    // Two die-footprint layers swapped: their cells are then joined
+    // to cells two planes away, which no stencil link holds.
+    std::swap(layout.planeOffsets[0], layout.planeOffsets[1]);
+    EXPECT_THROW(BorderedStencil(m.conductance(), layout), FatalError);
+    layout = *m.planeLayout();
+    layout.planeOffsets.push_back(layout.planeOffsets.back());
+    EXPECT_THROW(BorderedStencil(m.conductance(), layout), FatalError);
+    layout.planeOffsets.clear();
+    EXPECT_THROW(BorderedStencil(m.conductance(), layout), FatalError);
+}
+
+/** <M^-1 x, y> - <x, M^-1 y>, relative to |M^-1 x| |y|. */
+double
+asymmetry(const Preconditioner &m, std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<double> x(n), y(n), mx, my;
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = rng.gaussian(0.0, 1.0);
+        y[i] = rng.gaussian(0.0, 1.0);
+    }
+    m.apply(x, mx);
+    m.apply(y, my);
+    return std::abs(dot(mx, y) - dot(x, my)) / (norm2(mx) * norm2(y));
+}
+
+TEST(BorderedPreconditioner, IsSymmetric)
+{
+    for (const StackCase &c : kStackCases) {
+        SCOPED_TRACE(c.name);
+        const StackModel m = buildStack(c);
+        const BorderedStencil view(m.conductance(), *m.planeLayout());
+        // The border composition in double around a symmetric double
+        // plane step (SSOR) is symmetric to rounding...
+        const BorderedPreconditioner exact(
+            view, view.planes().makePreconditioner(
+                      PreconditionerKind::Ssor, 1.5));
+        // ...and around the V-cycle, which runs in single precision,
+        // to float rounding.
+        const std::unique_ptr<Preconditioner> mg = makeBorderedMultigrid(
+            m.conductance(), *m.planeLayout());
+        EXPECT_EQ(mg->kind(), PreconditionerKind::Multigrid);
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            EXPECT_LT(asymmetry(exact, m.nodeCount(), seed), 1e-12);
+            EXPECT_LT(asymmetry(*mg, m.nodeCount(), seed), 1e-5);
+        }
+        // Positive: <M^-1 x, x> > 0.
+        Rng rng(9);
+        std::vector<double> x(m.nodeCount()), mx;
+        for (double &v : x)
+            v = rng.gaussian(0.0, 1.0);
+        mg->apply(x, mx);
+        EXPECT_GT(dot(mx, x), 0.0);
+    }
+}
+
+TEST(BorderedPreconditioner, AppliesInPlace)
+{
+    const StackModel m = buildStack(kStackCases[0]);
+    const std::unique_ptr<Preconditioner> mg =
+        makeBorderedMultigrid(m.conductance(), *m.planeLayout());
+    std::vector<double> r(m.nodeCount());
+    for (std::size_t i = 0; i < r.size(); ++i)
+        r[i] = 1.0 + 0.001 * static_cast<double>(i % 97);
+    std::vector<double> z;
+    mg->apply(r, z);
+    mg->apply(r, r);
+    EXPECT_EQ(r, z);
+}
+
+TEST(StackMultigrid, MatchesSsorCgAtTierZeroInFewIterations)
+{
+    for (std::size_t grid : {16, 32, 64}) {
+        for (const StackCase &base :
+             {kStackCases[0], kStackCases[1], kStackCases[2],
+              kStackCases[3]}) {
+            StackCase c = base;
+            c.nx = c.ny = grid;
+            SCOPED_TRACE(std::string(c.name) + " grid " +
+                         std::to_string(grid));
+            const StackModel m = buildStack(c);
+            const std::vector<double> p = stackPowers(m);
+            StackModel::SteadySolveOptions so;
+            StackModel::SteadySolveInfo mg, ssor;
+            const std::vector<double> viaMg =
+                m.steadyNodeTemperatures(p, so, &mg);
+            so.preconditioner = PreconditionerKind::Ssor;
+            const std::vector<double> viaSsor =
+                m.steadyNodeTemperatures(p, so, &ssor);
+            EXPECT_EQ(mg.method, "mg-cg");
+            EXPECT_EQ(mg.fallbackTier, 0);
+            EXPECT_LE(mg.iterations, 25u);
+            EXPECT_EQ(ssor.method, "ssor-cg");
+            ASSERT_EQ(viaMg.size(), viaSsor.size());
+            for (std::size_t i = 0; i < viaMg.size(); ++i)
+                ASSERT_NEAR(viaMg[i], viaSsor[i], 1e-9) << "node " << i;
+        }
+    }
+}
+
+TEST(StackMultigrid, FailFastSolveRunsTheSameCycle)
+{
+    const StackModel m = buildStack(kStackCases[0]);
+    const std::vector<double> p = stackPowers(m);
+    StackModel::SteadySolveOptions so;
+    StackModel::SteadySolveInfo chain, direct;
+    const std::vector<double> viaChain =
+        m.steadyNodeTemperatures(p, so, &chain);
+    so.fallback = false;
+    const std::vector<double> viaDirect =
+        m.steadyNodeTemperatures(p, so, &direct);
+    EXPECT_EQ(viaDirect, viaChain);
+    EXPECT_EQ(direct.iterations, chain.iterations);
+}
+
+TEST(StackMultigrid, BitIdenticalSerialAndAtFourThreads)
+{
+    const bool saved = ThreadPool::parallelEnabled();
+    // Before the pool's first use, so the pooled kernels really run
+    // on four threads (each discovered test is its own process).
+    ThreadPool::setGlobalThreads(4);
+    for (const StackCase &base : {kStackCases[0], kStackCases[2]}) {
+        StackCase c = base;
+        c.nx = c.ny = 32;
+        SCOPED_TRACE(c.name);
+        const StackModel m = buildStack(c);
+        const std::vector<double> p = stackPowers(m);
+        ThreadPool::setParallelEnabled(false);
+        const std::vector<double> serial = m.steadyNodeTemperatures(p);
+        ThreadPool::setParallelEnabled(true);
+        const std::vector<double> pooled = m.steadyNodeTemperatures(p);
+        ASSERT_EQ(serial.size(), pooled.size());
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            ASSERT_EQ(bits(serial[i]), bits(pooled[i])) << "node " << i;
+    }
+    ThreadPool::setParallelEnabled(saved);
+}
+
+/** Arms fault rules for one scope; the injector is inert outside. */
+class FaultGuard
+{
+  public:
+    explicit FaultGuard(const std::string &spec)
+    {
+        FaultInjector::global().arm(spec);
+    }
+    ~FaultGuard() { FaultInjector::global().disarm(); }
+    FaultGuard(const FaultGuard &) = delete;
+    FaultGuard &operator=(const FaultGuard &) = delete;
+};
+
+TEST(StackMultigrid, DivergedCycleDemotesTheSolveToSsorCg)
+{
+    const StackModel m = buildStack(kStackCases[0]);
+    const std::vector<double> p = stackPowers(m);
+    StackModel::SteadySolveOptions so;
+    so.preconditioner = PreconditionerKind::Ssor;
+    const std::vector<double> want = m.steadyNodeTemperatures(p, so);
+
+    const FaultGuard faults("mg.diverge:count=1");
+    so.preconditioner = PreconditionerKind::Multigrid;
+    StackModel::SteadySolveInfo info;
+    const std::vector<double> got = m.steadyNodeTemperatures(p, so, &info);
+    EXPECT_EQ(info.method, "ssor-cg");
+    EXPECT_EQ(info.fallbackTier, 1);
+    EXPECT_EQ(FaultInjector::global().fired(), 1u);
+    EXPECT_EQ(got, want);
+}
+
+TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
+{
+    const StackModel m = buildStack(kStackCases[1]);
+    const std::size_t blocks = m.floorplan().blockCount();
+    const std::vector<double> p = stackPowers(m);
+    StackModel::SteadySolveOptions so;
+    const std::vector<double> want = m.steadyNodeTemperatures(p, so);
+
+    auto &reg = obs::MetricsRegistry::global();
+    const std::uint64_t setups = reg.counter("numeric.mg.setups").value();
+    const std::uint64_t demoted =
+        reg.counter("resilience.fallback.ssor_cg").value();
+    constexpr std::uint64_t kKey = 0x6d67646976657267ull;
+    ImpulseResponseCache::global().invalidate(kKey);
+    so.superposition = true;
+    so.stackKey = kKey;
+    StackModel::SteadySolveInfo info;
+    std::vector<double> got;
+    {
+        // Every column's V-cycle diverges: each column demotes.
+        const FaultGuard faults("mg.diverge:count=1000");
+        got = m.steadyNodeTemperatures(p, so, &info);
+        EXPECT_EQ(FaultInjector::global().fired(), blocks);
+    }
+    ImpulseResponseCache::global().invalidate(kKey);
+    EXPECT_EQ(info.method, "superposition");
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_NEAR(got[i], want[i], 1e-9) << "node " << i;
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // One hierarchy for all the columns, and every column demoted.
+    EXPECT_EQ(reg.counter("numeric.mg.setups").value() - setups, 1u);
+    EXPECT_EQ(reg.counter("resilience.fallback.ssor_cg").value() - demoted,
+              blocks);
+}
+
+TEST(StackMultigrid, BlockModeAndMicrochannelKeepTheirMethods)
+{
+    const Floorplan fp = floorplans::alphaEv6();
+    const std::vector<double> p(fp.blockCount(), 1.0);
+    const StackModel block(fp, PackageConfig::makeAirSink(0.3, 45.0));
+    EXPECT_EQ(block.planeLayout(), nullptr);
+    StackModel::SteadySolveInfo info;
+    block.steadyNodeTemperatures(p, {}, &info);
+    EXPECT_EQ(info.method, "ssor-cg");
+
+    ModelOptions mo;
+    mo.mode = ModelMode::Grid;
+    mo.gridNx = 16;
+    mo.gridNy = 16;
+    const StackModel micro(fp, PackageConfig::makeMicrochannel(1.0), mo);
+    EXPECT_EQ(micro.planeLayout(), nullptr);
+    micro.steadyNodeTemperatures(p, {}, &info);
+    EXPECT_EQ(info.method, "ssor-bicgstab");
 }
 
 TEST(Iterative, CgMatchesLuOnChain)

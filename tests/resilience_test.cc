@@ -389,9 +389,9 @@ TEST(RobustSolve, InjectedMgDivergenceDemotesToSsorCg)
 
 TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
 {
-    // The stack network is CSR, where Multigrid degrades to SSOR: the
-    // primary tier must be named for the SSOR solve it runs, and the
-    // chain must not queue that same solve again as a fallback.
+    // A grid stack answers Multigrid with the bordered V-cycle: the
+    // primary tier is mg-cg, and it agrees with the SSOR solve it
+    // replaces.
     const Floorplan fp = floorplans::alphaEv6();
     ModelOptions mo;
     mo.mode = ModelMode::Grid;
@@ -401,24 +401,30 @@ TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
     const std::vector<double> powers(fp.blockCount(), 1.0);
 
     StackModel::SteadySolveOptions so;
-    so.preconditioner = PreconditionerKind::Multigrid;
+    EXPECT_EQ(so.preconditioner, PreconditionerKind::Multigrid);
     StackModel::SteadySolveInfo info;
     const std::vector<double> viaMg =
         model.steadyNodeTemperatures(powers, so, &info);
-    EXPECT_EQ(info.method, "ssor-cg");
+    EXPECT_EQ(info.method, "mg-cg");
     EXPECT_EQ(info.fallbackTier, 0);
     so.preconditioner = PreconditionerKind::Ssor;
-    EXPECT_EQ(model.steadyNodeTemperatures(powers, so), viaMg);
+    const std::vector<double> viaSsor =
+        model.steadyNodeTemperatures(powers, so, &info);
+    EXPECT_EQ(info.method, "ssor-cg");
+    ASSERT_EQ(viaSsor.size(), viaMg.size());
+    for (std::size_t i = 0; i < viaMg.size(); ++i)
+        EXPECT_NEAR(viaMg[i], viaSsor[i], 1e-9) << i;
 
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
-    // Starved of iterations, the iterative tiers fail in turn; the
-    // solve.tier spans name each distinct solve once.
+    // Starved of iterations (MG needs about 13), the iterative tiers
+    // fail in turn; the solve.tier spans name each distinct solve
+    // once, in chain order.
     obs::SpanRecorder &rec = obs::SpanRecorder::global();
     rec.clear();
     rec.setEnabled(true);
     so.preconditioner = PreconditionerKind::Multigrid;
-    so.maxIterations = 20;
+    so.maxIterations = 5;
     try {
         model.steadyNodeTemperatures(powers, so);
     } catch (const NumericError &) {
@@ -433,10 +439,11 @@ TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
         }
     }
     rec.clear();
-    ASSERT_GE(methods.size(), 3u);
-    EXPECT_EQ(methods[0], "ssor-cg");
-    EXPECT_EQ(methods[1], "jacobi-cg");
-    EXPECT_EQ(methods[2], "bicgstab");
+    ASSERT_GE(methods.size(), 4u);
+    EXPECT_EQ(methods[0], "mg-cg");
+    EXPECT_EQ(methods[1], "ssor-cg");
+    EXPECT_EQ(methods[2], "jacobi-cg");
+    EXPECT_EQ(methods[3], "bicgstab");
     EXPECT_EQ(std::set<std::string>(methods.begin(), methods.end())
                   .size(),
               methods.size());

@@ -257,7 +257,10 @@ benchSuperposedSweep(int jobs, int repeat)
     ThreadPool::setParallelEnabled(true);
     const int sample = 16;
     row.baselineSeconds = bestOf(repeat, [&] {
+        // SSOR-CG: the per-job solve BENCH_perf.json's recorded
+        // superposition speedup was measured against.
         StackModel::SteadySolveOptions sopts;
+        sopts.preconditioner = PreconditionerKind::Ssor;
         for (int j = 0; j < sample; ++j)
             model.steadyNodeTemperatures(powersFor(j), sopts);
     }) / sample;
