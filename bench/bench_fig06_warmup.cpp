@@ -8,8 +8,16 @@
  * spot is far hotter in steady state (137 vs 63 C in the paper), its
  * coolest block is cooler (42 vs 55 C), the chip averages are close,
  * and AIR-SINK shows an instant initial jump (two time scales).
+ *
+ * Claim gate (`ctest -L paper`): exits 1 when the shape breaks —
+ * OIL's hot spot must reach 80% of its steady rise by 2 s while
+ * AIR's stays at or below 50%, OIL's steady hot spot must sit 30 C
+ * above AIR's with its coolest cell below AIR's, and AIR must jump
+ * 5 C within 10 ms. The averages are not gated (they order opposite
+ * to the paper's; EXPERIMENTS.md, divergence 2).
  */
 
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -60,9 +68,15 @@ main()
                      "OIL hot (C)", "OIL cool (C)"});
     table.addRow("0.00", {22.0, 22.0, 22.0, 22.0});
     const double sample = 0.25;
+    double air_hot_2s = 0.0;
+    double oil_hot_2s = 0.0;
     for (double t = sample; t <= 6.0 + 1e-9; t += sample) {
         air_sim.advance(sample);
         oil_sim.advance(sample);
+        if (std::abs(t - 2.0) < 1e-9) {
+            air_hot_2s = toCelsius(air_sim.maxSiliconTemperature());
+            oil_hot_2s = toCelsius(oil_sim.maxSiliconTemperature());
+        }
         table.addRow(
             formatFixed(t, 2),
             {toCelsius(air_sim.maxSiliconTemperature()),
@@ -76,9 +90,10 @@ main()
     ThermalSimulator jump(air_model, so);
     jump.setBlockPowers(powers);
     jump.advance(0.010);
+    const double air_jump = toCelsius(jump.maxSiliconTemperature()) - 22.0;
     std::printf("\nAIR-SINK initial jump: +%.1f C within 10 ms "
                 "(paper: visible instant jump, then a slow ramp)\n",
-                toCelsius(jump.maxSiliconTemperature()) - 22.0);
+                air_jump);
 
     // Steady-state summary.
     const auto air_nodes = air_model.steadyNodeTemperatures(powers);
@@ -99,5 +114,27 @@ main()
                    toCelsius(bench::meanOf(oil_cells)), 56.0, 62.0});
     std::printf("\n");
     steady.print(std::cout);
-    return 0;
+
+    const double air_hot = toCelsius(bench::maxOf(air_cells));
+    const double oil_hot = toCelsius(bench::maxOf(oil_cells));
+    bool holds = true;
+    const auto broken = [&holds](const char *what) {
+        std::printf("claim broken: %s\n", what);
+        holds = false;
+    };
+    if (!((oil_hot_2s - 22.0) >= 0.8 * (oil_hot - 22.0)))
+        broken("OIL-SILICON's hot spot is below 80% of its steady rise "
+               "at 2 s");
+    if (!((air_hot_2s - 22.0) <= 0.5 * (air_hot - 22.0)))
+        broken("AIR-SINK's hot spot is above 50% of its steady rise "
+               "at 2 s");
+    if (!(oil_hot - air_hot >= 30.0))
+        broken("OIL-SILICON's steady hot spot is less than 30 C above "
+               "AIR-SINK's");
+    if (!(bench::minOf(oil_cells) < bench::minOf(air_cells)))
+        broken("OIL-SILICON's coolest cell is not cooler than "
+               "AIR-SINK's");
+    if (!(air_jump >= 5.0))
+        broken("AIR-SINK jumps less than 5 C within 10 ms");
+    return holds ? 0 : 1;
 }

@@ -70,6 +70,9 @@ FaultInjector::knownPoints()
          "poison one column of a fresh impulse-response matrix",
          "independent residual check rejects it; job demotes to the "
          "iterative chain"},
+        {CholCorrupt, "numeric/ode",
+         "poison one direct solution of an implicit integrator step",
+         "the step's residual check rejects it; CG answers the step"},
         {JobStall, "sweep/runner",
          "sleep inside a sweep job (seconds= payload)",
          "cooperative deadline or watchdog times the job out"},

@@ -24,6 +24,10 @@
  *                       garbage (only the independent residual check
  *                       can catch it; the job must demote to the
  *                       iterative chain and still complete)
+ *     chol.corrupt      poison one direct (sparse Cholesky) solution
+ *                       of an implicit integrator step with large
+ *                       finite garbage (the step's residual check
+ *                       must reject it and CG must answer the step)
  *     job.stall         sleep inside a sweep job (watchdog bait)
  *     journal.corrupt   scramble bytes of one journal line
  *     journal.truncate  write only a prefix of one journal line
@@ -101,6 +105,7 @@ inline constexpr const char *CgNan = "cg.nan";
 inline constexpr const char *CgDiverge = "cg.diverge";
 inline constexpr const char *MgDiverge = "mg.diverge";
 inline constexpr const char *ImpulseCorrupt = "impulse.corrupt";
+inline constexpr const char *CholCorrupt = "chol.corrupt";
 inline constexpr const char *JobStall = "job.stall";
 inline constexpr const char *JournalCorrupt = "journal.corrupt";
 inline constexpr const char *JournalTruncate = "journal.truncate";

@@ -59,14 +59,14 @@ ThermalSimulator::initializeSteady(
     const double ambient = stack.packageConfig().ambient;
     for (std::size_t i = 0; i < rise.size(); ++i)
         rise[i] = abs_temps[i] - ambient;
-    nodePower = stack.nodePowerVector(block_powers);
+    stack.nodePowerVector(block_powers, nodePower);
     now = 0.0;
 }
 
 void
 ThermalSimulator::setBlockPowers(const std::vector<double> &block_powers)
 {
-    nodePower = stack.nodePowerVector(block_powers);
+    stack.nodePowerVector(block_powers, nodePower);
 }
 
 void
@@ -103,20 +103,29 @@ ThermalSimulator::nodeTemperatures() const
     return t;
 }
 
+// Both scan the silicon slice of the rise and add ambient once:
+// rounding is monotone, so max(r_i) + a rounds to max(r_i + a).
+
 double
 ThermalSimulator::maxSiliconTemperature() const
 {
-    const std::vector<double> cells =
-        stack.siliconCellTemperatures(nodeTemperatures());
-    return *std::max_element(cells.begin(), cells.end());
+    const auto cells = rise.begin() + static_cast<std::ptrdiff_t>(
+                                          stack.siliconNodeBegin());
+    return *std::max_element(
+               cells, cells + static_cast<std::ptrdiff_t>(
+                                  stack.partitionCells())) +
+           stack.packageConfig().ambient;
 }
 
 double
 ThermalSimulator::minSiliconTemperature() const
 {
-    const std::vector<double> cells =
-        stack.siliconCellTemperatures(nodeTemperatures());
-    return *std::min_element(cells.begin(), cells.end());
+    const auto cells = rise.begin() + static_cast<std::ptrdiff_t>(
+                                          stack.siliconNodeBegin());
+    return *std::min_element(
+               cells, cells + static_cast<std::ptrdiff_t>(
+                                  stack.partitionCells())) +
+           stack.packageConfig().ambient;
 }
 
 } // namespace irtherm

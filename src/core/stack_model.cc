@@ -715,21 +715,24 @@ StackModel::siliconNodeBegin() const
 std::vector<double>
 StackModel::nodePowerVector(const std::vector<double> &block_powers) const
 {
+    std::vector<double> p;
+    nodePowerVector(block_powers, p);
+    return p;
+}
+
+void
+StackModel::nodePowerVector(const std::vector<double> &block_powers,
+                            std::vector<double> &out) const
+{
     if (block_powers.size() != fp_.blockCount())
         fatal("nodePowerVector: expected ", fp_.blockCount(),
               " block powers, got ", block_powers.size());
-    std::vector<double> p(nodeCount(), 0.0);
-    const std::size_t off = siliconNodeBegin();
-    if (opts_.mode == ModelMode::Block) {
-        for (std::size_t i = 0; i < block_powers.size(); ++i)
-            p[off + i] = block_powers[i];
-    } else {
-        const std::vector<double> cells =
-            mapping_->blockPowersToCells(block_powers);
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            p[off + i] = cells[i];
-    }
-    return p;
+    out.assign(nodeCount(), 0.0);
+    double *silicon = out.data() + siliconNodeBegin();
+    if (opts_.mode == ModelMode::Block)
+        std::copy(block_powers.begin(), block_powers.end(), silicon);
+    else
+        mapping_->blockPowersToCells(block_powers, silicon);
 }
 
 std::vector<double>
@@ -839,12 +842,16 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
     // Trust discipline: the GEMV answer is accepted only when it
     // passes the same independent residual check the iterative tiers
     // face. RobustSolveOptions{}.residualSlack keeps the bound
-    // identical to the chain's.
+    // identical to the chain's; a cached matrix of another size (a
+    // stack-hash collision) fails outright.
     const CsrOperator gop(g_);
-    const ImpulseVerification v = verifySuperposition(
-        gop, node_powers, rise, solve_opts.tolerance,
-        RobustSolveOptions{}.residualSlack);
-    if (!v.ok) {
+    std::vector<double> resid;
+    const SolutionCheck v =
+        rise.size() == cap_.size()
+            ? checkSolution(gop, node_powers, rise, solve_opts.tolerance,
+                            RobustSolveOptions{}.residualSlack, resid)
+            : SolutionCheck{};
+    if (!v.ok()) {
         warn("superposed steady solve failed verification "
                 "(residual ", v.residualNorm, " > bound ", v.bound,
                 "); demoting stack ", solve_opts.stackKey,

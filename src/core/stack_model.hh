@@ -116,6 +116,10 @@ class StackModel
     std::vector<double>
     nodePowerVector(const std::vector<double> &block_powers) const;
 
+    /** As above, into @p out (resized; no allocation once sized). */
+    void nodePowerVector(const std::vector<double> &block_powers,
+                         std::vector<double> &out) const;
+
     /** Area-weighted mean silicon temperature per block (kelvin). */
     std::vector<double>
     blockTemperatures(const std::vector<double> &node_temps) const;

@@ -67,14 +67,22 @@ std::vector<double>
 GridMapping::blockPowersToCells(
     const std::vector<double> &block_powers) const
 {
+    std::vector<double> cell_powers(cellCount());
+    blockPowersToCells(block_powers, cell_powers.data());
+    return cell_powers;
+}
+
+void
+GridMapping::blockPowersToCells(const std::vector<double> &block_powers,
+                                double *cells) const
+{
     if (block_powers.size() != fp.blockCount())
         fatal("blockPowersToCells: power vector size mismatch");
-    std::vector<double> cell_powers(cellCount(), 0.0);
+    std::fill(cells, cells + cellCount(), 0.0);
     for (std::size_t b = 0; b < blockEntries.size(); ++b) {
         for (const Entry &e : blockEntries[b])
-            cell_powers[e.cell] += block_powers[b] * e.blockFraction;
+            cells[e.cell] += block_powers[b] * e.blockFraction;
     }
-    return cell_powers;
 }
 
 std::vector<double>

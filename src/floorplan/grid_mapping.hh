@@ -61,6 +61,10 @@ class GridMapping
     std::vector<double>
     blockPowersToCells(const std::vector<double> &block_powers) const;
 
+    /** As above, into @p cells (cellCount() entries, overwritten). */
+    void blockPowersToCells(const std::vector<double> &block_powers,
+                            double *cells) const;
+
     /**
      * Area-weighted mean cell temperature per block.
      */

@@ -34,25 +34,6 @@ ImpulseResponseMatrix::superpose(const std::vector<double> &blockPowers,
     }
 }
 
-ImpulseVerification
-verifySuperposition(const LinearOperator &a, const std::vector<double> &p,
-                    const std::vector<double> &rise, double tolerance,
-                    double slack)
-{
-    ImpulseVerification v;
-    if (rise.size() != a.cols() || p.size() != a.rows()) {
-        v.ok = false;
-        return v;
-    }
-    std::vector<double> resid = p;
-    a.applyAccumulate(rise, resid, -1.0);
-    v.residualNorm = norm2(resid);
-    v.bound = slack * tolerance * std::max(norm2(p), 1e-300);
-    // Plain <= so a NaN residual (corrupted column) fails the check.
-    v.ok = v.residualNorm <= v.bound;
-    return v;
-}
-
 ImpulseResponseCache::ImpulseResponseCache(std::size_t capacityBytes)
     : capacity(capacityBytes)
 {

@@ -15,7 +15,7 @@
  * Trust discipline: a cached answer is never taken on faith. Every
  * superposed solution is re-verified against the *actual* conductance
  * matrix with the same independent residual check robustSolve applies
- * to its tiers (`verifySuperposition`); a miss demotes the job to the
+ * to its tiers (`checkSolution`); a miss demotes the job to the
  * iterative chain and invalidates the entry. The `impulse.corrupt`
  * fault point poisons one cached column to prove that path end to
  * end.
@@ -61,23 +61,6 @@ struct ImpulseResponseMatrix
         return values.capacity() * sizeof(double) + sizeof(*this);
     }
 };
-
-/** Outcome of the independent residual check on a superposed answer. */
-struct ImpulseVerification
-{
-    bool ok = false;
-    double residualNorm = 0.0;
-    double bound = 0.0;
-};
-
-/**
- * ||p - G rise|| <= slack * tolerance * ||p|| — the same acceptance
- * bound robustSolve applies to its solver tiers. NaN residuals fail.
- */
-ImpulseVerification
-verifySuperposition(const LinearOperator &a, const std::vector<double> &p,
-                    const std::vector<double> &rise, double tolerance,
-                    double slack);
 
 /**
  * Byte-bounded LRU cache of response matrices keyed by stack hash.

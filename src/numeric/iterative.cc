@@ -351,56 +351,4 @@ biCgStab(const CsrMatrix &a, const std::vector<double> &b,
     return res;
 }
 
-IterativeResult
-gaussSeidel(const CsrMatrix &a, const std::vector<double> &b,
-            const std::vector<double> &x0, const IterativeOptions &opts)
-{
-    const std::size_t n = a.rows();
-    if (a.cols() != n || b.size() != n)
-        fatal("gaussSeidel: dimension mismatch");
-
-    IterativeResult res;
-    res.x = x0.empty() ? std::vector<double>(n, 0.0) : x0;
-    if (res.x.size() != n)
-        fatal("gaussSeidel: bad initial guess size");
-
-    const auto &rp = a.rowPointers();
-    const auto &ci = a.columnIndices();
-    const auto &av = a.storedValues();
-    const double bnorm = std::max(norm2(b), 1e-300);
-    // Residual scratch, hoisted so the sweep loop allocates nothing.
-    std::vector<double> resid = b;
-    a.multiplyAccumulate(res.x, resid, -1.0);
-    res.initialResidualNorm = norm2(resid);
-
-    for (std::size_t it = 0; it < opts.maxIterations; ++it) {
-        for (std::size_t r = 0; r < n; ++r) {
-            double acc = b[r];
-            double diag = 0.0;
-            for (std::size_t k = rp[r]; k < rp[r + 1]; ++k) {
-                const std::size_t c = ci[k];
-                if (c == r) {
-                    diag = av[k];
-                } else {
-                    acc -= av[k] * res.x[c];
-                }
-            }
-            if (diag == 0.0)
-                fatal("gaussSeidel: zero diagonal at row ", r);
-            res.x[r] = acc / diag;
-        }
-
-        resid = b;
-        a.multiplyAccumulate(res.x, resid, -1.0);
-        res.residualNorm = norm2(resid);
-        if (res.residualNorm <= opts.tolerance * bnorm) {
-            res.converged = true;
-            res.iterations = it + 1;
-            return res;
-        }
-    }
-    res.iterations = opts.maxIterations;
-    return res;
-}
-
 } // namespace irtherm

@@ -8,8 +8,7 @@
  * transient steps. The solvers operate on the LinearOperator
  * abstraction, so a stored CsrMatrix and a matrix-free grid stencil
  * run through identical code; CsrMatrix overloads are kept for
- * callers that hold a concrete matrix. Gauss-Seidel is kept as an
- * independent cross-check.
+ * callers that hold a concrete matrix.
  *
  * Determinism: the BLAS-1 reductions (dot, norm2) accumulate in
  * fixed-size chunks combined in ascending order in both the serial
@@ -87,15 +86,6 @@ IterativeResult conjugateGradient(const CsrMatrix &a,
                                   const std::vector<double> &b,
                                   const std::vector<double> &x0 = {},
                                   const IterativeOptions &opts = {});
-
-/**
- * Gauss-Seidel sweeps; converges for diagonally dominant systems.
- * Kept mainly as an algorithmically independent validation of CG.
- */
-IterativeResult gaussSeidel(const CsrMatrix &a,
-                            const std::vector<double> &b,
-                            const std::vector<double> &x0 = {},
-                            const IterativeOptions &opts = {});
 
 /**
  * Preconditioned BiCGSTAB for general (non-symmetric) systems.

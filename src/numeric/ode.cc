@@ -6,6 +6,7 @@
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "numeric/robust_solve.hh"
+#include "numeric/sparse_cholesky.hh"
 #include "obs/span.hh"
 
 namespace irtherm
@@ -63,7 +64,148 @@ effectivePreconditioner(const LinearOperator &system,
     return PreconditionerKind::Jacobi;
 }
 
+/**
+ * One implicit step through the iterative path: warm-started CG from
+ * @p temps (BiCGSTAB on a non-symmetric system), escalating through
+ * the verified fallback chain when it does not converge. The
+ * preconditioner is built on first use and kept.
+ */
+IterativeResult
+iterativeStep(const LinearOperator &system, const CsrMatrix &systemCsr,
+              const std::vector<double> &capOverDt,
+              const std::vector<double> &rhs,
+              const std::vector<double> &temps,
+              const IterativeOptions &solverOpts, bool symmetric,
+              std::unique_ptr<Preconditioner> &precond, CgWorkspace &ws)
+{
+    if (symmetric && !precond) {
+        precond = system.makePreconditioner(
+            effectivePreconditioner(system, capOverDt,
+                                    solverOpts.preconditioner),
+            solverOpts.ssorOmega);
+    }
+    IterativeResult r =
+        symmetric ? conjugateGradient(system, rhs, temps, solverOpts,
+                                      precond.get(), &ws)
+                  : biCgStab(systemCsr, rhs, temps, solverOpts);
+    if (!r.converged) {
+        // Rebuild through the verified fallback chain instead of
+        // aborting (a transient NaN or injected fault clears on a
+        // fresh tier); NumericError when every tier fails.
+        RobustSolveOptions ropts;
+        ropts.iterative = solverOpts;
+        ropts.symmetric = symmetric;
+        ropts.scope = FaultInjector::currentContext();
+        const CsrMatrix *csr =
+            systemCsr.rows() == system.rows() ? &systemCsr : nullptr;
+        r = robustSolve(system, csr, rhs, temps, ropts, &ws).solve;
+    }
+    return r;
+}
+
 } // namespace
+
+/**
+ * The factored form of an implicit integrator's fixed CSR system.
+ * Each step is two triangular solves whose answer faces the same
+ * independent check robustSolve applies to its tiers; a rejected
+ * answer is counted and warned about (like a superposition miss), and
+ * the integrator's iterative path answers that step instead.
+ */
+class DirectStep
+{
+  public:
+    /**
+     * Factor @p system, or return null: when its symbolic factor is
+     * over kImplicitFactorCap, or when a pivot fails (counted and
+     * warned about). @p who names the integrator in diagnostics.
+     */
+    static std::unique_ptr<DirectStep>
+    make(const CsrMatrix &system, const char *who)
+    {
+        // L holds at least half of A's entries: skip the ordering
+        // when even that is over the cap.
+        if (system.nonZeros() / 2 > kImplicitFactorCap) {
+            debugLog(who, ": ", system.nonZeros(),
+                     " entries exceed the factor cap; stepping with CG");
+            return nullptr;
+        }
+        obs::ScopedSpan span("numeric.chol.factor");
+        span.attr("nodes", system.rows());
+        std::unique_ptr<DirectStep> d(new DirectStep(system, who));
+        span.attr("factor_entries", d->chol.factorNonZeros());
+        if (d->chol.factorNonZeros() > kImplicitFactorCap) {
+            debugLog(who, ": a ", d->chol.factorNonZeros(),
+                     "-entry factor exceeds the cap; stepping with CG");
+            span.attr("factored", "over_cap");
+            return nullptr;
+        }
+        if (!d->chol.factor(system)) {
+            d->rejected.add();
+            warn(who, ": system does not factor (",
+                 d->chol.failure(), "); stepping with CG");
+            span.attr("factored", "no");
+            return nullptr;
+        }
+        obs::MetricsRegistry::global()
+            .counter("numeric.chol.factors")
+            .add();
+        span.attr("factored", "yes");
+        return d;
+    }
+
+    /**
+     * Solve system · x = @p rhs and check the answer. When it passes,
+     * swap it into @p temps and return true; otherwise leave @p temps
+     * (the iterative path's warm start) untouched and return false.
+     */
+    bool
+    solve(const LinearOperator &system, const std::vector<double> &rhs,
+          double tolerance, std::vector<double> &temps)
+    {
+        chol.solve(rhs, x);
+        if (FaultInjector::global().shouldFire(faultpoint::CholCorrupt)) {
+            // Large but finite, so only the residual check can tell.
+            x[x.size() / 2] = 1e12;
+        }
+        const SolutionCheck check =
+            checkSolution(system, rhs, x, tolerance,
+                          RobustSolveOptions{}.residualSlack, resid);
+        residual = check.residualNorm;
+        if (!check.ok()) {
+            rejected.add();
+            warn(who, ": direct step rejected (",
+                 check.finite ? "" : "non-finite answer, ", "residual ",
+                 check.residualNorm, " > bound ", check.bound,
+                 "); answering with CG");
+            return false;
+        }
+        solves.add();
+        temps.swap(x);
+        return true;
+    }
+
+    /** ||b - A x|| of the last direct answer. */
+    double residualNorm() const { return residual; }
+
+  private:
+    DirectStep(const CsrMatrix &system, const char *who_)
+        : chol(system), who(who_),
+          solves(obs::MetricsRegistry::global().counter(
+              "numeric.chol.solves")),
+          rejected(obs::MetricsRegistry::global().counter(
+              "numeric.chol.rejected"))
+    {
+    }
+
+    SparseCholesky chol;
+    const char *who;
+    std::vector<double> x;     ///< the direct answer
+    std::vector<double> resid; ///< check scratch
+    double residual = 0.0;
+    obs::Counter &solves;
+    obs::Counter &rejected;
+};
 
 CsrMatrix
 addDiagonal(const CsrMatrix &g, const std::vector<double> &extra)
@@ -118,6 +260,7 @@ Rk4Integrator::derivative(const std::vector<double> &temps,
 
 void
 Rk4Integrator::rk4Step(const std::vector<double> &y,
+                       const std::vector<double> &dy,
                        const std::vector<double> &power, double h,
                        std::vector<double> &out)
 {
@@ -127,8 +270,7 @@ Rk4Integrator::rk4Step(const std::vector<double> &y,
     const double *yd = y.data();
     double *td = tmp.data();
 
-    derivative(y, power, k1);
-    const double *k1d = k1.data();
+    const double *k1d = dy.data();
     forEachRange(n, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
             td[i] = yd[i] + 0.5 * h * k1d[i];
@@ -173,13 +315,17 @@ Rk4Integrator::advance(std::vector<double> &temps,
     double t = 0.0;
     double h = std::min(lastStep, dt);
 
+    // The derivative at temps is every trial's first stage; it only
+    // changes when a trial is accepted.
+    derivative(temps, power, dTemps);
     while (t < dt) {
         h = std::min(h, dt - t);
 
         // One full step vs two half steps (step doubling).
-        rk4Step(temps, power, h, full);
-        rk4Step(temps, power, 0.5 * h, half);
-        rk4Step(half, power, 0.5 * h, half2);
+        rk4Step(temps, dTemps, power, h, full);
+        rk4Step(temps, dTemps, power, 0.5 * h, half);
+        derivative(half, power, k1);
+        rk4Step(half, k1, power, 0.5 * h, half2);
 
         double err = 0.0;
         for (std::size_t i = 0; i < temps.size(); ++i)
@@ -191,6 +337,8 @@ Rk4Integrator::advance(std::vector<double> &temps,
             // instead of copying (half2 is overwritten next trial).
             temps.swap(half2);
             t += h;
+            if (t < dt)
+                derivative(temps, power, dTemps);
             ++steps;
             stepsMetric.add();
             stepSizeHist.observe(h);
@@ -234,7 +382,9 @@ BackwardEulerIntegrator::BackwardEulerIntegrator(
     csrView = std::make_unique<CsrOperator>(systemCsr);
     system = csrView.get();
     symmetric = systemCsr.isSymmetric(1e-9);
-    finishSetup();
+    if (symmetric)
+        direct = DirectStep::make(systemCsr, "backward Euler");
+    rhs.resize(capOverDt.size());
 }
 
 BackwardEulerIntegrator::BackwardEulerIntegrator(
@@ -259,22 +409,10 @@ BackwardEulerIntegrator::BackwardEulerIntegrator(
         g.scaledShifted(1.0, capOverDt));
     system = systemStencil.get();
     symmetric = true; // stencil stamping is symmetric by construction
-    finishSetup();
-}
-
-void
-BackwardEulerIntegrator::finishSetup()
-{
-    // The system matrix never changes, so factor the preconditioner
-    // once here instead of once per step inside the solver.
-    if (symmetric) {
-        precond = system->makePreconditioner(
-            effectivePreconditioner(*system, capOverDt,
-                                    solverOpts.preconditioner),
-            solverOpts.ssorOmega);
-    }
     rhs.resize(capOverDt.size());
 }
+
+BackwardEulerIntegrator::~BackwardEulerIntegrator() = default;
 
 void
 BackwardEulerIntegrator::step(std::vector<double> &temps,
@@ -292,23 +430,15 @@ BackwardEulerIntegrator::step(std::vector<double> &temps,
         for (std::size_t i = lo; i < hi; ++i)
             rd[i] = cd[i] * td[i] + pw[i];
     });
-    IterativeResult r =
-        symmetric ? conjugateGradient(*system, rhs, temps, solverOpts,
-                                      precond.get(), &ws)
-                  : biCgStab(systemCsr, rhs, temps, solverOpts);
-    if (!r.converged) {
-        // Rebuild through the verified fallback chain instead of
-        // aborting (a transient NaN or injected fault clears on a
-        // fresh tier); NumericError when every tier fails.
-        RobustSolveOptions ropts;
-        ropts.iterative = solverOpts;
-        ropts.symmetric = symmetric;
-        ropts.scope = FaultInjector::currentContext();
-        const CsrMatrix *csr =
-            systemCsr.rows() == n ? &systemCsr : nullptr;
-        r = robustSolve(*system, csr, rhs, temps, ropts, &ws).solve;
-    }
     solvesMetric.add();
+    if (direct &&
+        direct->solve(*system, rhs, solverOpts.tolerance, temps)) {
+        residualGauge.set(direct->residualNorm());
+        return;
+    }
+    IterativeResult r =
+        iterativeStep(*system, systemCsr, capOverDt, rhs, temps,
+                      solverOpts, symmetric, precond, ws);
     iterationsHist.observe(static_cast<double>(r.iterations));
     warmStartHist.observe(r.initialResidualNorm);
     residualGauge.set(r.residualNorm);
@@ -362,7 +492,9 @@ CrankNicolsonIntegrator::CrankNicolsonIntegrator(
     gOp = gView.get();
     systemView = std::make_unique<CsrOperator>(systemCsr);
     system = systemView.get();
-    finishSetup();
+    if (symmetric)
+        direct = DirectStep::make(systemCsr, "Crank-Nicolson");
+    rhs.resize(capOverDt.size());
 }
 
 CrankNicolsonIntegrator::CrankNicolsonIntegrator(
@@ -386,20 +518,10 @@ CrankNicolsonIntegrator::CrankNicolsonIntegrator(
         g.scaledShifted(0.5, capOverDt));
     system = systemStencil.get();
     symmetric = true; // stencil stamping is symmetric by construction
-    finishSetup();
-}
-
-void
-CrankNicolsonIntegrator::finishSetup()
-{
-    if (symmetric) {
-        precond = system->makePreconditioner(
-            effectivePreconditioner(*system, capOverDt,
-                                    solverOpts.preconditioner),
-            solverOpts.ssorOmega);
-    }
     rhs.resize(capOverDt.size());
 }
+
+CrankNicolsonIntegrator::~CrankNicolsonIntegrator() = default;
 
 void
 CrankNicolsonIntegrator::step(std::vector<double> &temps,
@@ -419,21 +541,13 @@ CrankNicolsonIntegrator::step(std::vector<double> &temps,
             rd[i] = cd[i] * td[i] + pw[i];
     });
     gOp->applyAccumulate(temps, rhs, -0.5);
-    IterativeResult r =
-        symmetric ? conjugateGradient(*system, rhs, temps, solverOpts,
-                                      precond.get(), &ws)
-                  : biCgStab(systemCsr, rhs, temps, solverOpts);
-    if (!r.converged) {
-        // Same escalation as BackwardEulerIntegrator::step.
-        RobustSolveOptions ropts;
-        ropts.iterative = solverOpts;
-        ropts.symmetric = symmetric;
-        ropts.scope = FaultInjector::currentContext();
-        const CsrMatrix *csr =
-            systemCsr.rows() == n ? &systemCsr : nullptr;
-        r = robustSolve(*system, csr, rhs, temps, ropts, &ws).solve;
-    }
     solvesMetric.add();
+    if (direct &&
+        direct->solve(*system, rhs, solverOpts.tolerance, temps))
+        return;
+    IterativeResult r =
+        iterativeStep(*system, systemCsr, capOverDt, rhs, temps,
+                      solverOpts, symmetric, precond, ws);
     iterationsHist.observe(static_cast<double>(r.iterations));
     temps = std::move(r.x);
 }

@@ -15,10 +15,15 @@
  *
  * The implicit integrators accept either a stored CsrMatrix or a
  * matrix-free GridStencilOperator. Their system matrices never change
- * between steps, so each instance builds its preconditioner once in
- * the constructor and reuses it — together with a persistent CG
- * workspace and rhs scratch — for every step: the steady advance()
- * loops allocate nothing.
+ * between steps, so the CSR constructors factor a symmetric system
+ * once (sparse Cholesky, within kImplicitFactorCap) and answer every
+ * step with two triangular solves plus robustSolve's residual check.
+ * A system that does not factor, the stencil and non-symmetric
+ * systems, and any direct answer that fails its check go through
+ * preconditioned CG (BiCGSTAB when non-symmetric) with the verified
+ * fallback chain behind it; the preconditioner is built once, on
+ * first use, and reused with a persistent CG workspace and rhs
+ * scratch — the steady advance() loops allocate nothing.
  *
  * Power is held constant across one advance() call, matching how the
  * simulator drives the network (one power vector per trace sample).
@@ -39,6 +44,18 @@
 
 namespace irtherm
 {
+
+/**
+ * Largest Cholesky factor, in entries of L, that the implicit
+ * integrators hold (12 bytes each: a double and a 32-bit row index,
+ * so 48 MiB). A system whose symbolic factor is larger steps with CG.
+ * EV6 at grid 64 fits under OIL-SILICON (2.2M entries) but not under
+ * AIR-SINK (4.9M).
+ */
+inline constexpr std::size_t kImplicitFactorCap = std::size_t{1} << 22;
+
+/** An implicit integrator's factored step (defined in ode.cc). */
+class DirectStep;
 
 /** Tuning knobs for the adaptive RK4 integrator. */
 struct Rk4Options
@@ -79,8 +96,13 @@ class Rk4Integrator
                     const std::vector<double> &power,
                     std::vector<double> &out);
 
-    /** One classical RK4 step of size h from y into out. */
+    /**
+     * One classical RK4 step of size h from y into out; @p dy is the
+     * derivative at y (its first stage), which the caller already
+     * holds: the full step and the first half step share it.
+     */
     void rk4Step(const std::vector<double> &y,
+                 const std::vector<double> &dy,
                  const std::vector<double> &power, double h,
                  std::vector<double> &out);
 
@@ -91,8 +113,10 @@ class Rk4Integrator
     std::size_t steps = 0;
 
     // Scratch reused across every sub-step; advance() swaps rather
-    // than copies, so the steady loop allocates nothing.
-    std::vector<double> k1, k2, k3, k4, tmp;
+    // than copies, so the steady loop allocates nothing. dTemps is
+    // the derivative at the current state, kept across rejected
+    // trials.
+    std::vector<double> dTemps, k1, k2, k3, k4, tmp;
     std::vector<double> full, half, half2;
 
     // Process-wide telemetry (aggregated across all instances).
@@ -105,9 +129,11 @@ class Rk4Integrator
 /**
  * Backward Euler with a fixed step:
  *   (C/dt + G) T_{n+1} = (C/dt) T_n + P
- * The system matrix is formed once (CSR or matrix-free stencil),
- * its preconditioner factored once, and each step is one
- * warm-started preconditioned CG solve reusing the same workspace.
+ * The system matrix is formed once (CSR or matrix-free stencil). A
+ * symmetric CSR system is factored once and each step is two
+ * triangular solves, verified; otherwise (and for any step whose
+ * direct answer fails verification) each step is one warm-started
+ * preconditioned CG solve reusing the same workspace.
  */
 class BackwardEulerIntegrator
 {
@@ -121,8 +147,13 @@ class BackwardEulerIntegrator
                             std::vector<double> capacitance, double dt,
                             const IterativeOptions &solver = {});
 
+    ~BackwardEulerIntegrator();
+
     /** Fixed step size this integrator was built for. */
     double stepSize() const { return dt; }
+
+    /** True when steps solve through the sparse factorization. */
+    bool factored() const { return direct != nullptr; }
 
     /** Advance exactly one step of stepSize(). */
     void step(std::vector<double> &temps,
@@ -138,8 +169,6 @@ class BackwardEulerIntegrator
                  const std::vector<double> &power, double duration);
 
   private:
-    void finishSetup();
-
     CsrMatrix systemCsr;                   ///< C/dt + G (CSR path)
     std::unique_ptr<CsrOperator> csrView;
     std::unique_ptr<GridStencilOperator> systemStencil;
@@ -150,7 +179,9 @@ class BackwardEulerIntegrator
     IterativeOptions solverOpts;
     bool symmetric = true;            ///< CG vs BiCGSTAB dispatch
 
-    std::unique_ptr<Preconditioner> precond; ///< built once (CG path)
+    std::unique_ptr<DirectStep> direct; ///< null: every step is CG
+    /** Built once, on the first CG step (CG path). */
+    std::unique_ptr<Preconditioner> precond;
     CgWorkspace ws;
     std::vector<double> rhs;
 
@@ -178,15 +209,18 @@ class CrankNicolsonIntegrator
                             std::vector<double> capacitance, double dt,
                             const IterativeOptions &solver = {});
 
+    ~CrankNicolsonIntegrator();
+
     double stepSize() const { return dt; }
+
+    /** True when steps solve through the sparse factorization. */
+    bool factored() const { return direct != nullptr; }
 
     /** Advance exactly one step of stepSize(). */
     void step(std::vector<double> &temps,
               const std::vector<double> &power);
 
   private:
-    void finishSetup();
-
     // G (explicit half of the rhs) and C/dt + G/2, each reachable
     // through the LinearOperator interface.
     std::unique_ptr<CsrOperator> gView;         ///< CSR path (views caller's g)
@@ -202,7 +236,9 @@ class CrankNicolsonIntegrator
     IterativeOptions solverOpts;
     bool symmetric = true;            ///< CG vs BiCGSTAB dispatch
 
-    std::unique_ptr<Preconditioner> precond; ///< built once (CG path)
+    std::unique_ptr<DirectStep> direct; ///< null: every step is CG
+    /** Built once, on the first CG step (CG path). */
+    std::unique_ptr<Preconditioner> precond;
     CgWorkspace ws;
     std::vector<double> rhs;
 

@@ -59,16 +59,6 @@ bicgMethodName(PreconditionerKind kind)
     return "bicgstab";
 }
 
-bool
-allFinite(const std::vector<double> &v)
-{
-    for (double x : v) {
-        if (!std::isfinite(x))
-            return false;
-    }
-    return true;
-}
-
 /** Metric-name-safe spelling of a method ("ssor-cg" -> "ssor_cg"). */
 std::string
 metricSuffix(const char *method)
@@ -113,9 +103,6 @@ runChain(const LinearOperator &verifyOp, const std::vector<double> &b,
         obs::MetricsRegistry::global().counter(
             "resilience.fallback.exhausted");
 
-    const double bnorm = std::max(norm2(b), 1e-300);
-    const double accept =
-        opts.residualSlack * opts.iterative.tolerance * bnorm;
     const std::string &scope = opts.scope;
 
     std::vector<double> resid;
@@ -130,18 +117,22 @@ runChain(const LinearOperator &verifyOp, const std::vector<double> &b,
             r = tiers[t].run();
             if (!r.converged) {
                 failure = "did not converge";
-            } else if (!allFinite(r.x)) {
-                failure = "non-finite solution entries";
             } else {
-                resid = b;
-                verifyOp.applyAccumulate(r.x, resid, -1.0);
-                // Report the *true* residual, not the recurrence one.
-                r.residualNorm = norm2(resid);
-                // Negated comparison so a NaN residual fails too.
-                if (!(r.residualNorm <= accept)) {
+                const SolutionCheck check =
+                    checkSolution(verifyOp, b, r.x,
+                                  opts.iterative.tolerance,
+                                  opts.residualSlack, resid);
+                if (!check.finite) {
+                    failure = "non-finite solution entries";
+                } else if (!check.ok()) {
                     failure = "verified residual " +
-                              std::to_string(r.residualNorm) +
-                              " exceeds bound " + std::to_string(accept);
+                              std::to_string(check.residualNorm) +
+                              " exceeds bound " +
+                              std::to_string(check.bound);
+                } else {
+                    // Report the *true* residual, not the recurrence
+                    // one.
+                    r.residualNorm = check.residualNorm;
                 }
             }
         } catch (const FatalError &e) {
@@ -184,6 +175,26 @@ runChain(const LinearOperator &verifyOp, const std::vector<double> &b,
 }
 
 } // namespace
+
+SolutionCheck
+checkSolution(const LinearOperator &a, const std::vector<double> &b,
+              const std::vector<double> &x, double tolerance,
+              double slack, std::vector<double> &resid)
+{
+    SolutionCheck c;
+    c.finite = true;
+    for (double v : x) {
+        if (!std::isfinite(v)) {
+            c.finite = false;
+            break;
+        }
+    }
+    resid = b;
+    a.applyAccumulate(x, resid, -1.0);
+    c.residualNorm = norm2(resid);
+    c.bound = slack * tolerance * std::max(norm2(b), 1e-300);
+    return c;
+}
 
 RobustSolveResult
 robustSolve(const LinearOperator &a, const CsrMatrix *csr,

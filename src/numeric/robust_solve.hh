@@ -70,6 +70,27 @@ struct RobustSolveResult
     std::size_t tiersTried = 1; ///< methods attempted including winner
 };
 
+/** Outcome of the independent acceptance check on one answer. */
+struct SolutionCheck
+{
+    bool finite = false;       ///< every entry of x is finite
+    double residualNorm = 0.0; ///< ||b - A x||, recomputed from A
+    double bound = 0.0;        ///< slack * tolerance * ||b||
+    /** Plain <= so a NaN residual fails too. */
+    bool ok() const { return finite && residualNorm <= bound; }
+};
+
+/**
+ * The check robustSolve applies to every tier's answer, whatever
+ * produced it: @p x finite and ||b - A x|| <= slack * tolerance *
+ * ||b||. @p resid is scratch (no allocation once sized).
+ */
+SolutionCheck checkSolution(const LinearOperator &a,
+                            const std::vector<double> &b,
+                            const std::vector<double> &x,
+                            double tolerance, double slack,
+                            std::vector<double> &resid);
+
 /**
  * Solve A x = b with verification and the full fallback chain.
  * Throws NumericError when every applicable tier fails.

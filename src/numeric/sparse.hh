@@ -59,7 +59,7 @@ class CsrMatrix
      */
     bool isSymmetric(double tol) const;
 
-    /** Dense row access used by Gauss-Seidel sweeps. */
+    /** Raw CSR arrays (row pointers, column indices, values). */
     const std::vector<std::size_t> &rowPointers() const { return rowPtr; }
     const std::vector<std::size_t> &columnIndices() const { return cols_; }
     const std::vector<double> &storedValues() const { return values; }

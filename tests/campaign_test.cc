@@ -153,7 +153,7 @@ TEST(FaultCatalog, EveryPointCarriesFullMetadata)
 {
     const std::vector<FaultPoint> &points =
         FaultInjector::knownPoints();
-    EXPECT_EQ(points.size(), 13u);
+    EXPECT_EQ(points.size(), 14u);
     std::set<std::string> names;
     for (const FaultPoint &p : points) {
         EXPECT_NE(p.name, nullptr);
@@ -167,6 +167,7 @@ TEST(FaultCatalog, EveryPointCarriesFullMetadata)
     // This PR's additions are in the catalog.
     EXPECT_EQ(names.count(faultpoint::CacheCorrupt), 1u);
     EXPECT_EQ(names.count(faultpoint::CkptCorrupt), 1u);
+    EXPECT_EQ(names.count(faultpoint::CholCorrupt), 1u);
 }
 
 TEST(FaultCatalog, UnknownPointErrorNamesTheCatalog)

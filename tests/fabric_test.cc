@@ -524,11 +524,14 @@ TEST_F(Fabric, LostLeaseRenewGets410AndJobsStillCompleteOnce)
     CoordinatorOptions copts;
     copts.outDir = freshDir("lost_fabric");
     // Tiny TTL forces a renew before each job; the armed fault makes
-    // the coordinator forget the first renewed lease.
+    // the coordinator forget the first renewed lease. A worker renews
+    // once half the TTL has passed, so each job also stalls for 6 ms:
+    // on a fast host the plan's steady solves finish in under 5 ms,
+    // and a batch that never renews never meets the lost lease.
     copts.leaseTtlSeconds = 0.01;
     copts.leaseJobs = 3;
     copts.writeReports = false;
-    FaultInjector::global().arm("lease.lost");
+    FaultInjector::global().arm("lease.lost,job.stall:seconds=0.006:count=6");
 
     const CoordinatorSummary csum =
         runFleet(plan, copts, {WorkerOptions{}, WorkerOptions{}});

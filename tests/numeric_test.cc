@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the numeric module: dense/sparse matrices, LU, CG,
- * Gauss-Seidel, integrators, exponential fitting.
+ * integrators, exponential fitting.
  */
 
 #include <gtest/gtest.h>
@@ -796,22 +796,6 @@ TEST(Iterative, CgMatchesLuOnChain)
     const std::vector<double> x = lu.solve(b);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(cg.x[i], x[i], 1e-8);
-}
-
-TEST(Iterative, GaussSeidelAgreesWithCg)
-{
-    const std::size_t n = 20;
-    const CsrMatrix a = chainMatrix(n, 1.0);
-    std::vector<double> b(n, 1.0);
-    const IterativeResult cg = conjugateGradient(a, b);
-    IterativeOptions go;
-    go.maxIterations = 100000;
-    go.tolerance = 1e-10;
-    const IterativeResult gs = gaussSeidel(a, b, {}, go);
-    ASSERT_TRUE(cg.converged);
-    ASSERT_TRUE(gs.converged);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(cg.x[i], gs.x[i], 1e-6);
 }
 
 TEST(Iterative, CgWarmStartConvergesInstantly)
