@@ -70,9 +70,11 @@ FaultInjector::knownPoints()
          "poison one column of a fresh impulse-response matrix",
          "independent residual check rejects it; job demotes to the "
          "iterative chain"},
-        {CholCorrupt, "numeric/ode",
-         "poison one direct solution of an implicit integrator step",
-         "the step's residual check rejects it; CG answers the step"},
+        {CholCorrupt, "numeric/direct_solve",
+         "poison one direct (sparse Cholesky) answer: an implicit "
+         "integrator step or an impulse-build column",
+         "the answer's residual check rejects it; CG answers the step, "
+         "MG-CG the column"},
         {JobStall, "sweep/runner",
          "sleep inside a sweep job (seconds= payload)",
          "cooperative deadline or watchdog times the job out"},

@@ -24,10 +24,11 @@
  *                       garbage (only the independent residual check
  *                       can catch it; the job must demote to the
  *                       iterative chain and still complete)
- *     chol.corrupt      poison one direct (sparse Cholesky) solution
- *                       of an implicit integrator step with large
- *                       finite garbage (the step's residual check
- *                       must reject it and CG must answer the step)
+ *     chol.corrupt      poison one direct (sparse Cholesky) answer,
+ *                       an implicit integrator step or an impulse-
+ *                       build column, with large finite garbage (its
+ *                       residual check must reject it; CG answers the
+ *                       step, MG-CG the column)
  *     job.stall         sleep inside a sweep job (watchdog bait)
  *     journal.corrupt   scramble bytes of one journal line
  *     journal.truncate  write only a prefix of one journal line

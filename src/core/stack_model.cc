@@ -7,6 +7,7 @@
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "materials/convection.hh"
+#include "numeric/direct_solve.hh"
 #include "numeric/impulse_cache.hh"
 #include "numeric/iterative.hh"
 #include "numeric/robust_solve.hh"
@@ -780,48 +781,13 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
                                 SteadySolveInfo *info,
                                 std::vector<double> &out) const
 {
-    const std::size_t blocks = floorplan().blockCount();
     ImpulseResponseCache &cache = ImpulseResponseCache::global();
     bool wasHit = false;
     std::shared_ptr<const ImpulseResponseMatrix> matrix;
     try {
         matrix = cache.acquire(
             solve_opts.stackKey,
-            [&]() {
-                // One verified steady solve per block: unit power
-                // into block b yields response column b. Built once
-                // per stack hash, amortized over the whole sweep.
-                obs::ScopedSpan span("core.impulse_build");
-                span.attr("blocks", blocks).attr("nodes", cap_.size());
-                auto m = std::make_shared<ImpulseResponseMatrix>();
-                m->nodes = cap_.size();
-                m->blocks = blocks;
-                m->values.resize(m->nodes * blocks);
-                RobustSolveOptions ropts;
-                ropts.iterative.tolerance = solve_opts.tolerance;
-                ropts.iterative.maxIterations =
-                    solve_opts.maxIterations;
-                ropts.iterative.preconditioner =
-                    solve_opts.preconditioner;
-                ropts.symmetric = true;
-                ropts.scope = FaultInjector::currentContext();
-                const StackOperator op(g_, planeLayout());
-                CgWorkspace ws;
-                std::vector<double> unit(blocks, 0.0);
-                for (std::size_t b = 0; b < blocks; ++b) {
-                    unit[b] = 1.0;
-                    const std::vector<double> pb =
-                        nodePowerVector(unit);
-                    unit[b] = 0.0;
-                    const RobustSolveResult rob =
-                        robustSolve(op, &g_, pb, {}, ropts, &ws);
-                    std::copy(rob.solve.x.begin(), rob.solve.x.end(),
-                              m->values.begin() +
-                                  static_cast<std::ptrdiff_t>(
-                                      b * m->nodes));
-                }
-                return m;
-            },
+            [&]() { return buildImpulseResponse(solve_opts); },
             &wasHit);
     } catch (const std::exception &e) {
         // An impulse solve failed even through the fallback chain;
@@ -877,6 +843,74 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
     for (double &t : out)
         t += pkg_.ambient;
     return true;
+}
+
+std::shared_ptr<ImpulseResponseMatrix>
+StackModel::buildImpulseResponse(const SteadySolveOptions &solve_opts) const
+{
+    const std::size_t blocks = floorplan().blockCount();
+    const std::size_t nodes = cap_.size();
+    obs::ScopedSpan span("core.impulse_build");
+    span.attr("blocks", blocks).attr("nodes", nodes);
+    auto m = std::make_shared<ImpulseResponseMatrix>();
+    m->nodes = nodes;
+    m->blocks = blocks;
+    m->values.resize(nodes * blocks);
+    std::vector<double> unit(blocks, 0.0), pb;
+    const auto unitPower = [&](std::size_t b) {
+        unit[b] = 1.0;
+        nodePowerVector(unit, pb);
+        unit[b] = 0.0;
+    };
+    std::unique_ptr<SparseCholesky> chol =
+        factorWithinCap(g_, "impulse build");
+    const bool direct = chol != nullptr;
+    if (direct) {
+        // The unit-power columns are solved in place, and the factor
+        // is freed before any column is checked.
+        for (std::size_t b = 0; b < blocks; ++b) {
+            unitPower(b);
+            std::copy(pb.begin(), pb.end(),
+                      m->values.begin() +
+                          static_cast<std::ptrdiff_t>(b * nodes));
+        }
+        chol->solve(m->values, blocks);
+        chol.reset();
+    }
+
+    // Every direct column faces the check the iterative tiers face;
+    // one that fails, and every column without a factor, is solved
+    // through the verified chain. The operator builds its MG
+    // hierarchy on the first such column and shares it with the rest.
+    RobustSolveOptions ropts;
+    ropts.iterative.tolerance = solve_opts.tolerance;
+    ropts.iterative.maxIterations = solve_opts.maxIterations;
+    ropts.iterative.preconditioner = solve_opts.preconditioner;
+    ropts.symmetric = true;
+    ropts.scope = FaultInjector::currentContext();
+    const CsrOperator gop(g_);
+    const StackOperator op(g_, planeLayout());
+    DirectCheck check("impulse build");
+    CgWorkspace ws;
+    std::vector<double> xb;
+    std::size_t demoted = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const auto col = m->values.begin() +
+                         static_cast<std::ptrdiff_t>(b * nodes);
+        unitPower(b);
+        if (direct) {
+            xb.assign(col, col + static_cast<std::ptrdiff_t>(nodes));
+            if (check.accept(gop, pb, xb, solve_opts.tolerance))
+                continue;
+            ++demoted;
+        }
+        const RobustSolveResult rob =
+            robustSolve(op, &g_, pb, {}, ropts, &ws);
+        std::copy(rob.solve.x.begin(), rob.solve.x.end(), col);
+    }
+    span.attr("method", direct ? "direct" : "iterative")
+        .attr("demoted", demoted);
+    return m;
 }
 
 std::vector<double>

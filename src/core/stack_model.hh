@@ -48,6 +48,8 @@
 namespace irtherm
 {
 
+struct ImpulseResponseMatrix;
+
 /** Spatial discretization of the die footprint. */
 enum class ModelMode
 {
@@ -273,6 +275,18 @@ class StackModel
                              const SteadySolveOptions &solve_opts,
                              SteadySolveInfo *info,
                              std::vector<double> &out) const;
+
+    /**
+     * The impulse-response matrix: one steady solve per block, unit
+     * power into block b giving column b. G is factored once
+     * (factorWithinCap) and every column answered by one blocked
+     * substitution; a column that DirectCheck rejects, and every
+     * column of a G whose factor is over the cap or fails, goes
+     * through robustSolve's MG-CG chain. Throws NumericError when that
+     * chain fails.
+     */
+    std::shared_ptr<ImpulseResponseMatrix>
+    buildImpulseResponse(const SteadySolveOptions &solve_opts) const;
 
     /** Average oil h over a rect for the configured flow. */
     double oilCoefficient(const Block &rect, double ext_x0, double ext_y0,

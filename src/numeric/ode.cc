@@ -5,8 +5,8 @@
 
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
+#include "numeric/direct_solve.hh"
 #include "numeric/robust_solve.hh"
-#include "numeric/sparse_cholesky.hh"
 #include "obs/span.hh"
 
 namespace irtherm
@@ -107,51 +107,26 @@ iterativeStep(const LinearOperator &system, const CsrMatrix &systemCsr,
 
 /**
  * The factored form of an implicit integrator's fixed CSR system.
- * Each step is two triangular solves whose answer faces the same
- * independent check robustSolve applies to its tiers; a rejected
- * answer is counted and warned about (like a superposition miss), and
- * the integrator's iterative path answers that step instead.
+ * Each step is two triangular solves whose answer faces DirectCheck;
+ * a rejected answer is counted and warned about, and the
+ * integrator's iterative path answers that step instead.
  */
 class DirectStep
 {
   public:
     /**
-     * Factor @p system, or return null: when its symbolic factor is
-     * over kImplicitFactorCap, or when a pivot fails (counted and
-     * warned about). @p who names the integrator in diagnostics.
+     * Factor @p system, or return null (factorWithinCap: over the cap,
+     * or a failed pivot). @p who names the integrator in diagnostics.
      */
     static std::unique_ptr<DirectStep>
     make(const CsrMatrix &system, const char *who)
     {
-        // L holds at least half of A's entries: skip the ordering
-        // when even that is over the cap.
-        if (system.nonZeros() / 2 > kImplicitFactorCap) {
-            debugLog(who, ": ", system.nonZeros(),
-                     " entries exceed the factor cap; stepping with CG");
+        std::unique_ptr<SparseCholesky> chol =
+            factorWithinCap(system, who);
+        if (!chol)
             return nullptr;
-        }
-        obs::ScopedSpan span("numeric.chol.factor");
-        span.attr("nodes", system.rows());
-        std::unique_ptr<DirectStep> d(new DirectStep(system, who));
-        span.attr("factor_entries", d->chol.factorNonZeros());
-        if (d->chol.factorNonZeros() > kImplicitFactorCap) {
-            debugLog(who, ": a ", d->chol.factorNonZeros(),
-                     "-entry factor exceeds the cap; stepping with CG");
-            span.attr("factored", "over_cap");
-            return nullptr;
-        }
-        if (!d->chol.factor(system)) {
-            d->rejected.add();
-            warn(who, ": system does not factor (",
-                 d->chol.failure(), "); stepping with CG");
-            span.attr("factored", "no");
-            return nullptr;
-        }
-        obs::MetricsRegistry::global()
-            .counter("numeric.chol.factors")
-            .add();
-        span.attr("factored", "yes");
-        return d;
+        return std::unique_ptr<DirectStep>(
+            new DirectStep(std::move(chol), who));
     }
 
     /**
@@ -163,48 +138,25 @@ class DirectStep
     solve(const LinearOperator &system, const std::vector<double> &rhs,
           double tolerance, std::vector<double> &temps)
     {
-        chol.solve(rhs, x);
-        if (FaultInjector::global().shouldFire(faultpoint::CholCorrupt)) {
-            // Large but finite, so only the residual check can tell.
-            x[x.size() / 2] = 1e12;
-        }
-        const SolutionCheck check =
-            checkSolution(system, rhs, x, tolerance,
-                          RobustSolveOptions{}.residualSlack, resid);
-        residual = check.residualNorm;
-        if (!check.ok()) {
-            rejected.add();
-            warn(who, ": direct step rejected (",
-                 check.finite ? "" : "non-finite answer, ", "residual ",
-                 check.residualNorm, " > bound ", check.bound,
-                 "); answering with CG");
+        chol->solve(rhs, x);
+        if (!check.accept(system, rhs, x, tolerance))
             return false;
-        }
-        solves.add();
         temps.swap(x);
         return true;
     }
 
     /** ||b - A x|| of the last direct answer. */
-    double residualNorm() const { return residual; }
+    double residualNorm() const { return check.residualNorm(); }
 
   private:
-    DirectStep(const CsrMatrix &system, const char *who_)
-        : chol(system), who(who_),
-          solves(obs::MetricsRegistry::global().counter(
-              "numeric.chol.solves")),
-          rejected(obs::MetricsRegistry::global().counter(
-              "numeric.chol.rejected"))
+    DirectStep(std::unique_ptr<SparseCholesky> chol_, const char *who)
+        : chol(std::move(chol_)), check(who)
     {
     }
 
-    SparseCholesky chol;
-    const char *who;
-    std::vector<double> x;     ///< the direct answer
-    std::vector<double> resid; ///< check scratch
-    double residual = 0.0;
-    obs::Counter &solves;
-    obs::Counter &rejected;
+    std::unique_ptr<SparseCholesky> chol;
+    DirectCheck check;
+    std::vector<double> x; ///< the direct answer
 };
 
 CsrMatrix

@@ -16,8 +16,9 @@
  * The implicit integrators accept either a stored CsrMatrix or a
  * matrix-free GridStencilOperator. Their system matrices never change
  * between steps, so the CSR constructors factor a symmetric system
- * once (sparse Cholesky, within kImplicitFactorCap) and answer every
- * step with two triangular solves plus robustSolve's residual check.
+ * once (sparse Cholesky within kDirectFactorCap, direct_solve.hh) and
+ * answer every step with two triangular solves plus robustSolve's
+ * residual check.
  * A system that does not factor, the stencil and non-symmetric
  * systems, and any direct answer that fails its check go through
  * preconditioned CG (BiCGSTAB when non-symmetric) with the verified
@@ -44,15 +45,6 @@
 
 namespace irtherm
 {
-
-/**
- * Largest Cholesky factor, in entries of L, that the implicit
- * integrators hold (12 bytes each: a double and a 32-bit row index,
- * so 48 MiB). A system whose symbolic factor is larger steps with CG.
- * EV6 at grid 64 fits under OIL-SILICON (2.2M entries) but not under
- * AIR-SINK (4.9M).
- */
-inline constexpr std::size_t kImplicitFactorCap = std::size_t{1} << 22;
 
 /** An implicit integrator's factored step (defined in ode.cc). */
 class DirectStep;

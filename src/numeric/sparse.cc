@@ -125,10 +125,21 @@ CsrMatrix::isSymmetric(double tol) const
     for (double v : values)
         max_abs = std::max(max_abs, std::abs(v));
     const double bound = tol * std::max(max_abs, 1e-300);
+    // Entry (r, c)'s partner (c, r) sits in row c. Rows are visited in
+    // increasing r, so the column each row is asked for only grows:
+    // one cursor per row walks it once, O(nnz) in all.
+    std::vector<std::size_t> cursor(rowPtr.begin(), rowPtr.end() - 1);
     for (std::size_t r = 0; r < numRows; ++r) {
         for (std::size_t k = rowPtr[r]; k < rowPtr[r + 1]; ++k) {
             const std::size_t c = cols_[k];
-            if (std::abs(values[k] - at(c, r)) > bound)
+            const std::size_t end = rowPtr[c + 1];
+            std::size_t q = cursor[c];
+            while (q < end && cols_[q] < r)
+                ++q;
+            cursor[c] = q;
+            const double partner =
+                q < end && cols_[q] == r ? values[q] : 0.0;
+            if (std::abs(values[k] - partner) > bound)
                 return false;
         }
     }

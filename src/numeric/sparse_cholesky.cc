@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "base/logging.hh"
@@ -30,7 +31,7 @@ constexpr std::size_t kNone = static_cast<std::size_t>(-1);
  */
 void
 symmetricGraph(const CsrMatrix &a, std::vector<Idx> &ptr,
-               std::vector<Idx> &adj)
+               MappedVector<Idx> &adj)
 {
     const std::size_t n = a.rows();
     const auto &rp = a.rowPointers();
@@ -42,7 +43,7 @@ symmetricGraph(const CsrMatrix &a, std::vector<Idx> &ptr,
         ++tp[c + 1];
     for (std::size_t i = 0; i < n; ++i)
         tp[i + 1] += tp[i];
-    std::vector<std::size_t> ti(ci.size());
+    MappedVector<std::size_t> ti(ci.size());
     {
         std::vector<std::size_t> cursor(tp.begin(), tp.end() - 1);
         for (std::size_t r = 0; r < n; ++r)
@@ -86,7 +87,7 @@ symmetricGraph(const CsrMatrix &a, std::vector<Idx> &ptr,
  */
 std::vector<std::size_t>
 approximateMinimumDegree(std::size_t nNodes, const std::vector<Idx> &ptr,
-                         const std::vector<Idx> &adj)
+                         const MappedVector<Idx> &adj)
 {
     const Idx n = static_cast<Idx>(nNodes);
     std::vector<std::size_t> order;
@@ -108,7 +109,7 @@ approximateMinimumDegree(std::size_t nNodes, const std::vector<Idx> &ptr,
     std::vector<Idx> w(nNodes, 1); // 0 marks a dead element
 
     const std::size_t iwSize = adj.size() + adj.size() / 5 + 2 * nNodes;
-    std::vector<Idx> iw(iwSize);
+    MappedVector<Idx> iw(iwSize);
     Idx cnz = 0;
     for (Idx i = 0; i < n; ++i) {
         pe[i] = cnz;
@@ -430,7 +431,7 @@ approximateMinimumDegree(std::size_t nNodes, const std::vector<Idx> &ptr,
  */
 template <typename Visit>
 void
-forEachRowSubtree(const std::vector<Idx> &ptr, const std::vector<Idx> &adj,
+forEachRowSubtree(const std::vector<Idx> &ptr, const MappedVector<Idx> &adj,
                   const std::vector<std::size_t> &perm,
                   const std::vector<std::size_t> &iperm,
                   const std::vector<std::size_t> &parent,
@@ -451,7 +452,220 @@ forEachRowSubtree(const std::vector<Idx> &ptr, const std::vector<Idx> &adj,
     }
 }
 
+// ---------------------------------------------------------------------
+// Dense kernels. GCC and Clang vector types hold two doubles, the
+// width every x86-64 and AArch64 target has without extra flags, so
+// the kernels vectorize in the default build. Every entry sees the
+// same operations in the same order whichever tile computes it, so a
+// kernel's answer does not depend on how the loops are blocked.
+// ---------------------------------------------------------------------
+
+using V2 = double __attribute__((vector_size(16)));
+
+inline V2
+load2(const double *p)
+{
+    V2 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+inline void
+store2(double *p, V2 v)
+{
+    std::memcpy(p, &v, sizeof v);
+}
+
+inline V2
+splat(double x)
+{
+    return V2{x, x};
+}
+
+/** y[r] -= alpha · x[r] for r < k. */
+inline void
+subtractScaled(double *y, const double *x, double alpha, std::size_t k)
+{
+    const V2 a = splat(alpha);
+    std::size_t r = 0;
+    for (; r + 2 <= k; r += 2)
+        store2(y + r, load2(y + r) - load2(x + r) * a);
+    for (; r < k; ++r)
+        y[r] -= x[r] * alpha;
+}
+
+/** y[r] /= d for r < k. */
+inline void
+divideBy(double *y, double d, std::size_t k)
+{
+    const V2 v = splat(d);
+    std::size_t r = 0;
+    for (; r + 2 <= k; r += 2)
+        store2(y + r, load2(y + r) / v);
+    for (; r < k; ++r)
+        y[r] /= d;
+}
+
+/**
+ * C -= A · Bᵀ, one product at a time in increasing p:
+ * c[i + j·ldc] -= a[i + p·lda] · b[j·bj + p·bp] for i < m, j < n,
+ * p < k. A and C are column-major; B's two strides let the same
+ * kernel read B or Bᵀ from a column-major block. Tiles of 4 rows by
+ * 4 columns keep eight two-double accumulators in registers.
+ */
+void
+subtractProducts(std::size_t m, std::size_t n, std::size_t k,
+                 const double *a, std::size_t lda, const double *b,
+                 std::size_t bj, std::size_t bp, double *c,
+                 std::size_t ldc)
+{
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        double *c0 = c + j * ldc;
+        double *c1 = c0 + ldc;
+        double *c2 = c1 + ldc;
+        double *c3 = c2 + ldc;
+        const double *bcol = b + j * bj;
+        std::size_t i = 0;
+        for (; i + 4 <= m; i += 4) {
+            V2 x0 = load2(c0 + i), y0 = load2(c0 + i + 2);
+            V2 x1 = load2(c1 + i), y1 = load2(c1 + i + 2);
+            V2 x2 = load2(c2 + i), y2 = load2(c2 + i + 2);
+            V2 x3 = load2(c3 + i), y3 = load2(c3 + i + 2);
+            const double *ap = a + i;
+            const double *bq = bcol;
+            for (std::size_t p = 0; p < k; ++p, ap += lda, bq += bp) {
+                const V2 u = load2(ap);
+                const V2 v = load2(ap + 2);
+                const V2 s0 = splat(bq[0]);
+                const V2 s1 = splat(bq[bj]);
+                const V2 s2 = splat(bq[2 * bj]);
+                const V2 s3 = splat(bq[3 * bj]);
+                x0 -= u * s0;
+                y0 -= v * s0;
+                x1 -= u * s1;
+                y1 -= v * s1;
+                x2 -= u * s2;
+                y2 -= v * s2;
+                x3 -= u * s3;
+                y3 -= v * s3;
+            }
+            store2(c0 + i, x0);
+            store2(c0 + i + 2, y0);
+            store2(c1 + i, x1);
+            store2(c1 + i + 2, y1);
+            store2(c2 + i, x2);
+            store2(c2 + i + 2, y2);
+            store2(c3 + i, x3);
+            store2(c3 + i + 2, y3);
+        }
+        for (; i + 2 <= m; i += 2) {
+            V2 x0 = load2(c0 + i), x1 = load2(c1 + i);
+            V2 x2 = load2(c2 + i), x3 = load2(c3 + i);
+            const double *ap = a + i;
+            const double *bq = bcol;
+            for (std::size_t p = 0; p < k; ++p, ap += lda, bq += bp) {
+                const V2 u = load2(ap);
+                x0 -= u * splat(bq[0]);
+                x1 -= u * splat(bq[bj]);
+                x2 -= u * splat(bq[2 * bj]);
+                x3 -= u * splat(bq[3 * bj]);
+            }
+            store2(c0 + i, x0);
+            store2(c1 + i, x1);
+            store2(c2 + i, x2);
+            store2(c3 + i, x3);
+        }
+        for (; i < m; ++i) {
+            double x0 = c0[i], x1 = c1[i], x2 = c2[i], x3 = c3[i];
+            const double *ap = a + i;
+            const double *bq = bcol;
+            for (std::size_t p = 0; p < k; ++p, ap += lda, bq += bp) {
+                x0 -= *ap * bq[0];
+                x1 -= *ap * bq[bj];
+                x2 -= *ap * bq[2 * bj];
+                x3 -= *ap * bq[3 * bj];
+            }
+            c0[i] = x0;
+            c1[i] = x1;
+            c2[i] = x2;
+            c3[i] = x3;
+        }
+    }
+    for (; j < n; ++j) {
+        double *cj = c + j * ldc;
+        const double *bcol = b + j * bj;
+        std::size_t i = 0;
+        for (; i + 4 <= m; i += 4) {
+            V2 x = load2(cj + i), y = load2(cj + i + 2);
+            const double *ap = a + i;
+            const double *bq = bcol;
+            for (std::size_t p = 0; p < k; ++p, ap += lda, bq += bp) {
+                const V2 s = splat(*bq);
+                x -= load2(ap) * s;
+                y -= load2(ap + 2) * s;
+            }
+            store2(cj + i, x);
+            store2(cj + i + 2, y);
+        }
+        for (; i + 2 <= m; i += 2) {
+            V2 x = load2(cj + i);
+            const double *ap = a + i;
+            const double *bq = bcol;
+            for (std::size_t p = 0; p < k; ++p, ap += lda, bq += bp)
+                x -= load2(ap) * splat(*bq);
+            store2(cj + i, x);
+        }
+        for (; i < m; ++i) {
+            double x = cj[i];
+            const double *ap = a + i;
+            const double *bq = bcol;
+            for (std::size_t p = 0; p < k; ++p, ap += lda, bq += bp)
+                x -= *ap * *bq;
+            cj[i] = x;
+        }
+    }
+}
+
+/**
+ * Columns per panel: a supernode's block is stored, and its own
+ * columns factored, kPanelBlock columns at a time.
+ */
+constexpr std::size_t kPanelBlock = 16;
+
+/**
+ * Distance in a supernode's values, with @p nr rows, from column
+ * c - 1 to column @p c: the row count of c's panel. The
+ * substitutions step their column pointers by it.
+ */
+inline std::size_t
+columnStep(std::size_t nr, std::size_t c)
+{
+    return nr - c / kPanelBlock * kPanelBlock;
+}
+
+/**
+ * Right-hand sides per pass of the k-column solve: a multiple of the
+ * kernels' four-row tile, and few enough that the row-major scratch
+ * (n × 8 doubles) stays a fraction of the factor however many columns
+ * (floorplan blocks) are solved.
+ */
+constexpr std::size_t kSolveColumns = 8;
+
 } // namespace
+
+std::size_t
+SparseCholesky::columnOffset(std::size_t s, std::size_t c) const
+{
+    // Panel i holds P columns of nr - i·P rows, so panels 0 .. b-1
+    // take P·(b·nr - P·b(b-1)/2) entries; panel b starts at row top,
+    // and column c's entry t sits t - top rows into its column.
+    const std::size_t nr = rowStart[s + 1] - rowStart[s];
+    const std::size_t b = c / kPanelBlock;
+    const std::size_t top = b * kPanelBlock;
+    return valStart[s] + kPanelBlock * (b * nr - top * (b - 1) / 2) +
+           (c - top) * (nr - top) - top;
+}
 
 SparseCholesky::SparseCholesky(const CsrMatrix &a)
 {
@@ -463,7 +677,8 @@ SparseCholesky::SparseCholesky(const CsrMatrix &a)
 
     // The graph and the ordering's scratch are freed on return, before
     // any numeric work.
-    std::vector<Idx> ptr, adj;
+    std::vector<Idx> ptr;
+    MappedVector<Idx> adj;
     symmetricGraph(a, ptr, adj);
     perm = approximateMinimumDegree(n, ptr, adj);
     iperm.resize(n);
@@ -472,18 +687,20 @@ SparseCholesky::SparseCholesky(const CsrMatrix &a)
 
     // Elimination tree of P A Pᵀ (Liu), path-compressed through
     // ancestor links.
-    parent.assign(n, kNone);
-    std::vector<std::size_t> ancestor(n, kNone);
-    for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t r = perm[k];
-        for (Idx q = ptr[r]; q < ptr[r + 1]; ++q) {
-            std::size_t i = iperm[static_cast<std::size_t>(adj[q])];
-            while (i != kNone && i < k) {
-                const std::size_t up = ancestor[i];
-                ancestor[i] = k;
-                if (up == kNone)
-                    parent[i] = k;
-                i = up;
+    std::vector<std::size_t> parent(n, kNone);
+    {
+        std::vector<std::size_t> ancestor(n, kNone);
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::size_t r = perm[k];
+            for (Idx q = ptr[r]; q < ptr[r + 1]; ++q) {
+                std::size_t i = iperm[static_cast<std::size_t>(adj[q])];
+                while (i != kNone && i < k) {
+                    const std::size_t up = ancestor[i];
+                    ancestor[i] = k;
+                    if (up == kNone)
+                        parent[i] = k;
+                    i = up;
+                }
             }
         }
     }
@@ -492,9 +709,72 @@ SparseCholesky::SparseCholesky(const CsrMatrix &a)
     std::vector<std::size_t> count(n, 1);
     forEachRowSubtree(ptr, adj, perm, iperm, parent,
                       [&count](std::size_t j, std::size_t) { ++count[j]; });
-    colPtr.assign(n + 1, 0);
-    for (std::size_t j = 0; j < n; ++j)
-        colPtr[j + 1] = colPtr[j] + count[j];
+    for (std::size_t c : count) {
+        nnzL += c;
+        flops += static_cast<double>(c) * static_cast<double>(c);
+    }
+
+    // Supernodes: column j joins j-1's when it is j-1's parent and
+    // holds exactly j-1's rows below j-1 (the counts say so).
+    superStart.assign(1, 0);
+    for (std::size_t j = 1; j < n; ++j) {
+        if (parent[j - 1] != j || count[j - 1] != count[j] + 1)
+            superStart.push_back(j);
+    }
+    if (n > 0)
+        superStart.push_back(n);
+    const std::size_t ns = supernodeCount();
+    std::vector<std::size_t> superOf(n);
+    rowStart.assign(ns + 1, 0);
+    valStart.assign(ns + 1, 0);
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t f = superStart[s];
+        const std::size_t w = superStart[s + 1] - f;
+        for (std::size_t j = f; j < f + w; ++j)
+            superOf[j] = s;
+        rowStart[s + 1] = rowStart[s] + count[f];
+        valStart[s + 1] = valStart[s];
+        for (std::size_t top = 0; top < w; top += kPanelBlock)
+            valStart[s + 1] +=
+                (count[f] - top) * std::min(kPanelBlock, w - top);
+    }
+
+    // Row lists: a supernode's own columns, then every row k whose
+    // row subtree reaches it. Climbing the supernodal tree (the
+    // elimination tree with each supernode as one node) from each
+    // neighbour i < k of pivot k marks those supernodes, in
+    // increasing k, so every list comes out sorted.
+    std::vector<std::size_t> superParent(ns, kNone), cursor(ns);
+    rowIdx.assign(rowStart.back(), 0);
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t last = superStart[s + 1] - 1;
+        if (parent[last] != kNone)
+            superParent[s] = superOf[parent[last]];
+        cursor[s] = rowStart[s];
+        for (std::size_t j = superStart[s]; j <= last; ++j)
+            rowIdx[cursor[s]++] = static_cast<std::uint32_t>(j);
+    }
+    std::vector<std::size_t> reached(ns, kNone);
+    for (std::size_t k = 0; k < n; ++k) {
+        reached[superOf[k]] = k;
+        const std::size_t r = perm[k];
+        for (Idx q = ptr[r]; q < ptr[r + 1]; ++q) {
+            const std::size_t i = iperm[static_cast<std::size_t>(adj[q])];
+            if (i >= k)
+                continue;
+            for (std::size_t s = superOf[i]; reached[s] != k;
+                 s = superParent[s]) {
+                rowIdx[cursor[s]++] = static_cast<std::uint32_t>(k);
+                reached[s] = k;
+            }
+        }
+    }
+    for (std::size_t s = 0; s < ns; ++s) {
+        if (cursor[s] != rowStart[s + 1])
+            fatal("SparseCholesky: supernode ", s, " holds ",
+                  cursor[s] - rowStart[s], " rows, its count says ",
+                  rowStart[s + 1] - rowStart[s]);
+    }
 }
 
 bool
@@ -508,88 +788,148 @@ SparseCholesky::factor(const CsrMatrix &a)
     const auto &rp = a.rowPointers();
     const auto &ci = a.columnIndices();
     const auto &av = a.storedValues();
+    const std::size_t ns = supernodeCount();
+    values.assign(valStart.back(), 0.0);
 
-    // L's structure, once per pattern: row k's subtree appends k to
-    // each column it reaches, so rows come out sorted. It comes from
-    // the same symmetrized graph as the counts, so it holds every
-    // entry the numeric phase reads.
-    if (rowIdx.size() != factorNonZeros()) {
-        std::vector<Idx> ptr, adj;
-        symmetricGraph(a, ptr, adj);
-        rowIdx.assign(factorNonZeros(), 0);
-        std::vector<std::size_t> cursor(n);
-        for (std::size_t j = 0; j < n; ++j) {
-            rowIdx[colPtr[j]] = static_cast<std::uint32_t>(j);
-            cursor[j] = colPtr[j] + 1;
-        }
-        forEachRowSubtree(ptr, adj, perm, iperm, parent,
-                          [&](std::size_t j, std::size_t k) {
-                              if (cursor[j] == colPtr[j + 1])
-                                  fatal("SparseCholesky::factor: matrix "
-                                        "pattern changed");
-                              rowIdx[cursor[j]++] =
-                                  static_cast<std::uint32_t>(k);
-                          });
-    }
-    values.assign(factorNonZeros(), 0.0);
+    // Left-looking: supernode J gathers A's columns, subtracts the
+    // contribution of every earlier supernode K with rows in J's
+    // columns, then factors its own block. Each K waits in the list
+    // of the supernode holding the row it updates next (nextRow[K]
+    // indexes that row in K's list), so each update is found in O(1)
+    // and the lists together hold every supernode at most once.
+    std::vector<std::size_t> superOf(n);
+    for (std::size_t s = 0; s < ns; ++s)
+        for (std::size_t j = superStart[s]; j < superStart[s + 1]; ++j)
+            superOf[j] = s;
+    std::vector<std::size_t> listHead(ns, kNone), listNext(ns, kNone),
+        nextRow(ns, 0);
+    // relPos[i]: row i's position in the current supernode's list,
+    // valid while owner[i] names that supernode.
+    std::vector<std::uint32_t> relPos(n);
+    std::vector<std::size_t> owner(n, kNone);
+    std::vector<std::uint32_t> rel;
+    std::vector<double> update;
+    const std::uint32_t *ri = rowIdx.data();
+    const auto enqueue = [&](std::size_t s, std::size_t at) {
+        nextRow[s] = at;
+        const std::size_t target = superOf[ri[at]];
+        listNext[s] = listHead[target];
+        listHead[target] = s;
+    };
 
-    // Left-looking: column j gathers A's column j, then subtracts
-    // L(j:n, k) L(j, k) for every earlier column k with L(j, k) != 0.
-    // Each column k waits in the list of the row it updates next
-    // (nextRow[k] indexes that entry), so each update is found in
-    // O(1) and the lists together hold every column at most once.
-    std::vector<double> x(n, 0.0);
-    std::vector<std::size_t> listHead(n, kNone), listNext(n, kNone),
-        nextRow(n, 0);
-    const std::uint32_t *li = rowIdx.data();
-    double *lx = values.data();
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t r = perm[j];
-        for (std::size_t q = rp[r]; q < rp[r + 1]; ++q) {
-            const std::size_t i = iperm[ci[q]];
-            if (i >= j)
-                x[i] = av[q];
+    for (std::size_t J = 0; J < ns; ++J) {
+        const std::size_t f = superStart[J];
+        const std::size_t l = superStart[J + 1];
+        const std::size_t w = l - f;
+        const std::size_t r0 = rowStart[J];
+        const std::size_t nr = rowStart[J + 1] - r0;
+        double *vals = values.data();
+        for (std::size_t t = 0; t < nr; ++t) {
+            relPos[ri[r0 + t]] = static_cast<std::uint32_t>(t);
+            owner[ri[r0 + t]] = J;
         }
-        std::size_t k = listHead[j];
-        while (k != kNone) {
-            const std::size_t after = listNext[k];
-            const std::size_t p = nextRow[k];
-            const std::size_t end = colPtr[k + 1];
-            const double ljk = lx[p];
-            for (std::size_t q = p; q < end; ++q)
-                x[li[q]] -= lx[q] * ljk;
-            if (p + 1 < end) {
-                nextRow[k] = p + 1;
-                const std::size_t row = li[p + 1];
-                listNext[k] = listHead[row];
-                listHead[row] = k;
+        for (std::size_t j = f; j < l; ++j) {
+            double *col = vals + columnOffset(J, j - f);
+            const std::size_t r = perm[j];
+            for (std::size_t q = rp[r]; q < rp[r + 1]; ++q) {
+                const std::size_t i = iperm[ci[q]];
+                if (i < j)
+                    continue;
+                if (owner[i] != J)
+                    fatal("SparseCholesky::factor: matrix pattern "
+                          "changed");
+                col[relPos[i]] = av[q];
             }
-            k = after;
         }
 
-        const double d = x[j];
-        x[j] = 0.0;
-        if (!(d > 0.0) || !std::isfinite(d)) {
-            why = "pivot " + std::to_string(j) + " (row " +
-                  std::to_string(perm[j]) + ") is " + std::to_string(d);
-            values.clear();
-            values.shrink_to_fit();
-            return false;
+        for (std::size_t K = listHead[J]; K != kNone;) {
+            const std::size_t after = listNext[K];
+            const std::size_t p = nextRow[K];
+            const std::size_t end = rowStart[K + 1];
+            std::size_t q = p;
+            while (q < end && ri[q] < l)
+                ++q;
+            const std::size_t m = end - p;
+            const std::size_t nc = q - p;
+            const std::size_t kw = superStart[K + 1] - superStart[K];
+            const std::size_t kr = end - rowStart[K];
+            const std::size_t pr = p - rowStart[K];
+            rel.resize(m);
+            for (std::size_t i = 0; i < m; ++i)
+                rel[i] = relPos[ri[p + i]];
+            if (kw == 1) {
+                // One column: subtract its products straight from the
+                // target.
+                const double *lk = vals + valStart[K] + pr;
+                for (std::size_t c = 0; c < nc; ++c) {
+                    double *dst = vals + columnOffset(J, ri[p + c] - f);
+                    const double lc = lk[c];
+                    for (std::size_t i = c; i < m; ++i)
+                        dst[rel[i]] -= lk[i] * lc;
+                }
+            } else {
+                // At most kPanelBlock target columns at a time, each
+                // chunk from its own first row down: the scratch stays
+                // small and the part above the target diagonal is
+                // never computed.
+                for (std::size_t c0 = 0; c0 < nc; c0 += kPanelBlock) {
+                    const std::size_t c1 = std::min(nc, c0 + kPanelBlock);
+                    const std::size_t mc = m - c0;
+                    update.assign(mc * (c1 - c0), 0.0);
+                    for (std::size_t top = 0; top < kw; top += kPanelBlock) {
+                        const double *lk =
+                            vals + columnOffset(K, top) + pr + c0;
+                        subtractProducts(
+                            mc, c1 - c0, std::min(kPanelBlock, kw - top),
+                            lk, kr - top, lk, 1, kr - top, update.data(),
+                            mc);
+                    }
+                    for (std::size_t c = c0; c < c1; ++c) {
+                        double *dst = vals + columnOffset(J, ri[p + c] - f);
+                        const double *src = update.data() + (c - c0) * mc;
+                        for (std::size_t i = c; i < m; ++i)
+                            dst[rel[i]] += src[i - c0];
+                    }
+                }
+            }
+            if (q < end)
+                enqueue(K, q);
+            K = after;
         }
-        const double ljj = std::sqrt(d);
-        const std::size_t begin = colPtr[j];
-        const std::size_t end = colPtr[j + 1];
-        lx[begin] = ljj;
-        for (std::size_t q = begin + 1; q < end; ++q) {
-            lx[q] = x[li[q]] / ljj;
-            x[li[q]] = 0.0;
+
+        // The supernode's own block: a blocked left-looking dense
+        // Cholesky, one panel at a time.
+        for (std::size_t c0 = 0; c0 < w; c0 += kPanelBlock) {
+            const std::size_t c1 = std::min(w, c0 + kPanelBlock);
+            for (std::size_t top = 0; top < c0; top += kPanelBlock) {
+                const double *lt = vals + columnOffset(J, top) + c0;
+                subtractProducts(nr - c0, c1 - c0, kPanelBlock, lt,
+                                 nr - top, lt, 1, nr - top,
+                                 vals + columnOffset(J, c0) + c0, nr - c0);
+            }
+            for (std::size_t c = c0; c < c1; ++c) {
+                double *col = vals + columnOffset(J, c);
+                for (std::size_t t = c0; t < c; ++t) {
+                    const double *lt = vals + columnOffset(J, t);
+                    subtractScaled(col + c, lt + c, lt[c], nr - c);
+                }
+                const double d = col[c];
+                if (!(d > 0.0) || !std::isfinite(d)) {
+                    const std::size_t j = f + c;
+                    why = "pivot " + std::to_string(j) + " (row " +
+                          std::to_string(perm[j]) + ") is " +
+                          std::to_string(d);
+                    values.clear();
+                    values.shrink_to_fit();
+                    return false;
+                }
+                const double ljj = std::sqrt(d);
+                col[c] = ljj;
+                divideBy(col + c + 1, ljj, nr - c - 1);
+            }
         }
-        if (begin + 1 < end) {
-            nextRow[j] = begin + 1;
-            const std::size_t row = li[begin + 1];
-            listNext[j] = listHead[row];
-            listHead[row] = j;
-        }
+        if (nr > w)
+            enqueue(J, r0 + w);
     }
     work.assign(n, 0.0);
     ok = true;
@@ -604,29 +944,153 @@ SparseCholesky::solve(const std::vector<double> &b, std::vector<double> &x)
         fatal("SparseCholesky::solve: matrix is not factored");
     if (b.size() != n)
         fatal("SparseCholesky::solve: size mismatch");
-    const std::uint32_t *li = rowIdx.data();
-    const double *lx = values.data();
-    const std::size_t *cp = colPtr.data();
+    const std::size_t ns = supernodeCount();
+    const std::uint32_t *ri = rowIdx.data();
     double *y = work.data();
     for (std::size_t k = 0; k < n; ++k)
         y[k] = b[perm[k]];
-    // L y = P b
-    for (std::size_t j = 0; j < n; ++j) {
-        const double yj = y[j] / lx[cp[j]];
-        y[j] = yj;
-        for (std::size_t q = cp[j] + 1; q < cp[j + 1]; ++q)
-            y[li[q]] -= lx[q] * yj;
+    // L y = P b, column by column.
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t f = superStart[s];
+        const std::size_t w = superStart[s + 1] - f;
+        const std::uint32_t *rows = ri + rowStart[s];
+        const std::size_t nr = rowStart[s + 1] - rowStart[s];
+        const double *col = values.data() + valStart[s];
+        for (std::size_t c = 0; c < w; col += columnStep(nr, ++c)) {
+            const double yj = y[f + c] / col[c];
+            y[f + c] = yj;
+            for (std::size_t t = c + 1; t < nr; ++t)
+                y[rows[t]] -= col[t] * yj;
+        }
     }
-    // Lᵀ z = y
-    for (std::size_t j = n; j-- > 0;) {
-        double s = y[j];
-        for (std::size_t q = cp[j] + 1; q < cp[j + 1]; ++q)
-            s -= lx[q] * y[li[q]];
-        y[j] = s / lx[cp[j]];
+    // Lᵀ z = y, column by column: each column's rows below its
+    // supernode first, then the rows inside it.
+    for (std::size_t s = ns; s-- > 0;) {
+        const std::size_t f = superStart[s];
+        const std::size_t w = superStart[s + 1] - f;
+        const std::uint32_t *rows = ri + rowStart[s];
+        const std::size_t nr = rowStart[s + 1] - rowStart[s];
+        const double *col = values.data() + columnOffset(s, w - 1);
+        for (std::size_t c = w; c-- > 0;) {
+            double sum = y[f + c];
+            for (std::size_t t = w; t < nr; ++t)
+                sum -= col[t] * y[rows[t]];
+            for (std::size_t t = c + 1; t < w; ++t)
+                sum -= col[t] * y[f + t];
+            y[f + c] = sum / col[c];
+            if (c > 0)
+                col -= columnStep(nr, c);
+        }
     }
     x.resize(n);
     for (std::size_t k = 0; k < n; ++k)
         x[perm[k]] = y[k];
+}
+
+void
+SparseCholesky::solve(std::vector<double> &bx, std::size_t k)
+{
+    const std::size_t n = dimension();
+    if (!ok)
+        fatal("SparseCholesky::solve: matrix is not factored");
+    if (bx.size() != n * k)
+        fatal("SparseCholesky::solve: size mismatch");
+    // Y holds each pivot row's values together (row-major), so every
+    // row operation is one contiguous vector; each pass of
+    // kSolveColumns columns rereads L.
+    MappedVector<double> ybuf(n * std::min(k, kSolveColumns));
+    std::vector<double> gather;
+    for (std::size_t r0 = 0; r0 < k; r0 += kSolveColumns) {
+        const std::size_t kc = std::min(kSolveColumns, k - r0);
+        double *y = ybuf.data();
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t r = 0; r < kc; ++r)
+                y[i * kc + r] = bx[perm[i] + (r0 + r) * n];
+        substitute(y, kc, gather);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t r = 0; r < kc; ++r)
+                bx[perm[i] + (r0 + r) * n] = y[i * kc + r];
+    }
+}
+
+void
+SparseCholesky::substitute(double *y, std::size_t k,
+                           std::vector<double> &gather) const
+{
+    const std::size_t ns = supernodeCount();
+    const std::uint32_t *ri = rowIdx.data();
+    // Forward: per entry, the same subtractions in the same order as
+    // solve(): columns in increasing order.
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t f = superStart[s];
+        const std::size_t w = superStart[s + 1] - f;
+        const std::uint32_t *rows = ri + rowStart[s];
+        const std::size_t nr = rowStart[s + 1] - rowStart[s];
+        const std::size_t m = nr - w;
+        const double *blk = values.data() + valStart[s];
+        const double *col = blk;
+        for (std::size_t c = 0; c < w; col += columnStep(nr, ++c)) {
+            double *yc = y + (f + c) * k;
+            divideBy(yc, col[c], k);
+            for (std::size_t t = c + 1; t < w; ++t)
+                subtractScaled(y + (f + t) * k, yc, col[t], k);
+        }
+        if (m == 0)
+            continue;
+        if (w == 1) {
+            for (std::size_t t = 1; t < nr; ++t)
+                subtractScaled(y + rows[t] * k, y + f * k, blk[t], k);
+            continue;
+        }
+        // The rows below as a k×m column-major block: subtract
+        // Y(own columns)ᵀ · L(below, own columns)ᵀ, then put back.
+        gather.resize(m * k);
+        for (std::size_t i = 0; i < m; ++i)
+            std::memcpy(gather.data() + i * k, y + rows[w + i] * k,
+                        k * sizeof(double));
+        for (std::size_t top = 0; top < w; top += kPanelBlock)
+            subtractProducts(k, m, std::min(kPanelBlock, w - top),
+                             y + (f + top) * k, k,
+                             values.data() + columnOffset(s, top) + w, 1,
+                             nr - top, gather.data(), k);
+        for (std::size_t i = 0; i < m; ++i)
+            std::memcpy(y + rows[w + i] * k, gather.data() + i * k,
+                        k * sizeof(double));
+    }
+
+    // Backward: per entry, as solve() does, the rows below the
+    // supernode in increasing order, then the rows inside it.
+    for (std::size_t s = ns; s-- > 0;) {
+        const std::size_t f = superStart[s];
+        const std::size_t w = superStart[s + 1] - f;
+        const std::uint32_t *rows = ri + rowStart[s];
+        const std::size_t nr = rowStart[s + 1] - rowStart[s];
+        const std::size_t m = nr - w;
+        const double *blk = values.data() + valStart[s];
+        if (w == 1) {
+            for (std::size_t t = 1; t < nr; ++t)
+                subtractScaled(y + f * k, y + rows[t] * k, blk[t], k);
+        } else if (m > 0) {
+            gather.resize(m * k);
+            for (std::size_t i = 0; i < m; ++i)
+                std::memcpy(gather.data() + i * k, y + rows[w + i] * k,
+                            k * sizeof(double));
+            for (std::size_t top = 0; top < w; top += kPanelBlock)
+                subtractProducts(k, std::min(kPanelBlock, w - top), m,
+                                 gather.data(), k,
+                                 values.data() + columnOffset(s, top) + w,
+                                 nr - top, 1, y + (f + top) * k, k);
+        }
+        const double *col = values.data() + columnOffset(s, w - 1);
+        for (std::size_t c = w; c-- > 0;) {
+            double *yc = y + (f + c) * k;
+            for (std::size_t t = c + 1; t < w; ++t)
+                subtractScaled(yc, y + (f + t) * k, col[t], k);
+            divideBy(yc, col[c], k);
+            if (c > 0)
+                col -= columnStep(nr, c);
+        }
+    }
 }
 
 } // namespace irtherm

@@ -4,10 +4,11 @@
  * definite CsrMatrix.
  *
  * The implicit integrators solve one fixed matrix C/dt + s·G once per
- * step for a whole power trace, so paying for a factorization once
- * and answering every step with two triangular solves beats any
- * per-step iteration (the same trade as impulse superposition: pay
- * once per network, then answer each query with a cheap exact
+ * step for a whole power trace, and a steady impulse build solves G
+ * once per floorplan block, so paying for a factorization once and
+ * answering every right-hand side with two triangular solves beats
+ * any per-solve iteration (the same trade as impulse superposition:
+ * pay once per network, then answer each query with a cheap exact
  * operation). The work splits into four parts:
  *
  *  - a fill-reducing approximate minimum degree ordering on the
@@ -15,12 +16,19 @@
  *    absorption, approximate external degrees kept in degree lists,
  *    indistinguishable-node detection by hashing, and mass
  *    elimination; rows denser than 10·√n are ordered last);
- *  - symbolic analysis of the permuted pattern: the elimination tree
- *    and the column counts of L, so nnz(L) is known — and can be
- *    weighed against a memory budget — before any numeric work;
- *  - a left-looking numeric factorization over L's precomputed
- *    column structure;
- *  - forward and back substitution that allocate nothing.
+ *  - symbolic analysis of the permuted pattern: the elimination tree,
+ *    the column counts of L (so nnz(L) is known — and can be weighed
+ *    against a memory budget — before any numeric work), and L's
+ *    supernodes: runs of consecutive columns that share one row
+ *    structure below their diagonal block;
+ *  - a left-looking supernodal numeric factorization: each supernode
+ *    is a dense block under a shared row list, stored as column-major
+ *    panels of 16 columns that each start at their own first row, and
+ *    updated by earlier supernodes through register-tiled dense
+ *    kernels;
+ *  - forward and back substitution, for one right-hand side (column
+ *    by column, allocating nothing) or for k at once (each supernode
+ *    visited once for all k).
  *
  * The constructor runs the ordering and the symbolic analysis only;
  * factor() allocates L and fills it. A non-positive or non-finite
@@ -40,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "numeric/mapped_allocator.hh"
 #include "numeric/sparse.hh"
 
 namespace irtherm
@@ -49,18 +58,39 @@ class SparseCholesky
 {
   public:
     /**
-     * Order @p a's pattern and count L's entries; no numeric work and
-     * no storage for L yet. @pre a is square (fatal() otherwise).
+     * Order @p a's pattern, count L's entries and find its supernodes
+     * and their row lists; no numeric work and no storage for L's
+     * values yet. @pre a is square (fatal() otherwise).
      */
     explicit SparseCholesky(const CsrMatrix &a);
 
     std::size_t dimension() const { return perm.size(); }
 
     /** Entries of L including its diagonal, from the symbolic count. */
-    std::size_t factorNonZeros() const { return colPtr.back(); }
+    std::size_t factorNonZeros() const { return nnzL; }
 
     /** Pivot order: row/column perm[k] of A is eliminated k-th. */
     const std::vector<std::size_t> &permutation() const { return perm; }
+
+    /**
+     * Supernode boundaries in pivot order: supernode s holds columns
+     * [supernodes()[s], supernodes()[s + 1]); the last entry is
+     * dimension().
+     */
+    const std::vector<std::size_t> &supernodes() const
+    {
+        return superStart;
+    }
+
+    /** Number of supernodes (1 ≤ count ≤ dimension() when n > 0). */
+    std::size_t supernodeCount() const { return superStart.size() - 1; }
+
+    /**
+     * Floating-point operations of the numeric phase, from the
+     * symbolic counts: Σ_j c_j² over L's column counts c_j (a
+     * multiply-add counts two).
+     */
+    double factorFlops() const { return flops; }
 
     /**
      * Factor @p a, which must have the pattern analyzed at
@@ -84,14 +114,52 @@ class SparseCholesky
      */
     void solve(const std::vector<double> &b, std::vector<double> &x);
 
+    /**
+     * Solve A X = B in place for @p k right-hand sides: @p bx holds B
+     * column-major (n×k) and is overwritten with X. Each supernode is
+     * visited once per pass of up to 8 columns, and each column takes
+     * the same operations in the same order as solve() of that column.
+     * @pre factored(), bx.size() == dimension() · k
+     */
+    void solve(std::vector<double> &bx, std::size_t k);
+
   private:
+    /**
+     * Where column @p c of supernode @p s sits in values: entry t of
+     * the supernode's row list is at values[columnOffset(s, c) + t],
+     * for every t at or below the first row of c's panel.
+     */
+    std::size_t columnOffset(std::size_t s, std::size_t c) const;
+
+    /**
+     * Forward and back substitution on @p y, the permuted right-hand
+     * sides row-major (n×k); @p gather is scratch.
+     */
+    void substitute(double *y, std::size_t k,
+                    std::vector<double> &gather) const;
+
     std::vector<std::size_t> perm;  ///< pivot k -> original index
     std::vector<std::size_t> iperm; ///< original index -> pivot
-    std::vector<std::size_t> parent; ///< elimination tree of P A Pᵀ
-    std::vector<std::size_t> colPtr; ///< L's columns, from the counts
-    std::vector<std::uint32_t> rowIdx; ///< L's row indices (sorted)
-    std::vector<double> values;        ///< L's entries
-    std::vector<double> work;          ///< permuted rhs / solution
+    std::size_t nnzL = 0;           ///< symbolic nnz(L)
+    double flops = 0.0;             ///< see factorFlops()
+    /** Supernode s: columns [superStart[s], superStart[s + 1]). */
+    std::vector<std::size_t> superStart;
+    /**
+     * Supernode s's rows: rowIdx[rowStart[s] .. rowStart[s + 1]),
+     * sorted, its own columns first.
+     */
+    std::vector<std::size_t> rowStart;
+    MappedVector<std::uint32_t> rowIdx;
+    /**
+     * Supernode s's block: values[valStart[s] ..], rows × columns in
+     * panels of 16 columns. Panel p holds its columns from row 16·p
+     * down, column-major with that row count as leading dimension, so
+     * the block's upper triangle is stored only inside each panel's
+     * leading square, and never read.
+     */
+    std::vector<std::size_t> valStart;
+    MappedVector<double> values;
+    std::vector<double> work; ///< permuted rhs / solution
     bool ok = false;
     std::string why;
 };

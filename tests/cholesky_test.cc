@@ -1,9 +1,12 @@
 /**
  * @file
- * Sparse Cholesky tests: agreement with dense LU, the ordering and
- * fill bookkeeping, pivot failures, and the implicit integrators'
- * factored step (agreement with the CG step, the chol.corrupt
- * rejection path, the factor cap, thread-count bit-identity).
+ * Sparse Cholesky tests: agreement with dense LU, the ordering,
+ * supernode and fill bookkeeping, the blocked k-column solve, pivot
+ * failures, the implicit integrators' factored step (agreement with
+ * the CG step, the chol.corrupt rejection path, the factor cap,
+ * thread-count bit-identity), and the direct impulse build
+ * (agreement with the MG-built matrix, per-column fallback, the
+ * factor cap, thread-count bit-identity).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,8 @@
 #include "core/stack_model.hh"
 #include "floorplan/presets.hh"
 #include "numeric/dense_matrix.hh"
+#include "numeric/direct_solve.hh"
+#include "numeric/impulse_cache.hh"
 #include "numeric/iterative.hh"
 #include "numeric/lu.hh"
 #include "numeric/ode.hh"
@@ -169,12 +174,86 @@ TEST(SparseCholesky, DenseRowAndDisconnectedComponents)
     expectMatchesLu(a, 13);
 }
 
+TEST(SparseCholesky, WideSupernodesMatchDenseLu)
+{
+    // Fully dense SPD matrices factor as one supernode as wide as the
+    // matrix, which runs the in-panel blocking and every kernel tile
+    // edge (2, 3 and 17 leave partial four-wide tiles, 17 and 40
+    // partial 16-column panels).
+    for (const std::size_t n : {1u, 2u, 3u, 17u, 40u}) {
+        SplitMix64 rng(n);
+        SparseBuilder b(n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+            b.stampGroundConductance(i, 1.0 + rng.uniform());
+            for (std::size_t j = i + 1; j < n; ++j)
+                b.stampConductance(i, j, rng.uniform());
+        }
+        const CsrMatrix a = b.build();
+        EXPECT_EQ(SparseCholesky(a).supernodeCount(), 1u) << n;
+        expectMatchesLu(a, 50 + n);
+    }
+
+    // A 2-D grid network: the order groups its separators into wide
+    // supernodes, so wide ones update wide ones through the kernels.
+    const std::size_t side = 18;
+    SplitMix64 rng(3);
+    SparseBuilder b(side * side, side * side);
+    for (std::size_t y = 0; y < side; ++y) {
+        for (std::size_t x = 0; x < side; ++x) {
+            const std::size_t i = y * side + x;
+            b.stampGroundConductance(i, 0.01 + 0.1 * rng.uniform());
+            if (x + 1 < side)
+                b.stampConductance(i, i + 1, 1.0 + rng.uniform());
+            if (y + 1 < side)
+                b.stampConductance(i, i + side, 1.0 + rng.uniform());
+        }
+    }
+    const CsrMatrix a = b.build();
+    const SparseCholesky chol(a);
+    std::size_t widest = 0;
+    for (std::size_t s = 0; s < chol.supernodeCount(); ++s)
+        widest = std::max(widest,
+                          chol.supernodes()[s + 1] - chol.supernodes()[s]);
+    EXPECT_GE(widest, 8u);
+    expectMatchesLu(a, 31);
+
+    // A connected 12×12×6 grid: a supernode wider than one 16-column
+    // panel that is not the last has rows below its diagonal block,
+    // so its panels update later supernodes one panel at a time.
+    const std::size_t edge = 12, layers = 6;
+    SparseBuilder g(edge * edge * layers, edge * edge * layers);
+    for (std::size_t z = 0; z < layers; ++z) {
+        for (std::size_t y = 0; y < edge; ++y) {
+            for (std::size_t x = 0; x < edge; ++x) {
+                const std::size_t i = (z * edge + y) * edge + x;
+                g.stampGroundConductance(i, 0.01 + 0.1 * rng.uniform());
+                if (x + 1 < edge)
+                    g.stampConductance(i, i + 1, 1.0 + rng.uniform());
+                if (y + 1 < edge)
+                    g.stampConductance(i, i + edge, 1.0 + rng.uniform());
+                if (z + 1 < layers)
+                    g.stampConductance(i, i + edge * edge,
+                                       1.0 + rng.uniform());
+            }
+        }
+    }
+    const CsrMatrix cube = g.build();
+    const SparseCholesky cubeChol(cube);
+    bool widePanelsBelow = false;
+    for (std::size_t s = 0; s + 1 < cubeChol.supernodeCount(); ++s)
+        widePanelsBelow |=
+            cubeChol.supernodes()[s + 1] - cubeChol.supernodes()[s] > 16;
+    EXPECT_TRUE(widePanelsBelow);
+    expectMatchesLu(cube, 71);
+}
+
 /**
- * nnz(L) by plain graph elimination on a dense boolean matrix, in
- * the factor's pivot order: an independent count of the fill.
+ * L's column counts by plain graph elimination on a dense boolean
+ * matrix, in the factor's pivot order: an independent count of the
+ * fill.
  */
-std::size_t
-eliminationFill(const CsrMatrix &a, const std::vector<std::size_t> &perm)
+std::vector<std::size_t>
+eliminationCounts(const CsrMatrix &a, const std::vector<std::size_t> &perm)
 {
     const std::size_t n = a.rows();
     std::vector<std::size_t> pos(n);
@@ -186,18 +265,27 @@ eliminationFill(const CsrMatrix &a, const std::vector<std::size_t> &perm)
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
             adj[pos[r]][pos[ci[k]]] = adj[pos[ci[k]]][pos[r]] = 1;
-    std::size_t count = 0;
+    std::vector<std::size_t> count(n);
     for (std::size_t k = 0; k < n; ++k) {
         std::vector<std::size_t> later;
         for (std::size_t j = k + 1; j < n; ++j)
             if (adj[k][j])
                 later.push_back(j);
-        count += 1 + later.size();
+        count[k] = 1 + later.size();
         for (std::size_t p : later)
             for (std::size_t q : later)
                 adj[p][q] = 1;
     }
     return count;
+}
+
+std::size_t
+eliminationFill(const CsrMatrix &a, const std::vector<std::size_t> &perm)
+{
+    std::size_t fill = 0;
+    for (std::size_t c : eliminationCounts(a, perm))
+        fill += c;
+    return fill;
 }
 
 TEST(SparseCholesky, OrderingIsAPermutationAndFillMatchesSymbolicCount)
@@ -216,6 +304,78 @@ TEST(SparseCholesky, OrderingIsAPermutationAndFillMatchesSymbolicCount)
         for (std::size_t i = 0; i < natural.size(); ++i)
             natural[i] = i;
         EXPECT_LT(chol.factorNonZeros(), eliminationFill(a, natural));
+    }
+}
+
+ModelOptions grid(std::size_t n);
+
+TEST(SparseCholesky, SupernodesPartitionTheColumnsAndKeepTheFillCount)
+{
+    std::vector<CsrMatrix> cases;
+    for (std::uint64_t seed = 31; seed <= 34; ++seed)
+        cases.push_back(randomSpd(150, 1 + seed % 3, seed));
+    const StackModel oil(floorplans::alphaEv6(),
+                         PackageConfig::makeOilSilicon(10.0), grid(16));
+    cases.push_back(oil.conductance());
+    for (const CsrMatrix &a : cases) {
+        const SparseCholesky chol(a);
+        const std::vector<std::size_t> &starts = chol.supernodes();
+        ASSERT_EQ(starts.size(), chol.supernodeCount() + 1);
+        EXPECT_EQ(starts.front(), 0u);
+        EXPECT_EQ(starts.back(), a.rows());
+        for (std::size_t s = 0; s + 1 < starts.size(); ++s)
+            ASSERT_LT(starts[s], starts[s + 1]) << "supernode " << s;
+
+        // Within a supernode each column holds the next one's rows
+        // plus its own diagonal.
+        const std::vector<std::size_t> count =
+            eliminationCounts(a, chol.permutation());
+        std::size_t fill = 0;
+        double flops = 0.0;
+        for (std::size_t c : count) {
+            fill += c;
+            flops += static_cast<double>(c) * static_cast<double>(c);
+        }
+        EXPECT_EQ(chol.factorNonZeros(), fill);
+        EXPECT_EQ(chol.factorFlops(), flops);
+        for (std::size_t s = 0; s + 1 < starts.size(); ++s)
+            for (std::size_t j = starts[s] + 1; j < starts[s + 1]; ++j)
+                ASSERT_EQ(count[j - 1], count[j] + 1) << "column " << j;
+    }
+    // The stack's order groups columns: far fewer supernodes than
+    // columns.
+    EXPECT_LT(SparseCholesky(oil.conductance()).supernodeCount(),
+              oil.nodeCount());
+}
+
+TEST(SparseCholesky, BlockedSolveEqualsSingleSolves)
+{
+    const StackModel air(floorplans::alphaEv6(),
+                         PackageConfig::makeAirSink(0.3), grid(16));
+    for (const CsrMatrix &a : {randomSpd(200, 3, 41), air.conductance()}) {
+        SparseCholesky chol(a);
+        ASSERT_TRUE(chol.factor(a)) << chol.failure();
+        const std::size_t n = a.rows();
+        for (const std::size_t k : {1u, 3u, 18u}) {
+            SCOPED_TRACE(k);
+            const std::vector<double> b = seededVector(n * k, 60 + k);
+            std::vector<double> xs = b;
+            chol.solve(xs, k);
+            std::vector<double> col(n), x;
+            for (std::size_t r = 0; r < k; ++r) {
+                std::copy(b.begin() + static_cast<std::ptrdiff_t>(r * n),
+                          b.begin() +
+                              static_cast<std::ptrdiff_t>((r + 1) * n),
+                          col.begin());
+                chol.solve(col, x);
+                double scale = 0.0;
+                for (double v : x)
+                    scale = std::max(scale, std::abs(v));
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_LE(std::abs(xs[r * n + i] - x[i]), 1e-13 * scale)
+                        << "column " << r << " entry " << i;
+            }
+        }
     }
 }
 
@@ -471,7 +631,7 @@ TEST(FactoredStep, FactorCapSeparatesGrid16OilFromGrid64Air)
         const CsrMatrix system =
             addDiagonal(model.conductance(), capOverDt);
         const std::size_t fill = SparseCholesky(system).factorNonZeros();
-        EXPECT_EQ(fill > kImplicitFactorCap, large) << fill;
+        EXPECT_EQ(fill > kDirectFactorCap, large) << fill;
 
         BackwardEulerIntegrator be(model.conductance(), model.capacitance(),
                                    dt);
@@ -525,6 +685,169 @@ TEST(FactoredStep, MicrochannelKeepsBiCgStab)
     std::vector<double> resid = p;
     system.multiplyAccumulate(t, resid, -1.0);
     EXPECT_LE(norm2(resid), 1e-9 * norm2(p));
+}
+
+// ---------------------------------------------------------------------
+// The direct impulse build
+// ---------------------------------------------------------------------
+
+/**
+ * The impulse-response matrix of @p m, built by a first superposed
+ * solve under @p key and read back from the cache.
+ */
+ImpulseResponseMatrix
+impulseMatrix(const StackModel &m, std::uint64_t key)
+{
+    ImpulseResponseCache &cache = ImpulseResponseCache::global();
+    cache.invalidate(key);
+    StackModel::SteadySolveOptions so;
+    so.superposition = true;
+    so.stackKey = key;
+    StackModel::SteadySolveInfo info;
+    m.steadyNodeTemperatures(
+        std::vector<double>(m.floorplan().blockCount(), 1.0), so, &info);
+    EXPECT_EQ(info.method, "superposition");
+    const auto matrix = cache.acquire(
+        key, [] { return std::shared_ptr<ImpulseResponseMatrix>(); });
+    cache.invalidate(key);
+    if (!matrix) {
+        ADD_FAILURE() << "no cached matrix";
+        return {};
+    }
+    return *matrix;
+}
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(ImpulseBuild, DirectMatchesMultigridWithinANanokelvinPerWatt)
+{
+    struct Case
+    {
+        const char *name;
+        bool athlon;
+        bool oil;
+        std::size_t grid;
+    };
+    for (const Case &c : {Case{"ev6 grid-16 air", false, false, 16},
+                          Case{"ev6 grid-16 oil", false, true, 16},
+                          Case{"ev6 grid-32 air", false, false, 32},
+                          Case{"ev6 grid-32 oil", false, true, 32},
+                          Case{"athlon grid-16 air", true, false, 16},
+                          Case{"athlon grid-16 oil", true, true, 16}}) {
+        SCOPED_TRACE(c.name);
+        const StackModel m(c.athlon ? floorplans::athlon64()
+                                    : floorplans::alphaEv6(),
+                           c.oil ? PackageConfig::makeOilSilicon(10.0)
+                                 : PackageConfig::makeAirSink(0.3),
+                           grid(c.grid));
+        const std::uint64_t factors = counterValue("numeric.chol.factors");
+        const ImpulseResponseMatrix direct = impulseMatrix(m, 0xd1);
+        if (obs::kMetricsEnabled) {
+            EXPECT_EQ(counterValue("numeric.chol.factors") - factors, 1u);
+        }
+        ImpulseResponseMatrix iterative;
+        {
+            // Every direct column poisoned: each one is answered by
+            // the MG-CG chain instead.
+            ArmGuard guard("chol.corrupt:count=1000000");
+            iterative = impulseMatrix(m, 0x36);
+            EXPECT_EQ(FaultInjector::global().fired(),
+                      m.floorplan().blockCount());
+        }
+        ASSERT_EQ(direct.values.size(), iterative.values.size());
+        double worst = 0.0;
+        for (std::size_t i = 0; i < direct.values.size(); ++i)
+            worst = std::max(worst, std::abs(direct.values[i] -
+                                             iterative.values[i]));
+        EXPECT_LE(worst, 1e-9);
+    }
+}
+
+TEST(ImpulseBuild, OneCorruptColumnIsDemotedAndAnswersStillPass)
+{
+    const StackModel m(floorplans::alphaEv6(),
+                       PackageConfig::makeOilSilicon(10.0), grid(16));
+    const ImpulseResponseMatrix clean = impulseMatrix(m, 0xc1);
+
+    const std::uint64_t rejected = counterValue("numeric.chol.rejected");
+    const std::uint64_t solves = counterValue("numeric.chol.solves");
+    const std::uint64_t setups = counterValue("numeric.mg.setups");
+    constexpr std::uint64_t kKey = 0xc2;
+    ImpulseResponseCache::global().invalidate(kKey);
+    StackModel::SteadySolveOptions so;
+    so.superposition = true;
+    so.stackKey = kKey;
+    {
+        ArmGuard guard("chol.corrupt:count=1");
+        for (std::uint64_t trial = 0; trial < 4; ++trial) {
+            SplitMix64 rng(trial);
+            std::vector<double> p(m.floorplan().blockCount());
+            for (double &w : p)
+                w = rng.uniform() * 4.0;
+            StackModel::SteadySolveInfo info;
+            const std::vector<double> got =
+                m.steadyNodeTemperatures(p, so, &info);
+            EXPECT_EQ(info.method, "superposition") << trial;
+            EXPECT_EQ(info.impulseCacheHit, trial > 0);
+            // The clean matrix's answer, superposed by hand.
+            std::vector<double> want;
+            clean.superpose(p, want);
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_NEAR(got[i] - m.packageConfig().ambient, want[i],
+                            1e-9)
+                    << "node " << i;
+        }
+        EXPECT_EQ(FaultInjector::global().fired(), 1u);
+    }
+    ImpulseResponseCache::global().invalidate(kKey);
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    const std::size_t blocks = m.floorplan().blockCount();
+    EXPECT_EQ(counterValue("numeric.chol.rejected") - rejected, 1u);
+    EXPECT_EQ(counterValue("numeric.chol.solves") - solves, blocks - 1);
+    // The demoted column built the MG hierarchy on first use.
+    EXPECT_EQ(counterValue("numeric.mg.setups") - setups, 1u);
+}
+
+TEST(ImpulseBuild, BitIdenticalWithPoolOffAndAtFourThreads)
+{
+    // Each discovered test runs in its own process, so this override
+    // precedes the pool's first use. Grid 32 puts the checks' SpMV
+    // over its thread-pool threshold.
+    ThreadPool::setGlobalThreads(4);
+    const bool saved = ThreadPool::parallelEnabled();
+    const StackModel m(floorplans::alphaEv6(),
+                       PackageConfig::makeOilSilicon(10.0), grid(32));
+    ThreadPool::setParallelEnabled(true);
+    const ImpulseResponseMatrix par = impulseMatrix(m, 0xb1);
+    ThreadPool::setParallelEnabled(false);
+    const ImpulseResponseMatrix ser = impulseMatrix(m, 0xb2);
+    ThreadPool::setParallelEnabled(saved);
+    ASSERT_EQ(par.values.size(), ser.values.size());
+    for (std::size_t i = 0; i < par.values.size(); ++i)
+        ASSERT_EQ(par.values[i], ser.values[i]) << "entry " << i;
+}
+
+TEST(ImpulseBuild, StackPastTheFactorCapBuildsWithMultigrid)
+{
+    // One block keeps the MG build to a single column; grid 64 under
+    // air puts G's factor over the cap the integrators share.
+    const StackModel m(floorplans::uniformChip(1, 0.016, 0.016),
+                       PackageConfig::makeAirSink(0.3), grid(64));
+    ASSERT_GT(SparseCholesky(m.conductance()).factorNonZeros(),
+              kDirectFactorCap);
+    const std::uint64_t factors = counterValue("numeric.chol.factors");
+    const std::uint64_t setups = counterValue("numeric.mg.setups");
+    const ImpulseResponseMatrix r = impulseMatrix(m, 0xa1);
+    EXPECT_EQ(r.values.size(), m.nodeCount());
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    EXPECT_EQ(counterValue("numeric.chol.factors") - factors, 0u);
+    EXPECT_EQ(counterValue("numeric.mg.setups") - setups, 1u);
 }
 
 } // namespace

@@ -741,10 +741,13 @@ TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
     StackModel::SteadySolveInfo info;
     std::vector<double> got;
     {
-        // Every column's V-cycle diverges: each column demotes.
-        const FaultGuard faults("mg.diverge:count=1000");
+        // Every direct column is poisoned, so each one falls back to
+        // MG-CG, and every column's V-cycle diverges: each column
+        // demotes to SSOR-CG.
+        const FaultGuard faults("chol.corrupt:count=1000,"
+                                "mg.diverge:count=1000");
         got = m.steadyNodeTemperatures(p, so, &info);
-        EXPECT_EQ(FaultInjector::global().fired(), blocks);
+        EXPECT_EQ(FaultInjector::global().fired(), 2 * blocks);
     }
     ImpulseResponseCache::global().invalidate(kKey);
     EXPECT_EQ(info.method, "superposition");
@@ -756,6 +759,111 @@ TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
     EXPECT_EQ(reg.counter("numeric.mg.setups").value() - setups, 1u);
     EXPECT_EQ(reg.counter("resilience.fallback.ssor_cg").value() - demoted,
               blocks);
+}
+
+TEST(StackMultigrid, UnfaultedGrid32OilImpulseBuildNeverIterates)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    ModelOptions mo;
+    mo.mode = ModelMode::Grid;
+    mo.gridNx = 32;
+    mo.gridNy = 32;
+    const StackModel m(floorplans::alphaEv6(),
+                       PackageConfig::makeOilSilicon(10.0), mo);
+    auto &reg = obs::MetricsRegistry::global();
+    const std::uint64_t setups = reg.counter("numeric.mg.setups").value();
+    const std::uint64_t iters = reg.counter("numeric.cg.iterations").value();
+    const std::uint64_t factors = reg.counter("numeric.chol.factors").value();
+    constexpr std::uint64_t kKey = 0x6469726563743332ull;
+    ImpulseResponseCache::global().invalidate(kKey);
+    StackModel::SteadySolveOptions so;
+    so.superposition = true;
+    so.stackKey = kKey;
+    StackModel::SteadySolveInfo info;
+    m.steadyNodeTemperatures(stackPowers(m), so, &info);
+    ImpulseResponseCache::global().invalidate(kKey);
+    EXPECT_EQ(info.method, "superposition");
+    EXPECT_EQ(reg.counter("numeric.chol.factors").value() - factors, 1u);
+    EXPECT_EQ(reg.counter("numeric.mg.setups").value() - setups, 0u);
+    EXPECT_EQ(reg.counter("numeric.cg.iterations").value() - iters, 0u);
+}
+
+/** The symmetry check as it was: a binary search for every partner. */
+bool
+isSymmetricByLookup(const CsrMatrix &a, double tol)
+{
+    if (a.rows() != a.cols())
+        return false;
+    double maxAbs = 0.0;
+    for (double v : a.storedValues())
+        maxAbs = std::max(maxAbs, std::abs(v));
+    const double bound = tol * std::max(maxAbs, 1e-300);
+    const auto &rp = a.rowPointers();
+    const auto &ci = a.columnIndices();
+    const auto &av = a.storedValues();
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
+            if (std::abs(av[k] - a.at(ci[k], r)) > bound)
+                return false;
+    return true;
+}
+
+TEST(SparseMatrix, SymmetryVerdictsMatchThePartnerLookup)
+{
+    // Seeded near-symmetric matrices: mirrored pairs, some nudged by
+    // 2^-10 or 2^-9, which the tolerances below put on both sides of
+    // the bound, and some one-sided entries.
+    std::size_t symmetric = 0, asymmetric = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SplitMix64 rng(seed);
+        const std::size_t n = 2 + rng.index(30);
+        SparseBuilder b(n, n);
+        for (std::size_t i = 0; i < n; ++i)
+            b.add(i, i, 1.0);
+        const std::size_t links = rng.index(3 * n);
+        for (std::size_t k = 0; k < links; ++k) {
+            const std::size_t i = rng.index(n);
+            const std::size_t j = rng.index(n);
+            if (i == j)
+                continue;
+            const double v = 0.25 + 0.25 * static_cast<double>(rng.index(2));
+            const std::size_t kind = rng.index(12);
+            b.add(i, j, v);
+            if (kind == 0)
+                continue; // one-sided
+            const double nudge =
+                kind == 1 ? 0x1p-10 : kind == 2 ? 0x1p-9 : 0.0;
+            b.add(j, i, v + nudge);
+        }
+        const CsrMatrix a = b.build();
+        for (const double tol : {0x1p-10, 0x1p-11, 0.0, 1.0}) {
+            const bool want = isSymmetricByLookup(a, tol);
+            ASSERT_EQ(a.isSymmetric(tol), want)
+                << "seed " << seed << " tol " << tol;
+            ++(want ? symmetric : asymmetric);
+        }
+    }
+    // The seeds reach both verdicts.
+    EXPECT_GT(symmetric, 100u);
+    EXPECT_GT(asymmetric, 100u);
+
+    // Exactly at the bound passes; just past it fails.
+    SparseBuilder edge(2, 2);
+    edge.add(0, 0, 1.0);
+    edge.add(1, 1, 1.0);
+    edge.add(0, 1, 0.5);
+    edge.add(1, 0, 0.25);
+    const CsrMatrix e = edge.build();
+    EXPECT_TRUE(e.isSymmetric(0.25));
+    EXPECT_TRUE(isSymmetricByLookup(e, 0.25));
+    EXPECT_FALSE(e.isSymmetric(0.125));
+    EXPECT_FALSE(isSymmetricByLookup(e, 0.125));
+
+    SparseBuilder wide(2, 3);
+    wide.add(0, 0, 1.0);
+    wide.add(1, 1, 1.0);
+    EXPECT_FALSE(wide.build().isSymmetric(1.0));
 }
 
 TEST(StackMultigrid, BlockModeAndMicrochannelKeepTheirMethods)
