@@ -8,8 +8,14 @@
  * vs the independent fine-grid FD reference solver. The paper's
  * claim: both take a similar time to reach steady state, with a
  * thermal time constant on the order of a second.
+ *
+ * Claim gate (`ctest -L paper`): exits 1 when the shape breaks —
+ * both 63.2% rise times must lie within 0.5-1.5 s and within 25% of
+ * each other, and the two steady rises within 10% of each other.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -93,5 +99,24 @@ main()
                 m_t63, fd_t63);
     std::printf("steady rise: compact %.1f K, reference %.1f K\n",
                 m_rises.back(), fd_rises.back());
-    return 0;
+
+    bool holds = true;
+    const auto broken = [&holds](const char *what) {
+        std::printf("claim broken: %s\n", what);
+        holds = false;
+    };
+    const auto withinSecond = [](double t) {
+        return t >= 0.5 && t <= 1.5;
+    };
+    if (!withinSecond(m_t63))
+        broken("the compact model's 63.2% rise time is outside "
+               "0.5-1.5 s");
+    if (!withinSecond(fd_t63))
+        broken("the reference's 63.2% rise time is outside 0.5-1.5 s");
+    if (!(std::abs(m_t63 - fd_t63) <= 0.25 * std::max(m_t63, fd_t63)))
+        broken("the two 63.2% rise times differ by more than 25%");
+    if (!(std::abs(m_rises.back() - fd_rises.back()) <=
+          0.10 * std::max(m_rises.back(), fd_rises.back())))
+        broken("the two steady rises differ by more than 10%");
+    return holds ? 0 : 1;
 }

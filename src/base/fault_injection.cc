@@ -65,7 +65,7 @@ FaultInjector::knownPoints()
          "fallback chain demotes to the next solver tier"},
         {MgDiverge, "numeric/multigrid",
          "poison one multigrid V-cycle output with NaN",
-         "robust_solve demotes mg-cg to ssor-cg"},
+         "robust_solve demotes mg-cg to jacobi-cg"},
         {ImpulseCorrupt, "numeric/impulse_cache",
          "poison one column of a fresh impulse-response matrix",
          "independent residual check rejects it; job demotes to the "

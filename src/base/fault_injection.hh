@@ -18,7 +18,7 @@
  *     cg.nan            poison the CG residual with a NaN
  *     cg.diverge        force the iterative solve to report divergence
  *     mg.diverge        poison one multigrid V-cycle output with NaN
- *                       (robust_solve must demote mg-cg to ssor-cg)
+ *                       (robust_solve must demote mg-cg to jacobi-cg)
  *     impulse.corrupt   poison one column of a freshly built
  *                       impulse-response matrix with large finite
  *                       garbage (only the independent residual check

@@ -59,8 +59,7 @@ generatePlan(SplitMix64 &rng, bool fleetSafe)
         "0.3", "0.45", "0.6", "0.75", "0.9"};
     static const std::vector<const char *> kBlockWatts = {
         "1.0", "2.0", "3.5", "5.0"};
-    static const std::vector<const char *> kPreconditioners = {
-        "jacobi", "ssor", "ic0", "mg"};
+    static const std::vector<const char *> kPreconditioners = {"jacobi", "mg"};
 
     const bool ev6 = rng.weightedIndex({0.7, 0.3}) == 0;
     const char *floorplan = ev6 ? "preset:ev6" : "preset:athlon";
@@ -74,8 +73,8 @@ generatePlan(SplitMix64 &rng, bool fleetSafe)
     base += "           \"power.uniform\": ";
     base += powerUniform;
     base += ",\n";
-    // ~half the plans pin a non-default preconditioner; the rest use
-    // the solver's own choice.
+    // ~half the plans pin a preconditioner; the rest use the
+    // solver's own choice.
     if (rng.chance(0.5)) {
         base += "           \"solver.preconditioner\": \"";
         base += kPreconditioners[rng.index(kPreconditioners.size())];

@@ -81,7 +81,7 @@ ringStrips(double in_x0, double in_y0, double in_x1, double in_y1,
 /**
  * G as the steady solvers see it: the CSR matvec, with a Multigrid
  * request answered by the bordered V-cycle over the model's planes
- * (without planes it degrades to SSOR, as on any CSR matrix). The
+ * (without planes it degrades to Jacobi, as on any CSR matrix). The
  * V-cycle is built on the first request and shared by every solve
  * through this operator, so an impulse build sets up one hierarchy
  * for all its columns. One solve at a time.
@@ -113,11 +113,10 @@ class StackOperator final : public LinearOperator
     }
 
     std::unique_ptr<Preconditioner>
-    makePreconditioner(PreconditionerKind kind,
-                       double ssorOmega) const override
+    makePreconditioner(PreconditionerKind kind) const override
     {
         if (kind != PreconditionerKind::Multigrid || layout == nullptr)
-            return csr.makePreconditioner(kind, ssorOmega);
+            return csr.makePreconditioner(kind);
         if (!cycle)
             cycle = makeBorderedMultigrid(csr.matrix(), *layout);
         return std::make_unique<Handle>(*cycle);

@@ -94,8 +94,8 @@ class StackModel
      * Where the grid layers sit in node order: one plane per layer,
      * top to bottom, with the split-capacitance oil nodes as the
      * plane above the die; the ring strips are the border. Null in
-     * block mode and for advective networks, whose solves stay on
-     * the CSR preconditioners.
+     * block mode and for advective networks, whose solves are
+     * Jacobi-preconditioned.
      */
     const PlaneLayout *planeLayout() const;
 
@@ -147,8 +147,8 @@ class StackModel
          */
         const std::vector<double> *warmStart = nullptr;
         /**
-         * Escalate through the verified fallback chain (Jacobi-CG,
-         * BiCGSTAB, dense LU) when the primary solve fails
+         * Escalate through the verified fallback chain (jacobi-cg,
+         * bicgstab, dense-lu) when the primary solve fails
          * verification. Off restores fail-fast semantics: the first
          * non-converged solve throws NumericError.
          */
@@ -157,8 +157,8 @@ class StackModel
          * Preconditioner for the primary CG tier. Multigrid runs a
          * V-cycle over planeLayout()'s planes with an exact solve of
          * the strip nodes around it (BorderedPreconditioner); without
-         * a plane layout (block mode) it degrades to SSOR, as on any
-         * CSR matrix.
+         * a plane layout (block mode, microchannel) it degrades to
+         * Jacobi, as on any CSR matrix.
          */
         PreconditionerKind preconditioner = PreconditionerKind::Multigrid;
         /**
@@ -192,7 +192,7 @@ class StackModel
         bool warmStarted = false;
         /** Fallback escalations taken (0 = primary method passed). */
         int fallbackTier = 0;
-        /** Solver that produced the answer (e.g. "ssor-cg",
+        /** Solver that produced the answer (e.g. "mg-cg",
          *  "superposition"). */
         std::string method;
         /** Answer came from a cached impulse-response matrix (a

@@ -170,35 +170,11 @@ GridStencilOperator::diagonal() const
 }
 
 std::unique_ptr<Preconditioner>
-GridStencilOperator::makePreconditioner(PreconditionerKind kind,
-                                        double ssorOmega) const
+GridStencilOperator::makePreconditioner(PreconditionerKind kind) const
 {
-    if (kind == PreconditionerKind::Jacobi)
-        return std::make_unique<JacobiPreconditioner>(diag);
     if (kind == PreconditionerKind::Multigrid)
         return std::make_unique<MultigridPreconditioner>(*this);
-    // IC(0) needs entry-level factor storage that a matrix-free
-    // operator does not keep; SSOR is the strong option here.
-    return std::make_unique<StencilSsorPreconditioner>(*this,
-                                                       ssorOmega);
-}
-
-GridStencilOperator
-GridStencilOperator::scaledShifted(
-    double scale, const std::vector<double> &shift) const
-{
-    if (shift.size() != diag.size())
-        fatal("scaledShifted: shift size mismatch");
-    GridStencilOperator out(nx_, ny_, nz_);
-    for (std::size_t i = 0; i < gx.size(); ++i)
-        out.gx[i] = scale * gx[i];
-    for (std::size_t i = 0; i < gy.size(); ++i)
-        out.gy[i] = scale * gy[i];
-    for (std::size_t i = 0; i < gz.size(); ++i)
-        out.gz[i] = scale * gz[i];
-    for (std::size_t i = 0; i < diag.size(); ++i)
-        out.diag[i] = scale * diag[i] + shift[i];
-    return out;
+    return std::make_unique<JacobiPreconditioner>(diag);
 }
 
 CsrMatrix
@@ -230,89 +206,6 @@ GridStencilOperator::toCsr() const
         }
     }
     return b.build();
-}
-
-StencilSsorPreconditioner::StencilSsorPreconditioner(
-    const GridStencilOperator &op_, double w)
-    : op(op_), omega(w)
-{
-    if (!(omega > 0.0 && omega < 2.0))
-        fatal("StencilSsorPreconditioner: omega ", omega,
-              " outside (0, 2)");
-    invDiag.resize(op.diag.size());
-    for (std::size_t i = 0; i < op.diag.size(); ++i) {
-        if (op.diag[i] == 0.0)
-            fatal("StencilSsorPreconditioner: zero diagonal at ", i);
-        invDiag[i] = 1.0 / op.diag[i];
-    }
-}
-
-void
-StencilSsorPreconditioner::apply(const std::vector<double> &r,
-                                 std::vector<double> &z) const
-{
-    // Same formulation as the CSR SsorPreconditioner, with the lower
-    // and upper neighbours enumerated from the stencil geometry
-    // (natural ordering: -1, -nx, -nx*ny below the diagonal). The
-    // off-diagonal matrix entries are -g, so the sweeps *add* g
-    // terms.
-    const std::size_t nx = op.nx_, ny = op.ny_, nz = op.nz_;
-    const std::size_t plane = nx * ny;
-    const double *dd = op.diag.data();
-    const double *id = invDiag.data();
-    const double *gxd = op.gx.data();
-    const double *gyd = op.gy.data();
-    const double *gzd = op.gz.data();
-
-    z = r;
-    double *zd = z.data();
-
-    for (std::size_t iz = 0; iz < nz; ++iz) {
-        for (std::size_t iy = 0; iy < ny; ++iy) {
-            const std::size_t line = iz * ny + iy;
-            const std::size_t base = line * nx;
-            const std::size_t lxb = line * (nx - 1);
-            for (std::size_t ix = 0; ix < nx; ++ix) {
-                const std::size_t i = base + ix;
-                double acc = zd[i];
-                if (ix > 0)
-                    acc += omega * gxd[lxb + ix - 1] * zd[i - 1];
-                if (iy > 0)
-                    acc += omega *
-                           gyd[(iz * (ny - 1) + iy - 1) * nx + ix] *
-                           zd[i - nx];
-                if (iz > 0)
-                    acc += omega *
-                           gzd[((iz - 1) * ny + iy) * nx + ix] *
-                           zd[i - plane];
-                zd[i] = acc * id[i];
-            }
-        }
-    }
-    const double scale = omega * (2.0 - omega);
-    for (std::size_t i = 0; i < z.size(); ++i)
-        zd[i] *= scale * dd[i];
-    for (std::size_t iz = nz; iz-- > 0;) {
-        for (std::size_t iy = ny; iy-- > 0;) {
-            const std::size_t line = iz * ny + iy;
-            const std::size_t base = line * nx;
-            const std::size_t lxb = line * (nx - 1);
-            for (std::size_t ix = nx; ix-- > 0;) {
-                const std::size_t i = base + ix;
-                double acc = zd[i];
-                if (ix + 1 < nx)
-                    acc += omega * gxd[lxb + ix] * zd[i + 1];
-                if (iy + 1 < ny)
-                    acc += omega *
-                           gyd[(iz * (ny - 1) + iy) * nx + ix] *
-                           zd[i + nx];
-                if (iz + 1 < nz)
-                    acc += omega * gzd[(iz * ny + iy) * nx + ix] *
-                           zd[i + plane];
-                zd[i] = acc * id[i];
-            }
-        }
-    }
 }
 
 } // namespace irtherm

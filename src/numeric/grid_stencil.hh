@@ -19,10 +19,9 @@
  * links, so FdSolver's silicon + oil-film stack maps onto one
  * (nz+1)-deep stencil.
  *
- * The operator implements LinearOperator, so the CG/BiCGSTAB solvers
- * and the implicit integrators accept it interchangeably with a
- * stored CsrMatrix; makePreconditioner() provides matrix-free SSOR
- * sweeps in natural ordering.
+ * The operator implements LinearOperator, so CG accepts it
+ * interchangeably with a stored CsrMatrix; makePreconditioner()
+ * provides the geometric V-cycle over its planes.
  */
 
 #ifndef IRTHERM_NUMERIC_GRID_STENCIL_HH
@@ -83,31 +82,20 @@ class GridStencilOperator final : public LinearOperator
                          double alpha) const override;
     std::vector<double> diagonal() const override;
 
-    /** Ssor -> matrix-free sweeps; Ic0 degrades to Ssor; Multigrid
-     *  builds a geometric V-cycle (multigrid.hh). */
+    /** Multigrid builds a geometric V-cycle (multigrid.hh); Jacobi
+     *  scales by the diagonal. */
     std::unique_ptr<Preconditioner>
-    makePreconditioner(PreconditionerKind kind,
-                       double ssorOmega) const override;
+    makePreconditioner(PreconditionerKind kind) const override;
 
     /**
-     * A new operator with every link scaled by @p scale and
-     * diag = scale * diag + shift — i.e. scale * A + diag(shift).
-     * This is exactly what the implicit integrators need to form
-     * C/dt + G (scale 1) and C/dt + G/2 (scale 0.5) without any
-     * CSR assembly.
-     */
-    GridStencilOperator
-    scaledShifted(double scale, const std::vector<double> &shift) const;
-
-    /**
-     * Assemble the equivalent CSR matrix. Meant for equivalence
-     * tests and for callers that need entry-level access; the hot
-     * paths never do this.
+     * Assemble the equivalent CSR matrix (columns sorted within each
+     * row). This is how a stencil reaches the implicit integrators,
+     * which factor their fixed system: FdSolver's Crank-Nicolson
+     * holds the result for the whole run.
      */
     CsrMatrix toCsr() const;
 
   private:
-    friend class StencilSsorPreconditioner;
     friend class MultigridPreconditioner;
     friend class BorderedStencil;
 
@@ -134,29 +122,6 @@ class GridStencilOperator final : public LinearOperator
     std::vector<double> gx; ///< (nx-1) * ny * nz faces
     std::vector<double> gy; ///< nx * (ny-1) * nz faces
     std::vector<double> gz; ///< nx * ny * (nz-1) faces
-};
-
-/**
- * Matrix-free SSOR in natural (x-fastest) ordering over a stencil
- * operator. References the operator; it must outlive this object.
- */
-class StencilSsorPreconditioner final : public Preconditioner
-{
-  public:
-    StencilSsorPreconditioner(const GridStencilOperator &op,
-                              double omega);
-
-    void apply(const std::vector<double> &r,
-               std::vector<double> &z) const override;
-    PreconditionerKind kind() const override
-    {
-        return PreconditionerKind::Ssor;
-    }
-
-  private:
-    const GridStencilOperator &op;
-    double omega;
-    std::vector<double> invDiag;
 };
 
 } // namespace irtherm

@@ -117,8 +117,7 @@ conjugateGradient(const LinearOperator &a, const std::vector<double> &b,
 
     std::unique_ptr<Preconditioner> owned;
     if (!precond) {
-        owned = a.makePreconditioner(opts.preconditioner,
-                                     opts.ssorOmega);
+        owned = a.makePreconditioner(opts.preconditioner);
         precond = owned.get();
     }
 
@@ -241,8 +240,7 @@ conjugateGradient(const CsrMatrix &a, const std::vector<double> &b,
 
 IterativeResult
 biCgStab(const CsrMatrix &a, const std::vector<double> &b,
-         const std::vector<double> &x0, const IterativeOptions &opts,
-         const Preconditioner *precond)
+         const std::vector<double> &x0, const IterativeOptions &opts)
 {
     const std::size_t n = a.rows();
     if (a.cols() != n || b.size() != n)
@@ -253,13 +251,7 @@ biCgStab(const CsrMatrix &a, const std::vector<double> &b,
     if (res.x.size() != n)
         fatal("biCgStab: bad initial guess size");
 
-    const CsrOperator op(a);
-    std::unique_ptr<Preconditioner> owned;
-    if (!precond) {
-        owned = op.makePreconditioner(opts.preconditioner,
-                                      opts.ssorOmega);
-        precond = owned.get();
-    }
+    const JacobiPreconditioner precond(a.diagonal());
 
     std::vector<double> r = b;
     a.multiplyAccumulate(res.x, r, -1.0);
@@ -303,7 +295,7 @@ biCgStab(const CsrMatrix &a, const std::vector<double> &b,
         }
         rho = rho_next;
 
-        precond->apply(p, p_hat);
+        precond.apply(p, p_hat);
         a.apply(p_hat, v);
         const double rhv = dot(r_hat, v);
         if (rhv == 0.0) {
@@ -323,7 +315,7 @@ biCgStab(const CsrMatrix &a, const std::vector<double> &b,
             return res;
         }
 
-        precond->apply(s, s_hat);
+        precond.apply(s, s_hat);
         a.apply(s_hat, t);
         const double tt = dot(t, t);
         if (tt == 0.0) {

@@ -46,11 +46,10 @@ struct IterativeOptions
 {
     double tolerance = 1e-10;   ///< relative to ||b||_2
     std::size_t maxIterations = 20000;
-    /** Preconditioner built when the caller does not supply one.
-     *  Kinds an operator cannot provide degrade gracefully
-     *  (Ic0 -> Ssor -> Jacobi). */
-    PreconditionerKind preconditioner = PreconditionerKind::Ssor;
-    double ssorOmega = 1.5;     ///< SSOR relaxation factor in (0, 2)
+    /** Preconditioner built when the caller does not supply one:
+     *  the V-cycle where the operator has grid planes, Jacobi
+     *  elsewhere (LinearOperator::makePreconditioner). */
+    PreconditionerKind preconditioner = PreconditionerKind::Multigrid;
 };
 
 /**
@@ -88,18 +87,17 @@ IterativeResult conjugateGradient(const CsrMatrix &a,
                                   const IterativeOptions &opts = {});
 
 /**
- * Preconditioned BiCGSTAB for general (non-symmetric) systems.
+ * Jacobi-preconditioned BiCGSTAB for general (non-symmetric) systems.
  * Needed once fluid advection enters the network: upwind advection
  * stamps are one-sided, so microchannel and caloric-heating models
  * produce non-symmetric conductance matrices that CG cannot handle.
- * A null @p precond means build one from @p opts, as in
- * conjugateGradient().
+ * @p opts.preconditioner is not read: a CSR matrix offers only
+ * Jacobi.
  */
 IterativeResult biCgStab(const CsrMatrix &a,
                          const std::vector<double> &b,
                          const std::vector<double> &x0 = {},
-                         const IterativeOptions &opts = {},
-                         const Preconditioner *precond = nullptr);
+                         const IterativeOptions &opts = {});
 
 /** Euclidean norm. */
 double norm2(const std::vector<double> &v);

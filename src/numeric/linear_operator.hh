@@ -9,21 +9,18 @@
  * 7-point grid stencil (GridStencilOperator in grid_stencil.hh)
  * without assembling CSR index arrays on the grid hot path.
  *
- * Preconditioners are first-class objects so implicit integrators —
- * whose system matrices never change between steps — can build one
- * once in their constructor and reuse it for every solve instead of
- * re-deriving Jacobi diagonals per call:
+ * Preconditioners are first-class objects so a caller that solves
+ * one system many times (an impulse build's columns, an implicit
+ * integrator's CG fallback) builds one once and reuses it. There are
+ * two kinds:
  *
- *  - Jacobi: diagonal scaling; always available, weakest.
- *  - SSOR: symmetric successive over-relaxation sweeps; ~1 matvec of
- *    extra work per application but cuts CG iterations by several x
- *    on grid Laplacians. Sequential by construction (triangular
- *    sweeps), which keeps it deterministic.
- *  - IC(0): zero-fill incomplete Cholesky; the strongest of the
- *    three on the SPD M-matrices produced by thermal RC assembly.
- *    Construction can break down on general SPD matrices (a pivot
- *    goes non-positive); factories then return null and callers fall
- *    back to SSOR/Jacobi.
+ *  - Jacobi: diagonal scaling; every operator offers it.
+ *  - Multigrid: a geometric V-cycle (multigrid.hh), offered only by
+ *    operators with grid planes to coarsen (GridStencilOperator, a
+ *    grid StackModel's operator).
+ *
+ * Fixed symmetric systems are factored instead (sparse_cholesky.hh,
+ * direct_solve.hh); CG runs where no factor is kept.
  */
 
 #ifndef IRTHERM_NUMERIC_LINEAR_OPERATOR_HH
@@ -41,11 +38,9 @@ namespace irtherm
 /** Preconditioner selection for the SPD solvers. */
 enum class PreconditionerKind
 {
-    Jacobi,    ///< diagonal scaling (the pre-parallel-core default)
-    Ssor,      ///< symmetric SOR sweeps
-    Ic0,       ///< incomplete Cholesky, zero fill-in
-    Multigrid, ///< geometric V-cycle (grid stencils only; degrades
-               ///< to Ssor on irregular CSR networks)
+    Jacobi,    ///< diagonal scaling
+    Multigrid, ///< geometric V-cycle (grid planes only; degrades to
+               ///< Jacobi on irregular CSR networks)
 };
 
 /** Applies z = M^-1 r for a fixed M. */
@@ -59,7 +54,7 @@ class Preconditioner
                        std::vector<double> &z) const = 0;
 
     /** What this object is, which may differ from the kind that was
-     *  requested (an Ic0 whose factorization broke down is Ssor). */
+     *  requested (a Multigrid request on a CSR matrix is Jacobi). */
     virtual PreconditionerKind kind() const = 0;
 };
 
@@ -79,74 +74,6 @@ class JacobiPreconditioner final : public Preconditioner
 
   private:
     std::vector<double> invDiag;
-};
-
-/**
- * SSOR: M^-1 = w(2-w) (D + wU)^-1 D (D + wL)^-1 over the stored
- * entries of a CSR matrix (columns sorted within each row, as
- * SparseBuilder produces).
- *
- * Keeps its own copies of the strictly lower and strictly upper
- * parts with every entry pre-scaled by w, plus w(2-w) d_i and 1/d_i
- * per row, so the sweeps test no entry for the diagonal and multiply
- * by no w. Independent of the source matrix's lifetime.
- */
-class SsorPreconditioner final : public Preconditioner
-{
-  public:
-    /** @param omega relaxation factor in (0, 2). */
-    SsorPreconditioner(const CsrMatrix &a, double omega);
-
-    void apply(const std::vector<double> &r,
-               std::vector<double> &z) const override;
-    PreconditionerKind kind() const override
-    {
-        return PreconditionerKind::Ssor;
-    }
-
-  private:
-    /** One strictly triangular part in CSR, values times w. */
-    struct Triangle
-    {
-        std::vector<std::size_t> rowPtr, cols;
-        std::vector<double> vals;
-    };
-
-    Triangle lower, upper;
-    std::vector<double> midScale; ///< w(2-w) d_i
-    std::vector<double> invDiag;  ///< 1 / d_i
-};
-
-/**
- * IC(0): A ~= L L^T with L restricted to the lower-triangular
- * sparsity of A. Construct through makeIc0() (which reports
- * breakdown by returning null). Owns its factor; independent of the
- * source matrix's lifetime.
- */
-class Ic0Preconditioner final : public Preconditioner
-{
-  public:
-    void apply(const std::vector<double> &r,
-               std::vector<double> &z) const override;
-    PreconditionerKind kind() const override
-    {
-        return PreconditionerKind::Ic0;
-    }
-
-    /** Factor @p a; null when a pivot goes non-positive. */
-    static std::unique_ptr<Ic0Preconditioner>
-    tryFactor(const CsrMatrix &a);
-
-  private:
-    Ic0Preconditioner() = default;
-
-    // L in CSR (rows ascending, cols sorted, diagonal last per row)
-    // and L^T in CSR (for the backward solve).
-    std::vector<std::size_t> lRowPtr, lCols;
-    std::vector<double> lVals;
-    std::vector<std::size_t> ltRowPtr, ltCols;
-    std::vector<double> ltVals;
-    std::size_t n = 0;
 };
 
 /** Minimal matvec interface shared by CSR and matrix-free operators. */
@@ -170,18 +97,20 @@ class LinearOperator
     virtual std::vector<double> diagonal() const = 0;
 
     /**
-     * Best preconditioner of the requested kind this operator can
-     * provide, degrading gracefully (Ic0 -> Ssor -> Jacobi) when a
-     * kind is unsupported or its construction breaks down; its
-     * kind() says what was built. Never null. The base operator
-     * offers only Jacobi. The operator must outlive the returned
-     * object.
+     * Preconditioner of the requested kind, or Jacobi when this
+     * operator cannot provide it; its kind() says what was built.
+     * Never null. The base operator offers only Jacobi. The operator
+     * must outlive the returned object.
      */
     virtual std::unique_ptr<Preconditioner>
-    makePreconditioner(PreconditionerKind kind, double ssorOmega) const;
+    makePreconditioner(PreconditionerKind kind) const;
 };
 
-/** LinearOperator view over a CsrMatrix (not owned; must outlive). */
+/**
+ * LinearOperator view over a CsrMatrix (not owned; must outlive). It
+ * has no grid structure to coarsen, so every request builds Jacobi,
+ * which owns its data and may outlive this view and the matrix.
+ */
 class CsrOperator final : public LinearOperator
 {
   public:
@@ -196,13 +125,6 @@ class CsrOperator final : public LinearOperator
                          std::vector<double> &y,
                          double alpha) const override;
     std::vector<double> diagonal() const override;
-
-    /** Multigrid degrades to Ssor (no grid structure to coarsen).
-     *  Every CSR preconditioner owns its data, so it may outlive
-     *  this view and the matrix. */
-    std::unique_ptr<Preconditioner>
-    makePreconditioner(PreconditionerKind kind,
-                       double ssorOmega) const override;
 
     const CsrMatrix &matrix() const { return m; }
 

@@ -2,10 +2,10 @@
  * @file
  * Geometric multigrid V-cycle preconditioner for GridStencilOperator.
  *
- * SSOR-preconditioned CG on a grid Laplacian still needs O(n^(1/3))
- * iterations per decade of resolution — BENCH_perf shows the PR 2
- * preconditioner work halved iterations without moving wall time.
- * A geometric V-cycle makes the iteration count grid-independent:
+ * CG under a one-level preconditioner (Jacobi, or the SSOR sweeps
+ * this library once used) needs more iterations with every
+ * refinement of a grid Laplacian. A geometric V-cycle makes the
+ * iteration count grid-independent:
  * high-frequency error is removed by a damped z-line Jacobi smoother
  * and the smooth remainder is solved on a hierarchy of 2x-coarsened
  * grids, bottoming out in a dense LU factorization.

@@ -16,52 +16,16 @@ namespace
 {
 
 void
-checkSizes(std::size_t rows, const std::vector<double> &cap)
+checkSizes(const CsrMatrix &g, const std::vector<double> &cap)
 {
-    if (cap.size() != rows)
+    if (g.rows() != g.cols())
+        fatal("integrator: conductance matrix not square");
+    if (cap.size() != g.rows())
         fatal("integrator: capacitance size mismatch");
     for (std::size_t i = 0; i < cap.size(); ++i) {
         if (cap[i] <= 0.0)
             fatal("integrator: non-positive capacitance at node ", i);
     }
-}
-
-void
-checkSizes(const CsrMatrix &g, const std::vector<double> &cap)
-{
-    if (g.rows() != g.cols())
-        fatal("integrator: conductance matrix not square");
-    checkSizes(g.rows(), cap);
-}
-
-/**
- * Pick the preconditioner for an implicit system C/dt + s*G. With a
- * small step the capacitance term dwarfs the conductance coupling and
- * the system is strongly diagonally dominant: Jacobi then converges
- * in a handful of iterations and an SSOR double sweep costs more per
- * iteration than it saves. The SSOR default downgrades itself in
- * that regime; Jacobi / IC(0) requests pass through untouched.
- *
- * The conductance part of row i's diagonal bounds the row's
- * off-diagonal magnitude (conservative RC network), so
- * capOverDt / (diag - capOverDt) lower-bounds the dominance ratio.
- */
-PreconditionerKind
-effectivePreconditioner(const LinearOperator &system,
-                        const std::vector<double> &capOverDt,
-                        PreconditionerKind requested)
-{
-    if (requested != PreconditionerKind::Ssor)
-        return requested;
-    constexpr double kDominanceForJacobi = 4.0;
-    const std::vector<double> d = system.diagonal();
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        const double coupling = d[i] - capOverDt[i];
-        if (coupling > 0.0 &&
-            capOverDt[i] < kDominanceForJacobi * coupling)
-            return PreconditionerKind::Ssor;
-    }
-    return PreconditionerKind::Jacobi;
 }
 
 /**
@@ -71,23 +35,17 @@ effectivePreconditioner(const LinearOperator &system,
  * preconditioner is built on first use and kept.
  */
 IterativeResult
-iterativeStep(const LinearOperator &system, const CsrMatrix &systemCsr,
-              const std::vector<double> &capOverDt,
-              const std::vector<double> &rhs,
+iterativeStep(const CsrOperator &system, const std::vector<double> &rhs,
               const std::vector<double> &temps,
               const IterativeOptions &solverOpts, bool symmetric,
               std::unique_ptr<Preconditioner> &precond, CgWorkspace &ws)
 {
-    if (symmetric && !precond) {
-        precond = system.makePreconditioner(
-            effectivePreconditioner(system, capOverDt,
-                                    solverOpts.preconditioner),
-            solverOpts.ssorOmega);
-    }
+    if (symmetric && !precond)
+        precond = system.makePreconditioner(solverOpts.preconditioner);
     IterativeResult r =
         symmetric ? conjugateGradient(system, rhs, temps, solverOpts,
                                       precond.get(), &ws)
-                  : biCgStab(systemCsr, rhs, temps, solverOpts);
+                  : biCgStab(system.matrix(), rhs, temps, solverOpts);
     if (!r.converged) {
         // Rebuild through the verified fallback chain instead of
         // aborting (a transient NaN or injected fault clears on a
@@ -96,9 +54,8 @@ iterativeStep(const LinearOperator &system, const CsrMatrix &systemCsr,
         ropts.iterative = solverOpts;
         ropts.symmetric = symmetric;
         ropts.scope = FaultInjector::currentContext();
-        const CsrMatrix *csr =
-            systemCsr.rows() == system.rows() ? &systemCsr : nullptr;
-        r = robustSolve(system, csr, rhs, temps, ropts, &ws).solve;
+        r = robustSolve(system, &system.matrix(), rhs, temps, ropts, &ws)
+                .solve;
     }
     return r;
 }
@@ -331,36 +288,9 @@ BackwardEulerIntegrator::BackwardEulerIntegrator(
     for (double &c : capOverDt)
         c /= dt;
     systemCsr = addDiagonal(g, capOverDt);
-    csrView = std::make_unique<CsrOperator>(systemCsr);
-    system = csrView.get();
     symmetric = systemCsr.isSymmetric(1e-9);
     if (symmetric)
         direct = DirectStep::make(systemCsr, "backward Euler");
-    rhs.resize(capOverDt.size());
-}
-
-BackwardEulerIntegrator::BackwardEulerIntegrator(
-    const GridStencilOperator &g, std::vector<double> capacitance,
-    double dt_, const IterativeOptions &solver)
-    : capOverDt(std::move(capacitance)), dt(dt_), solverOpts(solver),
-      solvesMetric(
-          obs::MetricsRegistry::global().counter("numeric.be.solves")),
-      iterationsHist(obs::MetricsRegistry::global().histogram(
-          "numeric.be.cg_iterations")),
-      warmStartHist(obs::MetricsRegistry::global().histogram(
-          "numeric.be.warm_start_residual")),
-      residualGauge(obs::MetricsRegistry::global().gauge(
-          "numeric.be.last_residual"))
-{
-    checkSizes(g.rows(), capOverDt);
-    if (dt <= 0.0)
-        fatal("BackwardEulerIntegrator: non-positive dt");
-    for (double &c : capOverDt)
-        c /= dt;
-    systemStencil = std::make_unique<GridStencilOperator>(
-        g.scaledShifted(1.0, capOverDt));
-    system = systemStencil.get();
-    symmetric = true; // stencil stamping is symmetric by construction
     rhs.resize(capOverDt.size());
 }
 
@@ -370,7 +300,7 @@ void
 BackwardEulerIntegrator::step(std::vector<double> &temps,
                               const std::vector<double> &power)
 {
-    const std::size_t n = system->rows();
+    const std::size_t n = system.rows();
     if (temps.size() != n || power.size() != n)
         fatal("BackwardEulerIntegrator::step: vector size mismatch");
     obs::ScopedSpan span("numeric.be.step");
@@ -384,13 +314,12 @@ BackwardEulerIntegrator::step(std::vector<double> &temps,
     });
     solvesMetric.add();
     if (direct &&
-        direct->solve(*system, rhs, solverOpts.tolerance, temps)) {
+        direct->solve(system, rhs, solverOpts.tolerance, temps)) {
         residualGauge.set(direct->residualNorm());
         return;
     }
-    IterativeResult r =
-        iterativeStep(*system, systemCsr, capOverDt, rhs, temps,
-                      solverOpts, symmetric, precond, ws);
+    IterativeResult r = iterativeStep(system, rhs, temps, solverOpts,
+                                      symmetric, precond, ws);
     iterationsHist.observe(static_cast<double>(r.iterations));
     warmStartHist.observe(r.initialResidualNorm);
     residualGauge.set(r.residualNorm);
@@ -415,7 +344,8 @@ BackwardEulerIntegrator::advance(std::vector<double> &temps,
 CrankNicolsonIntegrator::CrankNicolsonIntegrator(
     const CsrMatrix &g, std::vector<double> capacitance, double dt_,
     const IterativeOptions &solver)
-    : capOverDt(std::move(capacitance)), dt(dt_), solverOpts(solver),
+    : gOp(g), capOverDt(std::move(capacitance)), dt(dt_),
+      solverOpts(solver),
       solvesMetric(
           obs::MetricsRegistry::global().counter("numeric.cn.solves")),
       iterationsHist(obs::MetricsRegistry::global().histogram(
@@ -439,37 +369,8 @@ CrankNicolsonIntegrator::CrankNicolsonIntegrator(
         b.add(r, r, capOverDt[r]);
     systemCsr = b.build();
     symmetric = systemCsr.isSymmetric(1e-9);
-
-    gView = std::make_unique<CsrOperator>(g);
-    gOp = gView.get();
-    systemView = std::make_unique<CsrOperator>(systemCsr);
-    system = systemView.get();
     if (symmetric)
         direct = DirectStep::make(systemCsr, "Crank-Nicolson");
-    rhs.resize(capOverDt.size());
-}
-
-CrankNicolsonIntegrator::CrankNicolsonIntegrator(
-    const GridStencilOperator &g, std::vector<double> capacitance,
-    double dt_, const IterativeOptions &solver)
-    : capOverDt(std::move(capacitance)), dt(dt_), solverOpts(solver),
-      solvesMetric(
-          obs::MetricsRegistry::global().counter("numeric.cn.solves")),
-      iterationsHist(obs::MetricsRegistry::global().histogram(
-          "numeric.cn.cg_iterations"))
-{
-    checkSizes(g.rows(), capOverDt);
-    if (dt <= 0.0)
-        fatal("CrankNicolsonIntegrator: non-positive dt");
-    for (double &c : capOverDt)
-        c /= dt;
-
-    gStencil = std::make_unique<GridStencilOperator>(g);
-    gOp = gStencil.get();
-    systemStencil = std::make_unique<GridStencilOperator>(
-        g.scaledShifted(0.5, capOverDt));
-    system = systemStencil.get();
-    symmetric = true; // stencil stamping is symmetric by construction
     rhs.resize(capOverDt.size());
 }
 
@@ -479,7 +380,7 @@ void
 CrankNicolsonIntegrator::step(std::vector<double> &temps,
                               const std::vector<double> &power)
 {
-    const std::size_t n = system->rows();
+    const std::size_t n = system.rows();
     if (temps.size() != n || power.size() != n)
         fatal("CrankNicolsonIntegrator::step: vector size mismatch");
     obs::ScopedSpan span("numeric.cn.step");
@@ -492,14 +393,13 @@ CrankNicolsonIntegrator::step(std::vector<double> &temps,
         for (std::size_t i = lo; i < hi; ++i)
             rd[i] = cd[i] * td[i] + pw[i];
     });
-    gOp->applyAccumulate(temps, rhs, -0.5);
+    gOp.applyAccumulate(temps, rhs, -0.5);
     solvesMetric.add();
     if (direct &&
-        direct->solve(*system, rhs, solverOpts.tolerance, temps))
+        direct->solve(system, rhs, solverOpts.tolerance, temps))
         return;
-    IterativeResult r =
-        iterativeStep(*system, systemCsr, capOverDt, rhs, temps,
-                      solverOpts, symmetric, precond, ws);
+    IterativeResult r = iterativeStep(system, rhs, temps, solverOpts,
+                                      symmetric, precond, ws);
     iterationsHist.observe(static_cast<double>(r.iterations));
     temps = std::move(r.x);
 }

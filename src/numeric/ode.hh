@@ -13,18 +13,18 @@
  *    reference FD solver so that validation runs through an
  *    independent scheme.
  *
- * The implicit integrators accept either a stored CsrMatrix or a
- * matrix-free GridStencilOperator. Their system matrices never change
- * between steps, so the CSR constructors factor a symmetric system
- * once (sparse Cholesky within kDirectFactorCap, direct_solve.hh) and
- * answer every step with two triangular solves plus robustSolve's
- * residual check.
- * A system that does not factor, the stencil and non-symmetric
- * systems, and any direct answer that fails its check go through
- * preconditioned CG (BiCGSTAB when non-symmetric) with the verified
- * fallback chain behind it; the preconditioner is built once, on
- * first use, and reused with a persistent CG workspace and rhs
- * scratch — the steady advance() loops allocate nothing.
+ * The implicit integrators take a stored CsrMatrix (a grid stencil
+ * reaches them through GridStencilOperator::toCsr()). Their system
+ * matrices never change between steps, so they factor a symmetric
+ * system once (sparse Cholesky within kDirectFactorCap,
+ * direct_solve.hh) and answer every step with two triangular solves
+ * plus robustSolve's residual check.
+ * A system that does not factor, a non-symmetric system, and any
+ * direct answer that fails its check go through Jacobi-preconditioned
+ * CG (BiCGSTAB when non-symmetric) with the verified fallback chain
+ * behind it; the preconditioner is built once, on first use, and
+ * reused with a persistent CG workspace and rhs scratch — the steady
+ * advance() loops allocate nothing.
  *
  * Power is held constant across one advance() call, matching how the
  * simulator drives the network (one power vector per trace sample).
@@ -37,7 +37,6 @@
 #include <memory>
 #include <vector>
 
-#include "numeric/grid_stencil.hh"
 #include "numeric/iterative.hh"
 #include "numeric/linear_operator.hh"
 #include "numeric/sparse.hh"
@@ -74,6 +73,9 @@ class Rk4Integrator
      */
     Rk4Integrator(const CsrMatrix &g, std::vector<double> capacitance,
                   const Rk4Options &opts = {});
+    /** A temporary @p g would dangle. */
+    Rk4Integrator(const CsrMatrix &&g, std::vector<double> capacitance,
+                  const Rk4Options &opts = {}) = delete;
 
     /** Advance @p temps by @p dt seconds under constant @p power. */
     void advance(std::vector<double> &temps,
@@ -121,21 +123,16 @@ class Rk4Integrator
 /**
  * Backward Euler with a fixed step:
  *   (C/dt + G) T_{n+1} = (C/dt) T_n + P
- * The system matrix is formed once (CSR or matrix-free stencil). A
- * symmetric CSR system is factored once and each step is two
- * triangular solves, verified; otherwise (and for any step whose
- * direct answer fails verification) each step is one warm-started
- * preconditioned CG solve reusing the same workspace.
+ * The system matrix is formed once, as a copy. A symmetric system is
+ * factored once and each step is two triangular solves, verified;
+ * otherwise (and for any step whose direct answer fails
+ * verification) each step is one warm-started preconditioned CG
+ * solve reusing the same workspace.
  */
 class BackwardEulerIntegrator
 {
   public:
     BackwardEulerIntegrator(const CsrMatrix &g,
-                            std::vector<double> capacitance, double dt,
-                            const IterativeOptions &solver = {});
-
-    /** Matrix-free variant: system = G scaled-shifted by C/dt. */
-    BackwardEulerIntegrator(const GridStencilOperator &g,
                             std::vector<double> capacitance, double dt,
                             const IterativeOptions &solver = {});
 
@@ -161,10 +158,8 @@ class BackwardEulerIntegrator
                  const std::vector<double> &power, double duration);
 
   private:
-    CsrMatrix systemCsr;                   ///< C/dt + G (CSR path)
-    std::unique_ptr<CsrOperator> csrView;
-    std::unique_ptr<GridStencilOperator> systemStencil;
-    const LinearOperator *system = nullptr;
+    CsrMatrix systemCsr; ///< C/dt + G
+    const CsrOperator system{systemCsr};
 
     std::vector<double> capOverDt;
     double dt;
@@ -195,11 +190,10 @@ class CrankNicolsonIntegrator
     CrankNicolsonIntegrator(const CsrMatrix &g,
                             std::vector<double> capacitance, double dt,
                             const IterativeOptions &solver = {});
-
-    /** Matrix-free variant; @p g is copied (plain arrays). */
-    CrankNicolsonIntegrator(const GridStencilOperator &g,
+    /** A temporary @p g would dangle. */
+    CrankNicolsonIntegrator(const CsrMatrix &&g,
                             std::vector<double> capacitance, double dt,
-                            const IterativeOptions &solver = {});
+                            const IterativeOptions &solver = {}) = delete;
 
     ~CrankNicolsonIntegrator();
 
@@ -213,15 +207,9 @@ class CrankNicolsonIntegrator
               const std::vector<double> &power);
 
   private:
-    // G (explicit half of the rhs) and C/dt + G/2, each reachable
-    // through the LinearOperator interface.
-    std::unique_ptr<CsrOperator> gView;         ///< CSR path (views caller's g)
-    std::unique_ptr<GridStencilOperator> gStencil; ///< stencil path (owned)
-    CsrMatrix systemCsr;
-    std::unique_ptr<CsrOperator> systemView;
-    std::unique_ptr<GridStencilOperator> systemStencil;
-    const LinearOperator *gOp = nullptr;
-    const LinearOperator *system = nullptr;
+    const CsrOperator gOp; ///< the caller's G (explicit half of the rhs)
+    CsrMatrix systemCsr;   ///< C/dt + G/2
+    const CsrOperator system{systemCsr};
 
     std::vector<double> capOverDt;
     double dt;

@@ -30,36 +30,10 @@ struct Tier
 const char *
 cgMethodName(PreconditionerKind kind)
 {
-    switch (kind) {
-      case PreconditionerKind::Jacobi:
-        return "jacobi-cg";
-      case PreconditionerKind::Ssor:
-        return "ssor-cg";
-      case PreconditionerKind::Ic0:
-        return "ic0-cg";
-      case PreconditionerKind::Multigrid:
-        return "mg-cg";
-    }
-    return "cg";
+    return kind == PreconditionerKind::Multigrid ? "mg-cg" : "jacobi-cg";
 }
 
-const char *
-bicgMethodName(PreconditionerKind kind)
-{
-    switch (kind) {
-      case PreconditionerKind::Jacobi:
-        return "jacobi-bicgstab";
-      case PreconditionerKind::Ssor:
-        return "ssor-bicgstab";
-      case PreconditionerKind::Ic0:
-        return "ic0-bicgstab";
-      case PreconditionerKind::Multigrid:
-        return "mg-bicgstab";
-    }
-    return "bicgstab";
-}
-
-/** Metric-name-safe spelling of a method ("ssor-cg" -> "ssor_cg"). */
+/** Metric-name-safe spelling of a method ("jacobi-cg" -> "jacobi_cg"). */
 std::string
 metricSuffix(const char *method)
 {
@@ -209,49 +183,31 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
     const IterativeOptions &primary = opts.iterative;
     IterativeOptions jacobi = primary;
     jacobi.preconditioner = PreconditionerKind::Jacobi;
-    IterativeOptions ssor = primary;
-    ssor.preconditioner = PreconditionerKind::Ssor;
-
-    // Build the primary preconditioner here and name the tier after
-    // what was built: a CSR network turns Multigrid into SSOR, and so
-    // does an IC(0) factorization that breaks down, so a chain never
-    // runs a solve under another method's name or queues it twice.
-    // BiCGSTAB preconditions through the stored CSR matrix. A build
-    // that throws fails the primary tier, named for the requested
-    // kind, like a failed solve.
-    std::unique_ptr<Preconditioner> precond;
-    std::exception_ptr buildError;
-    try {
-        precond = opts.symmetric
-                      ? a.makePreconditioner(primary.preconditioner,
-                                             primary.ssorOmega)
-                      : CsrOperator(*csr).makePreconditioner(
-                            primary.preconditioner, primary.ssorOmega);
-    } catch (const FatalError &) {
-        buildError = std::current_exception();
-    }
-    const PreconditionerKind built =
-        precond ? precond->kind() : primary.preconditioner;
-    const auto checkBuilt = [&] {
-        if (buildError)
-            std::rethrow_exception(buildError);
-    };
 
     std::vector<Tier> tiers;
+    // Kept outside the branch: the tiers run after it closes.
+    std::unique_ptr<Preconditioner> precond;
+    std::exception_ptr buildError;
     if (opts.symmetric) {
+        // Build the primary preconditioner here and name the tier
+        // after what was built: a CSR network turns Multigrid into
+        // Jacobi, so a chain never runs a solve under another
+        // method's name or queues it twice. A build that throws fails
+        // the primary tier, named for the requested kind, like a
+        // failed solve.
+        try {
+            precond = a.makePreconditioner(primary.preconditioner);
+        } catch (const FatalError &) {
+            buildError = std::current_exception();
+        }
+        const PreconditionerKind built =
+            precond ? precond->kind() : primary.preconditioner;
         tiers.push_back({cgMethodName(built), [&] {
-            checkBuilt();
+            if (buildError)
+                std::rethrow_exception(buildError);
             return conjugateGradient(a, b, x0, primary, precond.get(),
                                      ws);
         }});
-        if (built == PreconditionerKind::Multigrid) {
-            // A broken V-cycle (mg.diverge, non-SPD hierarchy) should
-            // demote to the strongest conventional preconditioner
-            // before dropping all the way to Jacobi.
-            tiers.push_back({"ssor-cg", [&] {
-                return conjugateGradient(a, b, x0, ssor, nullptr, ws);
-            }});
-        }
         if (built != PreconditionerKind::Jacobi) {
             tiers.push_back({"jacobi-cg", [&] {
                 return conjugateGradient(a, b, x0, jacobi, nullptr, ws);
@@ -263,15 +219,9 @@ robustSolve(const LinearOperator &a, const CsrMatrix *csr,
             }});
         }
     } else {
-        tiers.push_back({bicgMethodName(built), [&] {
-            checkBuilt();
-            return biCgStab(*csr, b, x0, primary, precond.get());
+        tiers.push_back({"jacobi-bicgstab", [&] {
+            return biCgStab(*csr, b, x0, jacobi);
         }});
-        if (built != PreconditionerKind::Jacobi) {
-            tiers.push_back({"jacobi-bicgstab", [&] {
-                return biCgStab(*csr, b, x0, jacobi);
-            }});
-        }
     }
     if (csr != nullptr && csr->rows() <= opts.maxDenseDimension) {
         tiers.push_back({"dense-lu", [&] {

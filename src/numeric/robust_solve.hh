@@ -10,15 +10,18 @@
  * recomputed residual within tolerance) and on failure the solve
  * escalates through methods of increasing robustness and cost:
  *
- *   symmetric:      configured-precond CG -> Jacobi-CG -> BiCGSTAB
- *                   -> dense LU
- *   non-symmetric:  configured-precond BiCGSTAB -> Jacobi-BiCGSTAB
- *                   -> dense LU
+ *   grid stack:     mg-cg -> jacobi-cg -> bicgstab -> dense-lu
+ *   other SPD:      jacobi-cg -> bicgstab -> dense-lu
+ *   non-symmetric:  jacobi-bicgstab -> dense-lu
+ *
+ * The primary CG tier runs the configured preconditioner as the
+ * operator builds it: the V-cycle where it has grid planes, Jacobi
+ * on a plain CSR matrix, which then opens the chain.
  *
  * The dense LU tier is gated on the system dimension (block-mode RC
  * networks, small grids); BiCGSTAB and LU need a stored matrix, so
  * the operator-only overload (matrix-free grid stencils) stops at
- * Jacobi-CG unless the caller also supplies a CSR view.
+ * jacobi-cg unless the caller also supplies a CSR view.
  *
  * Every escalation is counted in `resilience.fallback.*` metrics and
  * recorded on the event trace; exhausting the chain throws
@@ -64,7 +67,7 @@ struct RobustSolveResult
     /** 0 when the primary method passed verification; each fallback
      *  escalation adds one. */
     int fallbackTier = 0;
-    /** Method that produced the accepted answer ("ssor-cg",
+    /** Method that produced the accepted answer ("mg-cg",
      *  "jacobi-cg", "bicgstab", "jacobi-bicgstab", "dense-lu"). */
     std::string method;
     std::size_t tiersTried = 1; ///< methods attempted including winner
@@ -103,7 +106,7 @@ RobustSolveResult robustSolve(const CsrMatrix &a,
 /**
  * Operator form for matrix-free systems (grid stencils). @p csr may
  * be null; when provided it enables the BiCGSTAB and dense LU tiers,
- * otherwise the chain is configured-precond CG -> Jacobi-CG only.
+ * otherwise the chain is the primary CG tier -> jacobi-cg only.
  * @p ws is optional CG scratch (reused across tiers).
  */
 RobustSolveResult robustSolve(const LinearOperator &a,

@@ -170,9 +170,6 @@ FdSolver::steadyJunctionTemperatures(
     IterativeOptions io;
     io.tolerance = 1e-11;
     io.maxIterations = 200000;
-    // Pure grid stencil: the geometric V-cycle makes the iteration
-    // count independent of nx x ny (SSOR degrades with resolution).
-    io.preconditioner = PreconditionerKind::Multigrid;
     auto &reg = obs::MetricsRegistry::global();
     obs::ScopedTimer span(reg.timer("refsim.fd.steady_solve_time"));
     IterativeResult res = conjugateGradient(g, p, {}, io);
@@ -195,7 +192,10 @@ FdSolver::transientFromAmbient(const std::vector<double> &cell_powers,
 {
     const std::vector<double> p = nodePowers(cell_powers);
     std::vector<double> rise(nodes, 0.0);
-    CrankNicolsonIntegrator cn(g, cap, opts.timeStep);
+    // The integrator keeps the CSR form by reference and factors its
+    // fixed system once; every step is then a checked substitution.
+    const CsrMatrix gCsr = g.toCsr();
+    CrankNicolsonIntegrator cn(gCsr, cap, opts.timeStep);
 
     const auto steps_per_sample = static_cast<std::size_t>(
         std::max(1.0, std::round(sample_interval / opts.timeStep)));

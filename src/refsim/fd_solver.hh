@@ -96,14 +96,18 @@ class FdSolver
     /** Effective overall convective resistance 1/sum(h_i A_i), K/W. */
     double equivalentConvectiveResistance() const;
 
-  private:
-    std::size_t cellIndex(std::size_t ix, std::size_t iy,
-                          std::size_t iz) const;
-    std::size_t oilIndex(std::size_t ix, std::size_t iy) const;
+    /** The network the solves run on: G and the node capacitances. */
+    const GridStencilOperator &conductance() const { return g; }
+    const std::vector<double> &capacitance() const { return cap; }
 
     /** Expand junction cell powers to the full node vector. */
     std::vector<double>
     nodePowers(const std::vector<double> &cell_powers) const;
+
+  private:
+    std::size_t cellIndex(std::size_t ix, std::size_t iy,
+                          std::size_t iz) const;
+    std::size_t oilIndex(std::size_t ix, std::size_t iy) const;
 
     FdOptions opts;
     double width, height, thickness;

@@ -198,15 +198,11 @@ ScenarioSpec::resolve() const
         } else if (key == "solver.preconditioner") {
             if (value == "jacobi")
                 r.preconditioner = PreconditionerKind::Jacobi;
-            else if (value == "ssor")
-                r.preconditioner = PreconditionerKind::Ssor;
-            else if (value == "ic0")
-                r.preconditioner = PreconditionerKind::Ic0;
             else if (value == "mg")
                 r.preconditioner = PreconditionerKind::Multigrid;
             else
-                configError(ctx, ": preconditioner must be 'jacobi', "
-                            "'ssor', 'ic0', or 'mg'");
+                configError(ctx, ": preconditioner must be 'jacobi' "
+                            "or 'mg'");
         } else if (key == "solver.superposition") {
             r.superposition = parseBool(value, ctx);
         } else if (key == "outputs.map") {

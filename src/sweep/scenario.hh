@@ -34,10 +34,9 @@
  *                          solves through the verified fallback
  *                          chain; off = fail fast on first
  *                          non-convergence
- *   solver.preconditioner  "jacobi" | "ssor" | "ic0" | "mg"
- *                          (default): primary-tier CG
- *                          preconditioner; "mg" is the bordered
- *                          V-cycle on grid stacks and SSOR in
+ *   solver.preconditioner  "jacobi" | "mg" (default): primary-tier
+ *                          CG preconditioner; "mg" is the bordered
+ *                          V-cycle on grid stacks and Jacobi in
  *                          block mode
  *   solver.superposition   bool (default true): answer repeated
  *                          steady solves of one stack from the

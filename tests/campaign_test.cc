@@ -45,13 +45,17 @@ namespace irtherm
 namespace
 {
 
-/** Fresh per-test output directory under the gtest temp root. */
+/**
+ * Fresh per-test output directory under the gtest temp root. The
+ * process id keeps two suites run at once (two build trees on one
+ * machine) out of each other's directories.
+ */
 std::string
 freshOutDir(const std::string &tag)
 {
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) /
-        ("irtherm_campaign_" + tag);
+        ("irtherm_campaign_" + tag + "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir.string();

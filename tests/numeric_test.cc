@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "base/fault_injection.hh"
@@ -29,6 +30,7 @@
 #include "numeric/ode.hh"
 #include "numeric/robust_solve.hh"
 #include "numeric/sparse.hh"
+#include "numeric/sparse_cholesky.hh"
 #include "obs/metrics.hh"
 
 namespace irtherm
@@ -261,157 +263,6 @@ TEST(Sparse, BuildSumsDuplicatesInStampOrder)
     EXPECT_EQ(rp[longRow + 1] - rp[longRow], cols);
 }
 
-/**
- * SSOR as first written: one pass over whole CSR rows, a diagonal
- * test on every lower entry, w applied inside every product, and a
- * separate w(2-w) D scaling pass between the sweeps. The
- * preconditioner must reproduce it bit for bit.
- */
-std::vector<double>
-referenceSsor(const CsrMatrix &a, double omega, const std::vector<double> &r)
-{
-    const std::size_t n = a.rows();
-    const auto &rp = a.rowPointers();
-    const auto &ci = a.columnIndices();
-    const auto &av = a.storedValues();
-    const std::vector<double> diag = a.diagonal();
-    std::vector<double> invDiag(n);
-    std::vector<std::size_t> upperStart(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        invDiag[i] = 1.0 / diag[i];
-        std::size_t k = rp[i];
-        while (k < rp[i + 1] && ci[k] <= i)
-            ++k;
-        upperStart[i] = k;
-    }
-    std::vector<double> z = r;
-    for (std::size_t i = 0; i < n; ++i) {
-        double acc = z[i];
-        for (std::size_t k = rp[i]; k < upperStart[i]; ++k) {
-            const std::size_t c = ci[k];
-            if (c != i)
-                acc -= omega * av[k] * z[c];
-        }
-        z[i] = acc * invDiag[i];
-    }
-    const double scale = omega * (2.0 - omega);
-    for (std::size_t i = 0; i < n; ++i)
-        z[i] *= scale * diag[i];
-    for (std::size_t i = n; i-- > 0;) {
-        double acc = z[i];
-        for (std::size_t k = upperStart[i]; k < rp[i + 1]; ++k)
-            acc -= omega * av[k] * z[ci[k]];
-        z[i] = acc * invDiag[i];
-    }
-    return z;
-}
-
-void
-expectSsorMatchesReference(const CsrMatrix &a, double omega,
-                           std::uint64_t seed)
-{
-    const SsorPreconditioner ssor(a, omega);
-    Rng rng(seed);
-    for (int v = 0; v < 4; ++v) {
-        std::vector<double> r(a.rows());
-        for (double &x : r)
-            x = v == 0 ? 1.0 : rng.gaussian(0.0, 1.0);
-        const std::vector<double> want = referenceSsor(a, omega, r);
-        std::vector<double> got;
-        ssor.apply(r, got);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-            EXPECT_EQ(bits(got[i]), bits(want[i]))
-                << "omega " << omega << " vector " << v << " row " << i;
-        // In place (z aliasing r) gives the same answer.
-        ssor.apply(r, r);
-        EXPECT_EQ(r, got);
-    }
-}
-
-TEST(Ssor, ApplyMatchesReferenceSweepOnStackConductance)
-{
-    const Floorplan fp = floorplans::alphaEv6();
-    ModelOptions mo;
-    mo.mode = ModelMode::Grid;
-    mo.gridNx = 32;
-    mo.gridNy = 32;
-    const StackModel model(fp, PackageConfig::makeOilSilicon(10.0), mo);
-    for (double omega : {1.5, 1.0, 0.7})
-        expectSsorMatchesReference(model.conductance(), omega, 3);
-}
-
-TEST(Ssor, ApplyMatchesReferenceSweepOnRandomSpd)
-{
-    // A random conductance network with ground ties: SPD, irregular
-    // row lengths, some rows with no lower or no upper part.
-    const std::size_t n = 300;
-    Rng rng(29);
-    SparseBuilder sb(n, n);
-    for (int k = 0; k < 1500; ++k) {
-        const std::size_t a = rng.index(n);
-        const std::size_t b = rng.index(n);
-        if (a != b)
-            sb.stampConductance(a, b, rng.uniform(0.01, 10.0));
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        sb.stampGroundConductance(i, rng.uniform(0.1, 1.0));
-    const CsrMatrix a = sb.build();
-    ASSERT_TRUE(a.isSymmetric(1e-14));
-    for (double omega : {1.5, 1.9})
-        expectSsorMatchesReference(a, omega, 5);
-}
-
-TEST(Ssor, KeepsItsConstructionChecks)
-{
-    SparseBuilder sb(2, 2);
-    sb.add(0, 0, 1.0);
-    sb.add(0, 1, -0.5);
-    sb.add(1, 0, -0.5);
-    const CsrMatrix noDiag = sb.build();
-    EXPECT_THROW(SsorPreconditioner(noDiag, 1.5), FatalError);
-    sb.add(1, 1, 1.0);
-    const CsrMatrix spd = sb.build();
-    EXPECT_NO_THROW(SsorPreconditioner(spd, 1.5));
-    EXPECT_THROW(SsorPreconditioner(spd, 2.0), FatalError);
-    EXPECT_THROW(SsorPreconditioner(spd, 0.0), FatalError);
-}
-
-TEST(RobustSolve, BrokenDownIc0IsNamedForTheSsorItRuns)
-{
-    // SPD (its full Cholesky pivots are 3, 5/3, 3/5 and 1/3), but
-    // IC(0) drops the (4,2) fill and its last pivot is 3 - 4/3 -
-    // 20/3 < 0: CSR falls back to SSOR, and the tier must say so.
-    SparseBuilder sb(4, 4);
-    const double a[4][4] = {{3, -2, 0, 2},
-                            {-2, 3, -2, 0},
-                            {0, -2, 3, -2},
-                            {2, 0, -2, 3}};
-    for (std::size_t i = 0; i < 4; ++i) {
-        for (std::size_t j = 0; j < 4; ++j) {
-            if (a[i][j] != 0.0)
-                sb.add(i, j, a[i][j]);
-        }
-    }
-    const CsrMatrix m = sb.build();
-    ASSERT_EQ(Ic0Preconditioner::tryFactor(m), nullptr);
-    EXPECT_EQ(CsrOperator(m)
-                  .makePreconditioner(PreconditionerKind::Ic0, 1.5)
-                  ->kind(),
-              PreconditionerKind::Ssor);
-
-    RobustSolveOptions opts;
-    opts.iterative.preconditioner = PreconditionerKind::Ic0;
-    const std::vector<double> b = {1.0, 2.0, 3.0, 4.0};
-    const RobustSolveResult r = robustSolve(m, b, {}, opts);
-    EXPECT_TRUE(r.solve.converged);
-    EXPECT_EQ(r.method, "ssor-cg");
-    EXPECT_EQ(r.fallbackTier, 0);
-    const std::vector<double> ax = m.multiply(r.solve.x);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_NEAR(ax[i], b[i], 1e-8);
-}
-
 /** Build a 1-D resistive chain with ground at both ends. */
 CsrMatrix
 chainMatrix(std::size_t n, double g)
@@ -586,10 +437,10 @@ TEST(BorderedPreconditioner, IsSymmetric)
         const StackModel m = buildStack(c);
         const BorderedStencil view(m.conductance(), *m.planeLayout());
         // The border composition in double around a symmetric double
-        // plane step (SSOR) is symmetric to rounding...
+        // plane step (Jacobi) is symmetric to rounding...
         const BorderedPreconditioner exact(
-            view, view.planes().makePreconditioner(
-                      PreconditionerKind::Ssor, 1.5));
+            view,
+            view.planes().makePreconditioner(PreconditionerKind::Jacobi));
         // ...and around the V-cycle, which runs in single precision,
         // to float rounding.
         const std::unique_ptr<Preconditioner> mg = makeBorderedMultigrid(
@@ -623,8 +474,26 @@ TEST(BorderedPreconditioner, AppliesInPlace)
     EXPECT_EQ(r, z);
 }
 
+/** Node temperatures (K) from one sparse Cholesky solve of G T = P. */
+std::vector<double>
+factoredSteady(const StackModel &m, const std::vector<double> &blockPowers)
+{
+    SparseCholesky chol(m.conductance());
+    std::vector<double> x;
+    if (!chol.factor(m.conductance())) {
+        ADD_FAILURE() << chol.failure();
+        return x;
+    }
+    chol.solve(m.nodePowerVector(blockPowers), x);
+    for (double &t : x)
+        t += m.packageConfig().ambient;
+    return x;
+}
+
 TEST(StackMultigrid, MatchesSsorCgAtTierZeroInFewIterations)
 {
+    // The reference is a direct solve: the multigrid answer must
+    // match it at tier 0 in a grid-independent iteration count.
     for (std::size_t grid : {16, 32, 64}) {
         for (const StackCase &base :
              {kStackCases[0], kStackCases[1], kStackCases[2],
@@ -635,20 +504,16 @@ TEST(StackMultigrid, MatchesSsorCgAtTierZeroInFewIterations)
                          std::to_string(grid));
             const StackModel m = buildStack(c);
             const std::vector<double> p = stackPowers(m);
-            StackModel::SteadySolveOptions so;
-            StackModel::SteadySolveInfo mg, ssor;
+            StackModel::SteadySolveInfo mg;
             const std::vector<double> viaMg =
-                m.steadyNodeTemperatures(p, so, &mg);
-            so.preconditioner = PreconditionerKind::Ssor;
-            const std::vector<double> viaSsor =
-                m.steadyNodeTemperatures(p, so, &ssor);
+                m.steadyNodeTemperatures(p, {}, &mg);
             EXPECT_EQ(mg.method, "mg-cg");
             EXPECT_EQ(mg.fallbackTier, 0);
             EXPECT_LE(mg.iterations, 25u);
-            EXPECT_EQ(ssor.method, "ssor-cg");
-            ASSERT_EQ(viaMg.size(), viaSsor.size());
+            const std::vector<double> want = factoredSteady(m, p);
+            ASSERT_EQ(viaMg.size(), want.size());
             for (std::size_t i = 0; i < viaMg.size(); ++i)
-                ASSERT_NEAR(viaMg[i], viaSsor[i], 1e-9) << "node " << i;
+                ASSERT_NEAR(viaMg[i], want[i], 1e-9) << "node " << i;
         }
     }
 }
@@ -706,17 +571,19 @@ class FaultGuard
 
 TEST(StackMultigrid, DivergedCycleDemotesTheSolveToSsorCg)
 {
+    // The chain's second tier is jacobi-cg: the demoted answer is
+    // the one a Jacobi-CG request gives.
     const StackModel m = buildStack(kStackCases[0]);
     const std::vector<double> p = stackPowers(m);
     StackModel::SteadySolveOptions so;
-    so.preconditioner = PreconditionerKind::Ssor;
+    so.preconditioner = PreconditionerKind::Jacobi;
     const std::vector<double> want = m.steadyNodeTemperatures(p, so);
 
     const FaultGuard faults("mg.diverge:count=1");
     so.preconditioner = PreconditionerKind::Multigrid;
     StackModel::SteadySolveInfo info;
     const std::vector<double> got = m.steadyNodeTemperatures(p, so, &info);
-    EXPECT_EQ(info.method, "ssor-cg");
+    EXPECT_EQ(info.method, "jacobi-cg");
     EXPECT_EQ(info.fallbackTier, 1);
     EXPECT_EQ(FaultInjector::global().fired(), 1u);
     EXPECT_EQ(got, want);
@@ -733,7 +600,7 @@ TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
     auto &reg = obs::MetricsRegistry::global();
     const std::uint64_t setups = reg.counter("numeric.mg.setups").value();
     const std::uint64_t demoted =
-        reg.counter("resilience.fallback.ssor_cg").value();
+        reg.counter("resilience.fallback.jacobi_cg").value();
     constexpr std::uint64_t kKey = 0x6d67646976657267ull;
     ImpulseResponseCache::global().invalidate(kKey);
     so.superposition = true;
@@ -743,7 +610,7 @@ TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
     {
         // Every direct column is poisoned, so each one falls back to
         // MG-CG, and every column's V-cycle diverges: each column
-        // demotes to SSOR-CG.
+        // demotes to Jacobi-CG.
         const FaultGuard faults("chol.corrupt:count=1000,"
                                 "mg.diverge:count=1000");
         got = m.steadyNodeTemperatures(p, so, &info);
@@ -757,7 +624,7 @@ TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
         GTEST_SKIP() << "instrumentation compiled out";
     // One hierarchy for all the columns, and every column demoted.
     EXPECT_EQ(reg.counter("numeric.mg.setups").value() - setups, 1u);
-    EXPECT_EQ(reg.counter("resilience.fallback.ssor_cg").value() - demoted,
+    EXPECT_EQ(reg.counter("resilience.fallback.jacobi_cg").value() - demoted,
               blocks);
 }
 
@@ -874,7 +741,7 @@ TEST(StackMultigrid, BlockModeAndMicrochannelKeepTheirMethods)
     EXPECT_EQ(block.planeLayout(), nullptr);
     StackModel::SteadySolveInfo info;
     block.steadyNodeTemperatures(p, {}, &info);
-    EXPECT_EQ(info.method, "ssor-cg");
+    EXPECT_EQ(info.method, "jacobi-cg");
 
     ModelOptions mo;
     mo.mode = ModelMode::Grid;
@@ -883,7 +750,61 @@ TEST(StackMultigrid, BlockModeAndMicrochannelKeepTheirMethods)
     const StackModel micro(fp, PackageConfig::makeMicrochannel(1.0), mo);
     EXPECT_EQ(micro.planeLayout(), nullptr);
     micro.steadyNodeTemperatures(p, {}, &info);
-    EXPECT_EQ(info.method, "ssor-bicgstab");
+    EXPECT_EQ(info.method, "jacobi-bicgstab");
+}
+
+TEST(StackMultigrid, BlockModeSolvesAreJacobiCgWithinDenseLu)
+{
+    for (const bool athlon : {false, true}) {
+        const Floorplan fp =
+            athlon ? floorplans::athlon64() : floorplans::alphaEv6();
+        std::vector<double> p(fp.blockCount());
+        for (std::size_t b = 0; b < p.size(); ++b)
+            p[b] = 0.5 + 0.25 * static_cast<double>(b % 7);
+        for (const bool oil : {false, true}) {
+            SCOPED_TRACE(std::string(athlon ? "athlon" : "ev6") +
+                         (oil ? " oil" : " air"));
+            const PackageConfig pkg =
+                oil ? PackageConfig::makeOilSilicon(10.0)
+                    : PackageConfig::makeAirSink(0.3, 45.0);
+            const StackModel m(fp, pkg);
+            ASSERT_EQ(m.planeLayout(), nullptr);
+            StackModel::SteadySolveInfo info;
+            const std::vector<double> got =
+                m.steadyNodeTemperatures(p, {}, &info);
+            EXPECT_EQ(info.method, "jacobi-cg");
+            EXPECT_EQ(info.fallbackTier, 0);
+
+            const CsrMatrix &g = m.conductance();
+            DenseMatrix dense(g.rows(), g.cols());
+            for (std::size_t r = 0; r < g.rows(); ++r)
+                for (std::size_t k = g.rowPointers()[r];
+                     k < g.rowPointers()[r + 1]; ++k)
+                    dense(r, g.columnIndices()[k]) = g.storedValues()[k];
+            const std::vector<double> rise =
+                LuDecomposition(dense).solve(m.nodePowerVector(p));
+            ASSERT_EQ(got.size(), rise.size());
+            for (std::size_t i = 0; i < rise.size(); ++i)
+                EXPECT_NEAR(got[i], rise[i] + m.packageConfig().ambient,
+                            1e-9)
+                    << "node " << i;
+        }
+    }
+}
+
+TEST(StackMultigrid, MicrochannelGrid24IsJacobiBicgstabAtTierZero)
+{
+    const Floorplan fp = floorplans::alphaEv6();
+    ModelOptions mo;
+    mo.mode = ModelMode::Grid;
+    mo.gridNx = 24;
+    mo.gridNy = 24;
+    const StackModel micro(fp, PackageConfig::makeMicrochannel(1.0), mo);
+    StackModel::SteadySolveInfo info;
+    micro.steadyNodeTemperatures(std::vector<double>(fp.blockCount(), 1.0),
+                                 {}, &info);
+    EXPECT_EQ(info.method, "jacobi-bicgstab");
+    EXPECT_EQ(info.fallbackTier, 0);
 }
 
 TEST(Iterative, CgMatchesLuOnChain)
@@ -1035,6 +956,26 @@ TEST(Ode, IntegratorsAgreeOnTwoNodeNetwork)
 
     EXPECT_NEAR(t_rk[0], t_be[0], 2e-3);
     EXPECT_NEAR(t_rk[1], t_be[1], 2e-3);
+}
+
+TEST(Ode, Rk4RefusesATemporaryConductanceMatrix)
+{
+    // G is kept by reference, so a temporary would dangle.
+    static_assert(!std::is_constructible_v<Rk4Integrator, CsrMatrix &&,
+                                           std::vector<double>>);
+    static_assert(std::is_constructible_v<Rk4Integrator, const CsrMatrix &,
+                                          std::vector<double>>);
+}
+
+TEST(Ode, CrankNicolsonRefusesATemporaryConductanceMatrix)
+{
+    // G is kept by reference for the explicit half of every rhs.
+    static_assert(
+        !std::is_constructible_v<CrankNicolsonIntegrator, CsrMatrix &&,
+                                 std::vector<double>, double>);
+    static_assert(
+        std::is_constructible_v<CrankNicolsonIntegrator, const CsrMatrix &,
+                                std::vector<double>, double>);
 }
 
 TEST(Ode, BackwardEulerRejectsNonMultipleDuration)

@@ -9,6 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -19,6 +22,9 @@
 #include "materials/fluid.hh"
 #include "materials/material.hh"
 #include "numeric/fit.hh"
+#include "numeric/iterative.hh"
+#include "numeric/sparse.hh"
+#include "obs/metrics.hh"
 #include "refsim/fd_solver.hh"
 #include "refsim/fd_stack_solver.hh"
 
@@ -222,6 +228,77 @@ TEST(FdSolver, TransientAgreesWithCompactModelFig2)
     ASSERT_GT(fd_t63, 0.0);
     ASSERT_GT(m_t63, 0.0);
     EXPECT_NEAR(m_t63, fd_t63, 0.35 * fd_t63);
+}
+
+TEST(FdSolver, CrankNicolsonFactorsOnceAndMatchesTightCg)
+{
+    FdOptions o = smallFd();
+    o.nx = 12;
+    o.ny = 12;
+    const FdSolver fd = paperDie(o);
+    const std::vector<double> cells = fd.uniformPowerMap(200.0);
+    const std::size_t steps = 200, perSample = 40;
+
+    auto &reg = obs::MetricsRegistry::global();
+    const std::uint64_t factors = reg.counter("numeric.chol.factors").value();
+    const std::uint64_t solves = reg.counter("numeric.chol.solves").value();
+    const std::uint64_t cnSteps = reg.counter("numeric.cn.solves").value();
+    const std::vector<FdSample> trace = fd.transientFromAmbient(
+        cells, static_cast<double>(steps) * o.timeStep,
+        static_cast<double>(perSample) * o.timeStep);
+    ASSERT_EQ(trace.size(), steps / perSample + 1);
+
+    // Reference: the same Crank-Nicolson steps through CG at 1e-13.
+    const CsrMatrix g = fd.conductance().toCsr();
+    std::vector<double> capOverDt = fd.capacitance();
+    for (double &c : capOverDt)
+        c /= o.timeStep;
+    SparseBuilder b(g.rows(), g.cols());
+    for (std::size_t r = 0; r < g.rows(); ++r) {
+        for (std::size_t k = g.rowPointers()[r];
+             k < g.rowPointers()[r + 1]; ++k)
+            b.add(r, g.columnIndices()[k], 0.5 * g.storedValues()[k]);
+        b.add(r, r, capOverDt[r]);
+    }
+    const CsrMatrix system = b.build();
+    IterativeOptions tight;
+    tight.tolerance = 1e-13;
+    const std::vector<double> p = fd.nodePowers(cells);
+    std::vector<double> t(g.rows(), 0.0), rhs(g.rows());
+    const double ambient = toKelvin(45.0); // paperDie's
+    for (std::size_t s = 1; s <= steps; ++s) {
+        for (std::size_t i = 0; i < t.size(); ++i)
+            rhs[i] = capOverDt[i] * t[i] + p[i];
+        g.multiplyAccumulate(t, rhs, -0.5);
+        const IterativeResult r = conjugateGradient(system, rhs, t, tight);
+        ASSERT_TRUE(r.converged);
+        t = r.x;
+        if (s % perSample != 0)
+            continue;
+        // Junction cells are the first nx * ny nodes.
+        const FdSample &got = trace[s / perSample];
+        const std::size_t junction = o.nx * o.ny;
+        double mx = -1e300, mn = 1e300, mean = 0.0;
+        for (std::size_t i = 0; i < junction; ++i) {
+            mx = std::max(mx, t[i]);
+            mn = std::min(mn, t[i]);
+            mean += t[i];
+        }
+        mean /= static_cast<double>(junction);
+        SCOPED_TRACE("step " + std::to_string(s));
+        EXPECT_NEAR(got.maxTemp, mx + ambient, 1e-9);
+        EXPECT_NEAR(got.minTemp, mn + ambient, 1e-9);
+        EXPECT_NEAR(got.meanTemp, mean + ambient, 1e-9);
+        EXPECT_NEAR(got.centerTemp,
+                    t[(o.ny / 2) * o.nx + o.nx / 2] + ambient, 1e-9);
+    }
+
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // One factor, and every step a checked direct solve.
+    EXPECT_EQ(reg.counter("numeric.chol.factors").value() - factors, 1u);
+    EXPECT_EQ(reg.counter("numeric.cn.solves").value() - cnSteps, steps);
+    EXPECT_EQ(reg.counter("numeric.chol.solves").value() - solves, steps);
 }
 
 TEST(FdSolver, FlowDirectionShiftsHotCell)

@@ -272,7 +272,7 @@ TEST(RobustSolve, HealthySystemPassesAtTierZero)
     EXPECT_TRUE(r.solve.converged);
     EXPECT_EQ(r.fallbackTier, 0);
     EXPECT_EQ(r.tiersTried, 1u);
-    EXPECT_EQ(r.method, "ssor-cg");
+    EXPECT_EQ(r.method, "jacobi-cg");
     // Independent residual check of the accepted answer.
     const std::vector<double> ax = a.multiply(r.solve.x);
     double err = 0.0;
@@ -283,13 +283,14 @@ TEST(RobustSolve, HealthySystemPassesAtTierZero)
 
 TEST(RobustSolve, InjectedDivergenceEscalatesOneTier)
 {
+    // A CSR system opens its chain with jacobi-cg; BiCGSTAB is next.
     const ArmGuard faults("cg.diverge:count=1");
     const CsrMatrix a = spdSystem(40);
     const std::vector<double> b(40, 1.0);
     const RobustSolveResult r = robustSolve(a, b);
     EXPECT_TRUE(r.solve.converged);
     EXPECT_EQ(r.fallbackTier, 1);
-    EXPECT_EQ(r.method, "jacobi-cg");
+    EXPECT_EQ(r.method, "bicgstab");
 }
 
 TEST(RobustSolve, InjectedNanEscalates)
@@ -307,15 +308,15 @@ TEST(RobustSolve, InjectedNanEscalates)
 
 TEST(RobustSolve, ChainReachesDenseLu)
 {
-    // Every iterative tier (CG, Jacobi-CG, BiCGSTAB) is forced to
-    // report divergence; the dense LU tier has no probe and rescues.
-    const ArmGuard faults("cg.diverge:count=3");
+    // Every iterative tier (Jacobi-CG, BiCGSTAB) is forced to report
+    // divergence; the dense LU tier has no probe and rescues.
+    const ArmGuard faults("cg.diverge:count=2");
     const CsrMatrix a = spdSystem(40);
     const std::vector<double> b(40, 1.0);
     const RobustSolveResult r = robustSolve(a, b);
     EXPECT_TRUE(r.solve.converged);
     EXPECT_EQ(r.method, "dense-lu");
-    EXPECT_EQ(r.tiersTried, 4u);
+    EXPECT_EQ(r.tiersTried, 3u);
     const std::vector<double> ax = a.multiply(r.solve.x);
     for (std::size_t i = 0; i < ax.size(); ++i)
         EXPECT_NEAR(ax[i], b[i], 1e-8);
@@ -337,8 +338,9 @@ TEST(RobustSolve, OperatorWithoutCsrStopsAtJacobiTier)
     const CsrMatrix a = spdSystem(40);
     const CsrOperator op(a);
     const std::vector<double> b(40, 1.0);
-    // Matrix-free chain is CG -> Jacobi-CG only; both are forced to
-    // fail, so the solve must exhaust rather than reach BiCGSTAB/LU.
+    // Without a CSR view the chain ends at jacobi-cg; it is forced
+    // to fail, so the solve must exhaust rather than reach
+    // BiCGSTAB/LU.
     EXPECT_THROW(robustSolve(op, nullptr, b), NumericError);
 }
 
@@ -358,8 +360,7 @@ TEST(RobustSolve, DisarmedResultIsBitIdenticalToPlainCg)
 TEST(RobustSolve, InjectedMgDivergenceDemotesToSsorCg)
 {
     // A poisoned V-cycle makes the mg-cg tier produce NaNs; the
-    // chain must fall back to the strongest conventional
-    // preconditioner rather than all the way down to Jacobi.
+    // chain falls back to Jacobi-CG, its next tier.
     const ArmGuard faults("mg.diverge:count=1");
     GridStencilOperator op(12, 12, 4);
     for (std::size_t iz = 0; iz < 4; ++iz)
@@ -383,15 +384,14 @@ TEST(RobustSolve, InjectedMgDivergenceDemotesToSsorCg)
     const RobustSolveResult r = robustSolve(op, nullptr, b, {}, opts);
     EXPECT_TRUE(r.solve.converged);
     EXPECT_EQ(r.fallbackTier, 1);
-    EXPECT_EQ(r.method, "ssor-cg");
+    EXPECT_EQ(r.method, "jacobi-cg");
     EXPECT_GE(FaultInjector::global().fired(), 1u);
 }
 
 TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
 {
     // A grid stack answers Multigrid with the bordered V-cycle: the
-    // primary tier is mg-cg, and it agrees with the SSOR solve it
-    // replaces.
+    // primary tier is mg-cg, and it agrees with a Jacobi-CG solve.
     const Floorplan fp = floorplans::alphaEv6();
     ModelOptions mo;
     mo.mode = ModelMode::Grid;
@@ -407,13 +407,13 @@ TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
         model.steadyNodeTemperatures(powers, so, &info);
     EXPECT_EQ(info.method, "mg-cg");
     EXPECT_EQ(info.fallbackTier, 0);
-    so.preconditioner = PreconditionerKind::Ssor;
-    const std::vector<double> viaSsor =
+    so.preconditioner = PreconditionerKind::Jacobi;
+    const std::vector<double> viaJacobi =
         model.steadyNodeTemperatures(powers, so, &info);
-    EXPECT_EQ(info.method, "ssor-cg");
-    ASSERT_EQ(viaSsor.size(), viaMg.size());
+    EXPECT_EQ(info.method, "jacobi-cg");
+    ASSERT_EQ(viaJacobi.size(), viaMg.size());
     for (std::size_t i = 0; i < viaMg.size(); ++i)
-        EXPECT_NEAR(viaMg[i], viaSsor[i], 1e-9) << i;
+        EXPECT_NEAR(viaMg[i], viaJacobi[i], 1e-9) << i;
 
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
@@ -439,11 +439,11 @@ TEST(RobustSolve, StackModelChainNamesTheSolvesItRuns)
         }
     }
     rec.clear();
-    ASSERT_GE(methods.size(), 4u);
+    ASSERT_EQ(methods.size(), 4u);
     EXPECT_EQ(methods[0], "mg-cg");
-    EXPECT_EQ(methods[1], "ssor-cg");
-    EXPECT_EQ(methods[2], "jacobi-cg");
-    EXPECT_EQ(methods[3], "bicgstab");
+    EXPECT_EQ(methods[1], "jacobi-cg");
+    EXPECT_EQ(methods[2], "bicgstab");
+    EXPECT_EQ(methods[3], "dense-lu");
     EXPECT_EQ(std::set<std::string>(methods.begin(), methods.end())
                   .size(),
               methods.size());

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "base/errors.hh"
 #include "base/logging.hh"
 #include "campaign/invariants.hh"
 #include "floorplan/presets.hh"
@@ -224,6 +225,28 @@ TEST(Scenario, ResolveValidates)
     EXPECT_EQ(r.blockPowers.size(), r.floorplan.blockCount());
     EXPECT_DOUBLE_EQ(
         r.blockPowers[r.floorplan.blockIndex("IntReg")], 4.0);
+    EXPECT_EQ(r.preconditioner, PreconditionerKind::Multigrid);
+
+    // solver.preconditioner takes exactly "jacobi" and "mg"; any other
+    // value, the retired "ssor" and "ic0" included, names both.
+    for (const char *bad : {"ssor", "ic0", "MG"}) {
+        ScenarioSpec spec = ok;
+        spec.set("solver.preconditioner", bad);
+        try {
+            spec.resolve();
+            ADD_FAILURE() << bad << " accepted";
+        } catch (const ConfigError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("'jacobi'"), std::string::npos) << what;
+            EXPECT_NE(what.find("'mg'"), std::string::npos) << what;
+        }
+    }
+    ScenarioSpec jacobi = ok;
+    jacobi.set("solver.preconditioner", "jacobi");
+    EXPECT_EQ(jacobi.resolve().preconditioner, PreconditionerKind::Jacobi);
+    ScenarioSpec mg = ok;
+    mg.set("solver.preconditioner", "mg");
+    EXPECT_EQ(mg.resolve().preconditioner, PreconditionerKind::Multigrid);
 }
 
 // ---------------------------------------------------------------
