@@ -31,10 +31,10 @@ namespace irtherm::bench
 {
 
 /**
- * Dump the process-wide metrics registry as JSON next to the bench
- * output when IRTHERM_METRICS_OUT=<file> is set. Call at the end of
- * main() so a bench run can be profiled (solver iteration counts,
- * step-size distributions) without touching its printed rows.
+ * Dump the process-wide metrics registry as JSON when
+ * IRTHERM_METRICS_OUT=<file> is set, so a bench run can be profiled
+ * (solver iteration counts, step-size distributions) without touching
+ * its printed rows. Runs as the process exits (dumpMetricsAtExit).
  */
 inline void
 dumpMetricsIfRequested()
@@ -52,10 +52,31 @@ dumpMetricsIfRequested()
     std::cout << "wrote metrics to " << path << "\n";
 }
 
+/**
+ * Register dumpMetricsIfRequested() to run at exit, once per process
+ * however often it is called. The registry is touched first: it is
+ * then constructed before the hook is registered, so it is destroyed
+ * after the hook runs.
+ */
+inline void
+dumpMetricsAtExit()
+{
+    static const bool registered = [] {
+        obs::MetricsRegistry::global();
+        return std::atexit(dumpMetricsIfRequested) == 0;
+    }();
+    (void)registered;
+}
+
+/**
+ * Print the bench's banner. Every paper bench calls this first, so it
+ * also arms the IRTHERM_METRICS_OUT dump (dumpMetricsAtExit).
+ */
 inline void
 banner(const std::string &id, const std::string &what,
        const std::string &expectation)
 {
+    dumpMetricsAtExit();
     std::cout << "==============================================="
                  "=================\n"
               << id << ": " << what << "\n"

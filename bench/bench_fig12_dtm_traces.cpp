@@ -234,6 +234,5 @@ main()
                 "(paper: about the same)\n",
                 bench::meanOf(air_res.chip_mean),
                 bench::meanOf(oil_res.chip_mean));
-    bench::dumpMetricsIfRequested();
     return 0;
 }

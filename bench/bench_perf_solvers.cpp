@@ -303,11 +303,11 @@ BENCHMARK(BM_MatvecParallelVsSerial)->Arg(0)->Arg(1);
 int
 main(int argc, char **argv)
 {
+    bench::dumpMetricsAtExit();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    bench::dumpMetricsIfRequested();
     return 0;
 }

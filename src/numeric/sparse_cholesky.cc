@@ -494,6 +494,28 @@ subtractScaled(double *y, const double *x, double alpha, std::size_t k)
         y[r] -= x[r] * alpha;
 }
 
+/**
+ * y[i] -= a[0][i]·b[0], then a[1][i]·b[1], a[2][i]·b[2] and
+ * a[3][i]·b[3], for i < m: four columns' products subtracted in one
+ * pass over y, each entry still taking the columns in order.
+ */
+inline void
+subtractFourScaled(double *y, const double *const a[4], const double *b,
+                   std::size_t m)
+{
+    const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+    const V2 s0 = splat(b[0]), s1 = splat(b[1]);
+    const V2 s2 = splat(b[2]), s3 = splat(b[3]);
+    std::size_t i = 0;
+    for (; i + 2 <= m; i += 2)
+        store2(y + i, load2(y + i) - load2(a0 + i) * s0 -
+                          load2(a1 + i) * s1 - load2(a2 + i) * s2 -
+                          load2(a3 + i) * s3);
+    for (; i < m; ++i)
+        y[i] = y[i] - a0[i] * b[0] - a1[i] * b[1] - a2[i] * b[2] -
+               a3[i] * b[3];
+}
+
 /** y[r] /= d for r < k. */
 inline void
 divideBy(double *y, double d, std::size_t k)
@@ -932,6 +954,13 @@ SparseCholesky::factor(const CsrMatrix &a)
             enqueue(J, r0 + w);
     }
     work.assign(n, 0.0);
+    std::size_t mostBelow = 0;
+    for (std::size_t s = 0; s < ns; ++s) {
+        const std::size_t m = rowStart[s + 1] - rowStart[s] -
+                              (superStart[s + 1] - superStart[s]);
+        mostBelow = std::max(mostBelow, m);
+    }
+    below.assign(mostBelow, 0.0);
     ok = true;
     return true;
 }
@@ -947,34 +976,84 @@ SparseCholesky::solve(const std::vector<double> &b, std::vector<double> &x)
     const std::size_t ns = supernodeCount();
     const std::uint32_t *ri = rowIdx.data();
     double *y = work.data();
+    double *g = below.data();
     for (std::size_t k = 0; k < n; ++k)
         y[k] = b[perm[k]];
-    // L y = P b, column by column.
+    // L y = P b. A one-column supernode subtracts its column from the
+    // rows below it in place. A wider one solves its diagonal triangle
+    // on y[f, f + w), gathers its m rows below into g, subtracts its
+    // columns from g four at a time and scatters g back. Per entry,
+    // the columns come in increasing order either way.
     for (std::size_t s = 0; s < ns; ++s) {
         const std::size_t f = superStart[s];
         const std::size_t w = superStart[s + 1] - f;
         const std::uint32_t *rows = ri + rowStart[s];
         const std::size_t nr = rowStart[s + 1] - rowStart[s];
+        const std::size_t m = nr - w;
         const double *col = values.data() + valStart[s];
-        for (std::size_t c = 0; c < w; col += columnStep(nr, ++c)) {
-            const double yj = y[f + c] / col[c];
-            y[f + c] = yj;
-            for (std::size_t t = c + 1; t < nr; ++t)
+        if (w == 1) {
+            const double yj = y[f] / col[0];
+            y[f] = yj;
+            for (std::size_t t = 1; t < nr; ++t)
                 y[rows[t]] -= col[t] * yj;
+            continue;
         }
+        double *yf = y + f;
+        for (std::size_t c = 0; c < w; col += columnStep(nr, ++c)) {
+            const double yj = yf[c] / col[c];
+            yf[c] = yj;
+            for (std::size_t t = c + 1; t < w; ++t)
+                yf[t] -= col[t] * yj;
+        }
+        if (m == 0)
+            continue;
+        for (std::size_t i = 0; i < m; ++i)
+            g[i] = y[rows[w + i]];
+        col = values.data() + valStart[s] + w;
+        std::size_t c = 0;
+        for (; c + 4 <= w; c += 4) {
+            const double *four[4];
+            for (std::size_t j = 0; j < 4; ++j) {
+                four[j] = col;
+                col += columnStep(nr, c + j + 1);
+            }
+            subtractFourScaled(g, four, yf + c, m);
+        }
+        for (; c < w; col += columnStep(nr, ++c))
+            subtractScaled(g, col, yf[c], m);
+        for (std::size_t i = 0; i < m; ++i)
+            y[rows[w + i]] = g[i];
     }
-    // Lᵀ z = y, column by column: each column's rows below its
-    // supernode first, then the rows inside it.
+    // Lᵀ z = y. Per entry, the rows below the supernode in increasing
+    // order, then the rows inside it. A wider supernode gathers its
+    // rows below into g once and runs four columns' dot products with
+    // g side by side, each its own chain in row order, before it
+    // solves its triangle.
     for (std::size_t s = ns; s-- > 0;) {
         const std::size_t f = superStart[s];
         const std::size_t w = superStart[s + 1] - f;
         const std::uint32_t *rows = ri + rowStart[s];
         const std::size_t nr = rowStart[s + 1] - rowStart[s];
+        const std::size_t m = nr - w;
+        if (w == 1) {
+            const double *col = values.data() + valStart[s];
+            double sum = y[f];
+            for (std::size_t t = 1; t < nr; ++t)
+                sum -= col[t] * y[rows[t]];
+            y[f] = sum / col[0];
+            continue;
+        }
+        if (m > 0) {
+            for (std::size_t i = 0; i < m; ++i)
+                g[i] = y[rows[w + i]];
+            for (std::size_t top = 0; top < w; top += kPanelBlock)
+                subtractProducts(1, std::min(kPanelBlock, w - top), m, g, 1,
+                                 values.data() + columnOffset(s, top) + w,
+                                 nr - top, 1, y + f + top, 1);
+        }
         const double *col = values.data() + columnOffset(s, w - 1);
         for (std::size_t c = w; c-- > 0;) {
             double sum = y[f + c];
-            for (std::size_t t = w; t < nr; ++t)
-                sum -= col[t] * y[rows[t]];
             for (std::size_t t = c + 1; t < w; ++t)
                 sum -= col[t] * y[f + t];
             y[f + c] = sum / col[c];

@@ -26,9 +26,15 @@
  *    panels of 16 columns that each start at their own first row, and
  *    updated by earlier supernodes through register-tiled dense
  *    kernels;
- *  - forward and back substitution, for one right-hand side (column
- *    by column, allocating nothing) or for k at once (each supernode
- *    visited once for all k).
+ *  - forward and back substitution, for one right-hand side or for k
+ *    at once, each visiting a supernode once (for k, once per pass
+ *    of up to 8 columns). One right-hand side allocates nothing: a
+ *    one-column supernode is substituted in place through its row
+ *    list, and a wider one solves its diagonal triangle on a
+ *    contiguous run of the vector and takes its rows below through
+ *    one gather, contiguous four-column kernels and one scatter.
+ *    Every entry takes the same operations in the same order on both
+ *    paths, so their answers agree exactly.
  *
  * The constructor runs the ordering and the symbolic analysis only;
  * factor() allocates L and fills it. A non-positive or non-finite
@@ -109,7 +115,7 @@ class SparseCholesky
     /**
      * Solve A x = b by forward and back substitution; @p x is resized
      * (no allocation once it has the right size). Not thread-safe:
-     * the permuted scratch vector is a member.
+     * the scratch vectors are members, sized by factor().
      * @pre factored(), b.size() == dimension()
      */
     void solve(const std::vector<double> &b, std::vector<double> &x);
@@ -159,7 +165,8 @@ class SparseCholesky
      */
     std::vector<std::size_t> valStart;
     MappedVector<double> values;
-    std::vector<double> work; ///< permuted rhs / solution
+    std::vector<double> work;  ///< permuted rhs / solution
+    std::vector<double> below; ///< one supernode's rows below, gathered
     bool ok = false;
     std::string why;
 };

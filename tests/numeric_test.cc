@@ -490,7 +490,7 @@ factoredSteady(const StackModel &m, const std::vector<double> &blockPowers)
     return x;
 }
 
-TEST(StackMultigrid, MatchesSsorCgAtTierZeroInFewIterations)
+TEST(StackMultigrid, MatchesSparseCholeskyAtTierZeroInFewIterations)
 {
     // The reference is a direct solve: the multigrid answer must
     // match it at tier 0 in a grid-independent iteration count.
@@ -569,7 +569,7 @@ class FaultGuard
     FaultGuard &operator=(const FaultGuard &) = delete;
 };
 
-TEST(StackMultigrid, DivergedCycleDemotesTheSolveToSsorCg)
+TEST(StackMultigrid, DivergedCycleDemotesTheSolveToJacobiCg)
 {
     // The chain's second tier is jacobi-cg: the demoted answer is
     // the one a Jacobi-CG request gives.
@@ -589,7 +589,7 @@ TEST(StackMultigrid, DivergedCycleDemotesTheSolveToSsorCg)
     EXPECT_EQ(got, want);
 }
 
-TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToSsorCg)
+TEST(StackMultigrid, DivergedCyclesDemoteTheImpulseBuildToJacobiCg)
 {
     const StackModel m = buildStack(kStackCases[1]);
     const std::size_t blocks = m.floorplan().blockCount();

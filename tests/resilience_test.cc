@@ -357,7 +357,7 @@ TEST(RobustSolve, DisarmedResultIsBitIdenticalToPlainCg)
         EXPECT_EQ(robust.solve.x[i], plain.x[i]) << i;
 }
 
-TEST(RobustSolve, InjectedMgDivergenceDemotesToSsorCg)
+TEST(RobustSolve, InjectedMgDivergenceDemotesToJacobiCg)
 {
     // A poisoned V-cycle makes the mg-cg tier produce NaNs; the
     // chain falls back to Jacobi-CG, its next tier.
