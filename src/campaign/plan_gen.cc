@@ -107,17 +107,24 @@ generatePlan(SplitMix64 &rng, bool fleetSafe)
             jobs *= nyValues.size();
         }
     } else {
+        std::size_t uniformCount = 0;
         if (rng.chance(0.5)) {
             const auto pValues = pickDistinct(
                 rng, kPowerUniform,
                 static_cast<std::size_t>(rng.range(2, 3)));
             axes.emplace_back("power.uniform", joinValues(pValues));
             jobs *= pValues.size();
+            uniformCount = pValues.size();
         }
         // Block-power axis only on ev6 (IntReg is an ev6 unit) and
-        // only while the cross product stays campaign-sized.
-        if (ev6 && jobs <= 8 && rng.chance(0.3)) {
-            const auto wValues = pickDistinct(rng, kBlockWatts, 2);
+        // only while the cross product stays campaign-sized. Beside
+        // three uniform powers it takes three values: each stack then
+        // holds nine jobs, past the sweep runner's superposition
+        // threshold (SweepOptions::superpositionMinJobs, 8), so such
+        // cycles run the impulse build and its fault point.
+        if (ev6 && jobs <= 12 && rng.chance(0.3)) {
+            const auto wValues = pickDistinct(
+                rng, kBlockWatts, uniformCount == 3 ? 3 : 2);
             axes.emplace_back("power.block.IntReg",
                               joinValues(wValues));
             jobs *= wValues.size();

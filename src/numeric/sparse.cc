@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
@@ -151,35 +152,23 @@ SparseBuilder::SparseBuilder(std::size_t rows, std::size_t cols)
 {
     if (rows == 0 || cols == 0)
         fatal("SparseBuilder: zero dimension");
+    constexpr std::size_t kIndexLimit = std::size_t{1} << 32;
+    if (rows > kIndexLimit || cols > kIndexLimit)
+        fatal("SparseBuilder: ", rows, "x", cols,
+              " exceeds 32-bit stamp indices");
+    diagonal.resize(std::min(rows, cols));
 }
 
 void
-SparseBuilder::add(std::size_t r, std::size_t c, double value)
+SparseBuilder::rejectIndex(std::size_t r, std::size_t c)
 {
-    if (r >= numRows || c >= numCols)
-        fatal("SparseBuilder::add: index (", r, ",", c, ") out of range");
-    tripRow.push_back(r);
-    tripCol.push_back(c);
-    tripVal.push_back(value);
+    fatal("SparseBuilder::add: index (", r, ",", c, ") out of range");
 }
 
 void
-SparseBuilder::stampConductance(std::size_t a, std::size_t b, double g)
+SparseBuilder::rejectConductance(const char *what, double g)
 {
-    if (g < 0.0)
-        fatal("stampConductance: negative conductance ", g);
-    add(a, a, g);
-    add(b, b, g);
-    add(a, b, -g);
-    add(b, a, -g);
-}
-
-void
-SparseBuilder::stampGroundConductance(std::size_t a, double g)
-{
-    if (g < 0.0)
-        fatal("stampGroundConductance: negative conductance ", g);
-    add(a, a, g);
+    fatal(what, ": negative conductance ", g);
 }
 
 CsrMatrix
@@ -190,67 +179,87 @@ SparseBuilder::build() const
     // O(k log k). Both sorts are stable.
     constexpr std::size_t kInsertionSortMax = 32;
 
-    // Bucket the stamp indices by row with a stable counting sort, so
-    // each row's stamps keep the order they were added in. Sorting
-    // indices rather than (column, value) copies keeps the scratch at
-    // one word per stamp.
-    const std::size_t nnz = tripVal.size();
+    struct Entry
+    {
+        std::uint32_t col;
+        double value;
+    };
+
+    // Move each off-diagonal stamp's (column, value) pair into its
+    // row's run with a stable counting sort, so each run keeps stamp
+    // order and the per-row sort and sum below read contiguous memory.
     std::vector<std::size_t> start(numRows + 1, 0);
-    for (std::size_t r : tripRow)
-        ++start[r + 1];
+    for (const Stamp &s : stamps)
+        ++start[s.row + 1];
     for (std::size_t r = 0; r < numRows; ++r)
         start[r + 1] += start[r];
-    std::vector<std::size_t> order(nnz);
+    const std::unique_ptr<Entry[]> entries(new Entry[stamps.size()]);
     {
         std::vector<std::size_t> cursor(start.begin(), start.end() - 1);
-        for (std::size_t i = 0; i < nnz; ++i)
-            order[cursor[tripRow[i]]++] = i;
+        for (const Stamp &s : stamps)
+            entries[cursor[s.row]++] = {s.col, s.value};
     }
+    auto hasDiagonal = [&](std::size_t r) {
+        return r < diagonal.size() && diagonal[r].stamped;
+    };
 
-    // Order each row by column and count its distinct columns, so the
-    // CSR arrays can be sized exactly.
-    const std::size_t *col = tripCol.data();
+    // Order each run by column and sum each column's duplicates in
+    // stamp order, from +0.0, compacting the run in place; the
+    // distinct counts plus the stamped diagonals size the CSR arrays
+    // exactly.
     CsrMatrix m;
     m.numRows = numRows;
     m.numCols = numCols;
     m.rowPtr.assign(numRows + 1, 0);
     for (std::size_t r = 0; r < numRows; ++r) {
-        std::size_t *row = order.data() + start[r];
+        Entry *row = entries.get() + start[r];
         const std::size_t len = start[r + 1] - start[r];
         if (len <= kInsertionSortMax) {
             for (std::size_t i = 1; i < len; ++i) {
-                const std::size_t x = row[i];
+                const Entry x = row[i];
                 std::size_t j = i;
-                for (; j > 0 && col[row[j - 1]] > col[x]; --j)
+                for (; j > 0 && row[j - 1].col > x.col; --j)
                     row[j] = row[j - 1];
                 row[j] = x;
             }
         } else {
             std::stable_sort(row, row + len,
-                             [col](std::size_t a, std::size_t b) {
-                                 return col[a] < col[b];
+                             [](const Entry &a, const Entry &b) {
+                                 return a.col < b.col;
                              });
         }
         std::size_t distinct = 0;
-        for (std::size_t i = 0; i < len; ++i)
-            distinct += i == 0 || col[row[i]] != col[row[i - 1]];
-        m.rowPtr[r + 1] = m.rowPtr[r] + distinct;
+        for (std::size_t i = 0; i < len; ++distinct) {
+            const std::uint32_t c = row[i].col;
+            double acc = 0.0;
+            for (; i < len && row[i].col == c; ++i)
+                acc += row[i].value;
+            row[distinct] = {c, acc};
+        }
+        m.rowPtr[r + 1] = m.rowPtr[r] + distinct + hasDiagonal(r);
     }
 
-    // Sum each column's duplicates in stamp order, from +0.0.
+    // Copy the compacted runs out, each diagonal at its column.
     m.cols_.resize(m.rowPtr[numRows]);
     m.values.resize(m.rowPtr[numRows]);
     for (std::size_t r = 0; r < numRows; ++r) {
-        const std::size_t *row = order.data() + start[r];
-        const std::size_t len = start[r + 1] - start[r];
+        const Entry *row = entries.get() + start[r];
+        const bool diag = hasDiagonal(r);
+        const std::size_t len = m.rowPtr[r + 1] - m.rowPtr[r] - diag;
         std::size_t k = m.rowPtr[r];
-        for (std::size_t i = 0; i < len; ++k) {
-            const std::size_t c = col[row[i]];
-            double acc = 0.0;
-            for (; i < len && col[row[i]] == c; ++i)
-                acc += tripVal[row[i]];
-            m.cols_[k] = c;
-            m.values[k] = acc;
+        std::size_t i = 0;
+        for (; i < len && row[i].col < r; ++i, ++k) {
+            m.cols_[k] = row[i].col;
+            m.values[k] = row[i].value;
+        }
+        if (diag) {
+            m.cols_[k] = r;
+            m.values[k] = diagonal[r].sum;
+            ++k;
+        }
+        for (; i < len; ++i, ++k) {
+            m.cols_[k] = row[i].col;
+            m.values[k] = row[i].value;
         }
     }
     return m;

@@ -257,13 +257,13 @@ SpanRecorder::global()
 
 #if IRTHERM_METRICS_ENABLED
 
-ScopedSpan::ScopedSpan(std::string name)
+ScopedSpan::ScopedSpan(const char *name)
 {
     SpanRecorder &g = SpanRecorder::global();
     if (!g.enabled())
         return;
     active = true;
-    rec.name = std::move(name);
+    rec.name = name;
     static std::atomic<std::uint64_t> nextId{1};
     rec.id = nextId.fetch_add(1, std::memory_order_relaxed);
     SpanRecorder::ThreadSlot &slot = SpanRecorder::threadSlot();

@@ -17,9 +17,11 @@
  *
  * Recording is off by default (SpanRecorder::global().setEnabled).
  * A disabled ScopedSpan or IRTHERM_EVENT costs one relaxed atomic
- * load; under IRTHERM_METRICS_ENABLED=0 the ScopedSpan body and the
- * event macro compile to nothing, so instrumented hot paths
- * reference no telemetry symbols at all.
+ * load and allocates nothing: span names and attribute keys are C
+ * strings, copied only into an active span. Under
+ * IRTHERM_METRICS_ENABLED=0 the ScopedSpan body and the event macro
+ * compile to nothing, so instrumented hot paths reference no
+ * telemetry symbols at all.
  *
  * Spans and instants share one bounded ring (oldest overwritten,
  * dropped count maintained) and one clock. Live spans are
@@ -219,19 +221,22 @@ class SpanRecorder
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(std::string name);
+    explicit ScopedSpan(const char *name);
     ~ScopedSpan();
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
-    /** Attach a key/value attribute (numeric or text). */
+    /**
+     * Attach a key/value attribute (numeric or text). Key and value
+     * become strings only while the span is active.
+     */
     template <typename V>
     ScopedSpan &
-    attr(std::string key, V value)
+    attr(const char *key, const V &value)
     {
         if (active)
-            rec.attrs.emplace_back(std::move(key), std::move(value));
+            rec.attrs.emplace_back(key, value);
         return *this;
     }
 
@@ -245,7 +250,6 @@ class ScopedSpan
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(const std::string &) {}
     explicit ScopedSpan(const char *) {}
 
     ScopedSpan(const ScopedSpan &) = delete;
@@ -253,7 +257,7 @@ class ScopedSpan
 
     template <typename V>
     ScopedSpan &
-    attr(const std::string &, V &&)
+    attr(const char *, const V &)
     {
         return *this;
     }

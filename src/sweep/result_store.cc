@@ -745,7 +745,12 @@ ResultStore::sealPending()
                       pending.begin() + static_cast<std::ptrdiff_t>(
                                             options.segmentJobs));
         ++nextSegmentIndex;
-        writeCheckpoint();
+        // A checkpoint claims every row journaled so far, so write one
+        // only when none of them still waits here. After a resume the
+        // buffer starts with the journal's replayed tail, which can
+        // take several seals (and a crash between them) to drain.
+        if (pending.empty())
+            writeCheckpoint();
     }
 }
 

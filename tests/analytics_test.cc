@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -499,6 +500,59 @@ TEST(SegmentResume, TornSegmentIsQuarantinedAndNothingRerunsTwice)
     EXPECT_EQ(third.executed, 0u);
     EXPECT_EQ(third.cached, 6u);
     EXPECT_EQ(third.quarantinedSegments, 0u);
+}
+
+TEST(SegmentResume, TearWhileSealingAResumedTailRerunsNothing)
+{
+    const sweep::SweepPlan plan = sweep::SweepPlan::parse(
+        R"({"name": "seg2",
+            "base": {"floorplan": "preset:ev6"},
+            "axes": {"power.uniform": [0.30, 0.32, 0.34, 0.36, 0.38,
+                                       0.40, 0.42, 0.44, 0.46,
+                                       0.48]}})",
+        "seg2");
+    sweep::SweepOptions opts;
+    opts.outDir = freshDir("torn_tail");
+    opts.workers = 1;
+    opts.segmentJobs = 2;
+    opts.writeReports = false;
+    opts.stopAfter = 7;
+    {
+        // Segment 0 (jobs 1-2) seals and checkpoints; segment 1 (jobs
+        // 3-4) tears, and jobs 5-7 are journaled but never sealed.
+        const ArmGuard faults("journal.torn_segment:after=1");
+        EXPECT_EQ(sweep::runSweep(plan, opts).executed, 7u);
+    }
+    opts.stopAfter = 0;
+    opts.resume = true;
+    {
+        // The resume replays jobs 3-7 from the journal's tail into
+        // the seal buffer. Job 8's row seals segment 1 (jobs 3-4),
+        // and the seal of segment 2 (jobs 5-6) tears: jobs 7 and 8
+        // were never sealed, so no checkpoint may claim them yet.
+        const ArmGuard faults("journal.torn_segment:after=1");
+        const sweep::SweepSummary second = sweep::runSweep(plan, opts);
+        EXPECT_EQ(second.cached, 7u);
+        EXPECT_EQ(second.executed, 3u);
+    }
+    const sweep::SweepSummary third = sweep::runSweep(plan, opts);
+    EXPECT_EQ(third.executed, 0u);
+    EXPECT_EQ(third.cached, 10u);
+
+    // Every job is journaled exactly once.
+    std::ifstream in(
+        (std::filesystem::path(opts.outDir) / "journal.jsonl").string());
+    std::size_t rows = 0;
+    std::set<std::string> hashes;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty())
+            continue;
+        ++rows;
+        hashes.insert(sweep::JobResult::fromJsonLine(line, "journal").hash);
+    }
+    EXPECT_EQ(rows, 10u);
+    EXPECT_EQ(hashes.size(), 10u);
 }
 
 TEST(SegmentResume, SegmentsDisabledKeepsLegacyJsonlBehavior)

@@ -19,10 +19,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "campaign/driver.hh"
 #include "campaign/fault_gen.hh"
 #include "campaign/plan_gen.hh"
+#include "obs/metrics.hh"
 #include "sweep/result_store.hh"
 
 #ifndef IRTHERM_CLI_PATH
@@ -323,6 +326,76 @@ TEST(Campaign, InProcessCampaignReplaysToIdenticalVerdicts)
                       b.report.checks[c].passed);
         }
     }
+}
+
+std::uint64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/** The largest number of a plan's jobs that share one stack. */
+std::size_t
+largestStack(const sweep::SweepPlan &plan)
+{
+    std::map<std::uint64_t, std::size_t> perStack;
+    std::size_t most = 0;
+    for (const sweep::ScenarioSpec &spec : plan.expand())
+        most = std::max(most, ++perStack[spec.stackHash()]);
+    return most;
+}
+
+/** The rule for @p point in a fault spec ("" when absent). */
+std::string
+faultRule(const std::string &spec, const std::string &point)
+{
+    const std::size_t at = spec.find(point + ":");
+    if (at == std::string::npos)
+        return "";
+    return spec.substr(at, spec.find(',', at) - at);
+}
+
+TEST(Campaign, ImpulseCorruptFiresOnANineJobStackAndPassesAllInvariants)
+{
+    // The first in-process cycle of seed 5 whose plan superposes (a
+    // stack of at least the runner's eight jobs, superposition left
+    // on) and whose fault spec arms impulse.corrupt to fire on its
+    // first hit (no after= or prob= knob).
+    campaign::CampaignOptions opts;
+    opts.seed = 5;
+    opts.forceKind = 0; // in-process only
+    long found = -1;
+    for (std::size_t i = 0; i < 4000 && found < 0; ++i) {
+        const campaign::CycleSpec spec = campaign::makeCycleSpec(opts, i);
+        const std::string rule =
+            faultRule(spec.faultSpec, faultpoint::ImpulseCorrupt);
+        if (!rule.empty() && rule.find(":after=") == std::string::npos &&
+            rule.find(":prob=") == std::string::npos &&
+            spec.plan.json.find("\"solver.superposition\": false") ==
+                std::string::npos &&
+            largestStack(spec.plan.plan) >= 8)
+            found = static_cast<long>(i);
+    }
+    ASSERT_GE(found, 0) << "no in-process cycle arms impulse.corrupt on "
+                           "a superposed plan";
+
+    opts.cycles = static_cast<std::size_t>(found) + 1;
+    opts.onlyCycle = found;
+    opts.outDir = freshOutDir("impulse");
+    const std::uint64_t demotions0 =
+        counterValue("sweep.impulse_cache.demotions");
+    const campaign::CampaignSummary summary =
+        campaign::runCampaign(opts);
+    ASSERT_EQ(summary.outcomes.size(), 1u);
+    const campaign::CycleOutcome &oc = summary.outcomes[0];
+    EXPECT_TRUE(oc.error.empty()) << oc.error;
+    EXPECT_TRUE(oc.passed) << oc.spec.faultSpec << "\n"
+                           << oc.report.summary();
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    EXPECT_GE(counterValue("sweep.impulse_cache.demotions") - demotions0,
+              1u)
+        << oc.spec.faultSpec;
 }
 
 TEST(Campaign, MultiProcessKillAndResumePassesAllInvariants)

@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
@@ -842,6 +844,44 @@ TEST(ImpulseBuild, BitIdenticalWithPoolOffAndAtFourThreads)
     ASSERT_EQ(par.values.size(), ser.values.size());
     for (std::size_t i = 0; i < par.values.size(); ++i)
         ASSERT_EQ(par.values[i], ser.values[i]) << "entry " << i;
+}
+
+TEST(ImpulseBuild, SuperposeKeepsTheColumnByColumnBits)
+{
+    // Entries spread over twelve decades, so any change in the order
+    // an entry's products are added shows in its last bits; about a
+    // third of the powers are zero (skipped columns), and block
+    // counts 1..19 leave every remainder of a four-column group.
+    SplitMix64 rng(0x5e);
+    for (std::size_t blocks = 1; blocks <= 19; ++blocks) {
+        for (std::size_t nodes : {1u, 5u, 257u}) {
+            ImpulseResponseMatrix r;
+            r.nodes = nodes;
+            r.blocks = blocks;
+            r.values.resize(nodes * blocks);
+            for (double &v : r.values)
+                v = (rng.uniform() - 0.5) *
+                    std::pow(10.0, 12.0 * rng.uniform() - 6.0);
+            std::vector<double> powers(blocks);
+            for (double &p : powers)
+                p = rng.index(3) == 0 ? 0.0 : 2.0 * rng.uniform() - 0.5;
+            std::vector<double> expect(nodes, 0.0);
+            for (std::size_t b = 0; b < blocks; ++b) {
+                if (powers[b] == 0.0)
+                    continue;
+                for (std::size_t i = 0; i < nodes; ++i)
+                    expect[i] += powers[b] * r.values[b * nodes + i];
+            }
+            std::vector<double> rise{7.0};
+            r.superpose(powers, rise);
+            ASSERT_EQ(rise.size(), nodes);
+            for (std::size_t i = 0; i < nodes; ++i)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(rise[i]),
+                          std::bit_cast<std::uint64_t>(expect[i]))
+                    << blocks << " blocks, " << nodes << " nodes, entry "
+                    << i;
+        }
+    }
 }
 
 TEST(ImpulseBuild, StackPastTheFactorCapBuildsWithMultigrid)

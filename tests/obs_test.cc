@@ -2,8 +2,8 @@
  * @file
  * Observability layer: metrics registry semantics, histogram
  * bucketing, JSON/CSV export, the shared JSON number writer, event
- * instants in the span recorder's ring, and the pluggable logging
- * sink.
+ * instants in the span recorder's ring, disabled spans' allocation
+ * cost, and the pluggable logging sink.
  *
  * Value assertions are skipped when the instrumentation is compiled
  * out (IRTHERM_ENABLE_METRICS=OFF) — update methods are no-ops then
@@ -13,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +33,39 @@
 #include "sweep/json.hh"
 
 using namespace irtherm;
+
+namespace
+{
+
+/** Calls to the global operator new in this test binary. */
+std::atomic<std::size_t> allocationCount{0};
+
+} // namespace
+
+// Counting replacements of the global allocation functions. The
+// array and sized forms forward to these in the standard library.
+// The deletes stay out of line: inlined next to a new-expression,
+// GCC would flag their free() as a mismatched deallocation.
+void *
+operator new(std::size_t n)
+{
+    allocationCount.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -511,6 +547,26 @@ TEST(EventTrace, DisabledTraceRecordsNothing)
     obs::SpanRecorder::recordInstant("t.off", {{"k", 1.0}});
     EXPECT_EQ(rec.size(), 0u);
     EXPECT_EQ(rec.recorded(), 0u);
+}
+
+TEST(EventTrace, DisabledSpansAllocateNothing)
+{
+    auto &rec = obs::SpanRecorder::global();
+    rec.setEnabled(false);
+    // Past libstdc++'s 15-character inline string buffer, so a name,
+    // key or value copied into a std::string would allocate.
+    const std::string text = "a text attribute longer than fifteen";
+    {
+        obs::ScopedSpan first("campaign.phase.resume-fleet");
+    }
+    const std::size_t before = allocationCount.load();
+    for (int i = 0; i < 1000; ++i) {
+        obs::ScopedSpan span("campaign.phase.resume-fleet");
+        span.attr("attribute.key.past.sso", text)
+            .attr("literal.attribute.key", "literal text value")
+            .attr("numeric.attribute.key", i);
+    }
+    EXPECT_EQ(allocationCount.load() - before, 0u);
 }
 
 TEST(EventTrace, MacroRecordsOnlyWhileGlobalTraceEnabled)

@@ -6,11 +6,13 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "numeric/iterative.hh"
 #include "numeric/linear_operator.hh"
 #include "numeric/sparse.hh"
+#include "numeric/sparse_cholesky.hh"
 
 namespace irtherm
 {
@@ -284,27 +287,54 @@ TEST(Determinism, MultigridCgBitIdenticalSerialVsParallel)
     // Same pre-first-use override as the plain-CG determinism test:
     // force a real pool and a grid large enough that the smoother,
     // transfer, and residual loops take their thread-pooled branches.
+    // The small stencils are the vector-tail set: widths 3..11 leave
+    // every remainder of the cycle's four-float lanes (and odd
+    // coarse widths below them) on one and several planes.
     ThreadPool::setGlobalThreads(4);
     Rng rng(47);
-    const GridStencilOperator op = randomStencil(32, 32, 6, rng);
-    std::vector<double> b(op.rows());
-    for (double &v : b)
-        v = rng.uniform(0.0, 2.0);
+    std::vector<std::array<std::size_t, 3>> dims{{32, 32, 6}};
+    for (std::size_t nx = 3; nx <= 11; ++nx) {
+        for (std::size_t ny : {2u, 7u}) {
+            for (std::size_t nz : {1u, 4u})
+                dims.push_back({nx, ny, nz});
+        }
+    }
 
     IterativeOptions opts;
     opts.tolerance = 1e-11;
     opts.preconditioner = PreconditionerKind::Multigrid;
 
-    ThreadPool::setParallelEnabled(true);
-    const IterativeResult par = conjugateGradient(op, b, {}, opts);
-    ThreadPool::setParallelEnabled(false);
-    const IterativeResult ser = conjugateGradient(op, b, {}, opts);
+    for (const auto &[nx, ny, nz] : dims) {
+        SCOPED_TRACE(std::to_string(nx) + "x" + std::to_string(ny) +
+                     "x" + std::to_string(nz));
+        const GridStencilOperator op = randomStencil(nx, ny, nz, rng);
+        std::vector<double> b(op.rows());
+        for (double &v : b)
+            v = rng.uniform(0.0, 2.0);
 
-    ASSERT_TRUE(par.converged);
-    ASSERT_TRUE(ser.converged);
-    ASSERT_EQ(par.iterations, ser.iterations);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        ASSERT_EQ(par.x[i], ser.x[i]) << "node " << i;
+        ThreadPool::setParallelEnabled(true);
+        const IterativeResult par = conjugateGradient(op, b, {}, opts);
+        ThreadPool::setParallelEnabled(false);
+        const IterativeResult ser = conjugateGradient(op, b, {}, opts);
+
+        ASSERT_TRUE(par.converged);
+        ASSERT_TRUE(ser.converged);
+        ASSERT_EQ(par.iterations, ser.iterations);
+        for (std::size_t i = 0; i < b.size(); ++i)
+            ASSERT_EQ(par.x[i], ser.x[i]) << "node " << i;
+
+        const CsrMatrix a = op.toCsr();
+        SparseCholesky chol(a);
+        ASSERT_TRUE(chol.factor(a)) << chol.failure();
+        std::vector<double> exact;
+        chol.solve(b, exact);
+        double diff2 = 0.0, ref2 = 0.0;
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            diff2 += (ser.x[i] - exact[i]) * (ser.x[i] - exact[i]);
+            ref2 += exact[i] * exact[i];
+        }
+        EXPECT_LE(std::sqrt(diff2), 1e-9 * std::sqrt(ref2));
+    }
 }
 
 TEST(ImpulseCache, ConcurrentAcquireBuildsOnce)

@@ -147,7 +147,8 @@ TEST(Span, RingOverwritesOldestAndCountsDrops)
     auto &rec = obs::SpanRecorder::global();
     rec.setCapacity(4);
     for (int i = 0; i < 6; ++i) {
-        obs::ScopedSpan span("t.s" + std::to_string(i));
+        const std::string name = "t.s" + std::to_string(i);
+        obs::ScopedSpan span(name.c_str());
     }
     EXPECT_EQ(rec.size(), 4u);
     EXPECT_EQ(rec.recorded(), 6u);
