@@ -331,21 +331,6 @@ baseSweepOptions(const std::string &outDir,
     return so;
 }
 
-void
-attachCache(sweep::SweepOptions &so, fabric::ResultCache *cache,
-            bool store)
-{
-    so.sharedCacheLookup = [cache](const std::string &hash,
-                                   sweep::JobResult &out) {
-        return cache->lookup(hash, out);
-    };
-    if (store) {
-        so.sharedCacheStore = [cache](const sweep::JobResult &r) {
-            cache->store(r);
-        };
-    }
-}
-
 /** The two disarmed single-worker reference runs plus the
  *  bit-identity verdict (I5). Returns ref_a's rows. */
 std::map<std::string, sweep::JobResult>
@@ -385,7 +370,7 @@ checkSharedCache(const CycleSpec &spec, const std::string &dir,
     const std::string rerunDir =
         (std::filesystem::path(dir) / "cache_rerun").string();
     sweep::SweepOptions so = baseSweepOptions(rerunDir, spec);
-    attachCache(so, cache, /*store=*/false);
+    cache->attach(so, /*publish=*/false);
     const sweep::SweepSummary sum =
         sweep::runSweep(spec.plan.plan, so);
     report.add("cache-serves-hits", sum.sharedCacheHits > 0,
@@ -407,7 +392,7 @@ runInProcessCycle(const CycleSpec &spec, const std::string &dir,
 
     sweep::SweepOptions so = baseSweepOptions(runDir, spec);
     if (cache)
-        attachCache(so, cache.get(), /*store=*/true);
+        cache->attach(so);
 
     std::map<std::string, sweep::JobResult> midRows;
     {

@@ -107,6 +107,8 @@ normalizedLine(const JobResult &row)
     r.resources = sweep::JobResources{};
     r.worker.clear();
     r.leaseRenewals = 0;
+    r.leaseExpiries = 0;
+    r.reLeases = 0;
     return r.toJsonLine();
 }
 

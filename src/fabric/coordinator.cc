@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -26,10 +25,8 @@
 #include "obs/span.hh"
 #include "obs/trace_clock.hh"
 #include "obs/trace_context.hh"
-#include "sweep/dashboard.hh"
 #include "sweep/json.hh"
-#include "sweep/report.hh"
-#include "sweep/status.hh"
+#include "sweep/session.hh"
 
 namespace irtherm::fabric
 {
@@ -38,7 +35,6 @@ namespace
 {
 
 using sweep::JobResult;
-using sweep::JobStatus;
 using sweep::JsonValue;
 using sweep::ScenarioSpec;
 
@@ -98,86 +94,40 @@ runCoordinator(const sweep::SweepPlan &plan,
 
     CoordinatorSummary out;
     out.traceId = traceId;
-    sweep::SweepSummary &sum = out.sweep;
-    sum.outDir = opts.outDir;
 
-    const std::vector<ScenarioSpec> jobs = plan.expand();
-    sum.total = jobs.size();
-    reg.gauge("sweep.plan.jobs").set(static_cast<double>(sum.total));
-
-    sweep::ResultStoreOptions storeOptions;
-    storeOptions.segmentJobs = opts.segmentJobs;
-    sweep::ResultStore store(opts.outDir, storeOptions);
-    sum.journalPath = store.journalPath();
-    if (opts.resume) {
-        const std::size_t journaled = store.loadJournal();
-        sum.quarantined = store.quarantined();
-        sum.quarantinedSegments = store.quarantinedSegments();
-        IRTHERM_EVENT("sweep.resume", {"plan", plan.name()},
-                      {"journaled", journaled},
-                      {"quarantined", sum.quarantined},
-                      {"quarantined_segments",
-                       sum.quarantinedSegments});
-    }
-
+    // The session owns the store, the queue, the tally and the
+    // reports, exactly as for a local sweep; the shared cache plugs
+    // in through the same hooks the CLI builds for one.
+    sweep::SweepOptions so;
+    so.outDir = opts.outDir;
+    so.resume = opts.resume;
+    so.segmentJobs = opts.segmentJobs;
+    so.writeReports = opts.writeReports;
     std::unique_ptr<ResultCache> cache;
-    if (!opts.cacheDir.empty())
+    if (!opts.cacheDir.empty()) {
         cache = std::make_unique<ResultCache>(opts.cacheDir);
-
-    // Queue construction mirrors runSweep exactly: skip journaled
-    // hashes, collapse duplicates, answer from the shared cache.
-    std::vector<const ScenarioSpec *> pending;
-    std::set<std::string> queued;
-    const auto attachAxes = [&plan](JobResult &r,
-                                    const ScenarioSpec &spec) {
-        r.axisValues.clear();
-        for (const sweep::SweepAxis &axis : plan.axes()) {
-            if (const std::string *v = spec.find(axis.key))
-                r.axisValues.emplace_back(axis.key, *v);
-        }
-    };
-    for (const ScenarioSpec &spec : jobs) {
-        const std::string hash = spec.hashHex();
-        if (store.has(hash)) {
-            ++sum.cached;
-            reg.counter("sweep.jobs.cached").add();
-            continue;
-        }
-        if (!queued.insert(hash).second) {
-            ++sum.duplicates;
-            reg.counter("sweep.jobs.duplicate").add();
-            continue;
-        }
-        JobResult cachedResult;
-        if (cache && cache->lookup(hash, cachedResult)) {
-            attachAxes(cachedResult, spec);
-            store.add(cachedResult);
-            ++sum.sharedCacheHits;
-            reg.counter("sweep.shared_cache.hits").add();
-            continue;
-        }
-        pending.push_back(&spec);
+        cache->attach(so);
     }
+    sweep::SweepSession session(plan, so);
+    const std::vector<const ScenarioSpec *> &pending = session.pending();
 
     std::map<std::string, std::size_t> indexByHash;
     for (std::size_t i = 0; i < pending.size(); ++i)
         indexByHash[pending[i]->hashHex()] = i;
 
     LeaseTable table(pending.size(), opts.leaseTtlSeconds);
-    sweep::SweepStatusBoard board;
-    board.begin(plan.name(), sum.total, pending.size(), sum.cached,
-                0);
 
     IRTHERM_EVENT("fabric.coordinate.start", {"plan", plan.name()},
-                  {"jobs", sum.total}, {"pending", pending.size()},
-                  {"cached", sum.cached},
-                  {"shared_cache_hits", sum.sharedCacheHits});
+                  {"jobs", session.summary().total},
+                  {"pending", pending.size()},
+                  {"cached", session.summary().cached},
+                  {"shared_cache_hits",
+                   session.summary().sharedCacheHits});
 
-    // Handler-shared mutable state. Handlers run on the one listener
-    // thread, but the main loop reads the summary too.
-    std::mutex mu;
     // Workers told by a /complete reply that the sweep is done that
-    // still owe their final span flush (guarded by mu).
+    // still owe their final span flush; the handlers book them on the
+    // listener thread and the main loop waits for them (guarded by mu).
+    std::mutex mu;
     std::set<std::string> owedFlush;
     std::condition_variable flushed;
 
@@ -206,21 +156,13 @@ runCoordinator(const sweep::SweepPlan &plan,
                                traceStore.dropped());
     };
 
-    server.route("/status", [&board, &fleetJson] {
-        // Splice the fleet board into the status document so the
-        // dashboard needs only its existing /status poll.
-        std::string body = board.statusJson();
-        const std::size_t brace = body.rfind('}');
-        if (brace != std::string::npos)
-            body.insert(brace, ",\"fleet\":" + fleetJson());
-        return jsonResponse(200, body);
-    });
-    server.route("/metrics", [&reg, &fleet, &table] {
-        return obs::HttpResponse{
-            200, "text/plain; version=0.0.4; charset=utf-8",
-            obs::metricsToPrometheus(reg) +
-                fleet.prometheusText(table.workerLeases())};
-    });
+    // The fleet board rides along in /status (the dashboard needs only
+    // its existing poll) and in /metrics as irtherm_fleet_* series.
+    session.route(
+        server, [&fleetJson] { return "\"fleet\":" + fleetJson(); },
+        [&fleet, &table] {
+            return fleet.prometheusText(table.workerLeases());
+        });
     server.route("/fleet", [&fleetJson] {
         return jsonResponse(200, fleetJson());
     });
@@ -229,17 +171,6 @@ runCoordinator(const sweep::SweepPlan &plan,
             200, "application/json",
             traceStore.mergedTraceJson(obs::SpanRecorder::global(),
                                        traceId)};
-    });
-    server.route("/healthz", [] {
-        return obs::HttpResponse{200, "text/plain; charset=utf-8",
-                                 "ok\n"};
-    });
-    server.route("/aggregates", [&store] {
-        return jsonResponse(200, store.aggregatesJson());
-    });
-    server.route("/dashboard", [] {
-        return obs::HttpResponse{200, "text/html; charset=utf-8",
-                                 sweep::dashboardHtml()};
     });
 
     server.route("POST", "/lease", [&](const obs::HttpRequest &req) {
@@ -266,7 +197,7 @@ runCoordinator(const sweep::SweepPlan &plan,
         LeaseGrant grant;
         if (!draining)
             grant = table.lease(worker, maxJobs);
-        board.setWorkers(table.workersSeen());
+        session.board().setWorkers(table.workersSeen());
         fleet.heartbeat(worker);
         const std::string wireCtx = obs::formatTraceContext(
             {traceId,
@@ -387,51 +318,14 @@ runCoordinator(const sweep::SweepPlan &plan,
                     ++duplicates;
                     continue;
                 }
-                const ScenarioSpec &spec = *pending[it->second];
-                attachAxes(r, spec);
                 // Fabric provenance: how contested was this job's
                 // lease before this result landed?
                 r.leaseExpiries = table.jobExpiries(it->second);
                 const std::uint64_t grants =
                     table.jobGrants(it->second);
                 r.reLeases = grants > 0 ? grants - 1 : 0;
-                store.add(r);
-                if (cache)
-                    cache->store(r);
-                board.jobFinished(r.status);
-                reg.counter("sweep.jobs.executed").add();
+                session.record(std::move(r), *pending[it->second]);
                 ++accepted;
-                std::lock_guard<std::mutex> lock(mu);
-                ++sum.executed;
-                switch (r.status) {
-                  case JobStatus::Ok:
-                    ++sum.ok;
-                    reg.counter("sweep.jobs.ok").add();
-                    break;
-                  case JobStatus::Failed:
-                    ++sum.failed;
-                    reg.counter("sweep.jobs.failed").add();
-                    warn("fabric: job '", r.name,
-                         "' failed on worker '", r.worker,
-                         "': ", r.error);
-                    break;
-                  case JobStatus::Timeout:
-                    ++sum.timedOut;
-                    reg.counter("sweep.jobs.timeout").add();
-                    break;
-                  case JobStatus::Hung:
-                    ++sum.hung;
-                    reg.counter("resilience.jobs.hung").add();
-                    break;
-                }
-                if (r.warmStarted)
-                    ++sum.warmStarted;
-                if (r.impulseCacheHit)
-                    ++sum.impulseCacheHits;
-                if (r.attempts > 1)
-                    ++sum.retried;
-                if (r.fallbackTier > 0)
-                    ++sum.fallbacks;
             }
         } catch (const FatalError &e) {
             owe(false);
@@ -520,22 +414,7 @@ runCoordinator(const sweep::SweepPlan &plan,
                " jobs unfinished (journal sealed, checkpoint "
                "written; resume to continue)");
 
-    store.finalize();
-
-    if (opts.writeReports) {
-        const std::filesystem::path dir(opts.outDir);
-        sum.csvPath = (dir / "report.csv").string();
-        sum.jsonPath = (dir / "report.json").string();
-        std::ofstream csv(sum.csvPath);
-        if (!csv)
-            fatal("fabric: cannot write ", sum.csvPath);
-        writeSweepCsv(csv, plan, jobs, store);
-        std::ofstream json(sum.jsonPath);
-        if (!json)
-            fatal("fabric: cannot write ", sum.jsonPath);
-        writeSweepJson(json, plan, jobs, store, sum);
-    }
-
+    out.sweep = session.finish();
     out.workersSeen = table.workersSeen();
     out.leasesGranted = table.leasesGranted();
     out.leasesExpired = table.leasesExpired();
@@ -555,14 +434,14 @@ runCoordinator(const sweep::SweepPlan &plan,
     }
 
     IRTHERM_EVENT("fabric.coordinate.done", {"plan", plan.name()},
-                  {"executed", sum.executed}, {"ok", sum.ok},
-                  {"failed", sum.failed},
+                  {"executed", out.sweep.executed}, {"ok", out.sweep.ok},
+                  {"failed", out.sweep.failed},
                   {"workers", out.workersSeen},
                   {"leases", out.leasesGranted},
                   {"expired", out.leasesExpired},
                   {"duplicates", out.duplicateCompletes},
                   {"shed", out.requestsShed});
-    batchSpan.attr("executed", sum.executed)
+    batchSpan.attr("executed", out.sweep.executed)
         .attr("workers", out.workersSeen)
         .attr("leases_expired", out.leasesExpired);
     return out;

@@ -3,10 +3,12 @@
  * Sweep-fabric coordinator: the process that owns the plan, the
  * journal, and the aggregates, and hands out job leases over HTTP.
  *
- * runCoordinator() expands the plan exactly like runSweep(), but
- * instead of executing jobs on local threads it serves them to
- * workers (`irtherm_cli worker --connect`) through three POST
- * endpoints on the embedded obs/http_server:
+ * runCoordinator() runs the plan through the same SweepSession as
+ * runSweep() (sweep/session.hh: one store and resume, queue, tally,
+ * set of read-only routes and reports), but instead of executing jobs
+ * on local threads it serves them to workers (`irtherm_cli worker
+ * --connect`) through three POST endpoints on the embedded
+ * obs/http_server:
  *
  *     POST /lease     {"worker": W, "max_jobs": N}
  *                  -> {"token": T, "ttl_s": S, "done": B,
@@ -16,7 +18,7 @@
  *     POST /complete  {"token": T, "worker": W, "results": [...]}
  *                  -> {"accepted": A, "duplicates": D, "done": B}
  *
- * plus the familiar read-only telemetry routes (/status, /metrics,
+ * plus the session's read-only telemetry routes (/status, /metrics,
  * /healthz, /aggregates, /dashboard). Jobs travel as their full
  * textual ScenarioSpec, so a worker needs nothing but the
  * coordinator's address — no plan file, no shared filesystem.
@@ -36,13 +38,14 @@
  * past the suspect threshold raises a `worker.suspect` event.
  *
  * Exactly-once journaling: the LeaseTable classifies every completed
- * report (first-wins); only Accepted results reach the ResultStore,
- * so a re-leased job finished by both its original and replacement
- * worker lands in the journal exactly once. Completed results are
- * also published to the shared content-addressed ResultCache (when
- * configured), and the queue is pre-filtered through it — repeated
- * sub-scenarios across plans are answered from cache, never
- * re-simulated.
+ * report (first-wins); only Accepted results, stamped with their
+ * lease provenance, reach SweepSession::record(), so a re-leased job
+ * finished by both its original and replacement worker lands in the
+ * journal exactly once. The shared content-addressed ResultCache
+ * (when configured) plugs into the session through the same
+ * SweepOptions hooks a local `--cache` sweep uses: the queue is
+ * pre-filtered through it and Ok results are published to it, so
+ * repeated sub-scenarios across plans are never re-simulated.
  *
  * Backpressure: CoordinatorOptions::admitRatePerSecond arms the
  * server's token bucket; a flood of lease/complete traffic sheds to

@@ -105,4 +105,18 @@ ResultCache::store(const sweep::JobResult &result) const
         .add();
 }
 
+void
+ResultCache::attach(sweep::SweepOptions &opts, bool publish) const
+{
+    opts.sharedCacheLookup = [this](const std::string &hash,
+                                    sweep::JobResult &out) {
+        return lookup(hash, out);
+    };
+    opts.sharedCacheStore = nullptr;
+    if (publish)
+        opts.sharedCacheStore = [this](const sweep::JobResult &r) {
+            store(r);
+        };
+}
+
 } // namespace irtherm::fabric

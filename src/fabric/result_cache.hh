@@ -31,6 +31,7 @@
 #include <string>
 
 #include "sweep/result_store.hh"
+#include "sweep/runner.hh"
 
 namespace irtherm::fabric
 {
@@ -51,6 +52,11 @@ class ResultCache
     /** Store an Ok result under its scenario hash; non-Ok results
      *  are ignored (see file comment). */
     void store(const sweep::JobResult &result) const;
+
+    /** Point @p opts's shared-cache hooks at this cache: lookup, and
+     *  store too unless @p publish is false. The cache must outlive
+     *  every sweep run with @p opts. */
+    void attach(sweep::SweepOptions &opts, bool publish = true) const;
 
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }

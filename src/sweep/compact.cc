@@ -29,41 +29,6 @@ checkpointFile(const std::string &dir)
     return (std::filesystem::path(dir) / "aggregates.ckpt").string();
 }
 
-/** Parsed checkpoint coverage, or false when unusable. */
-bool
-readCoverage(const std::string &dir, JsonValue &checkpoint,
-             AggregateCoverage &cov)
-{
-    const std::string path = checkpointFile(dir);
-    if (!std::filesystem::exists(path))
-        return false;
-    try {
-        checkpoint = loadJsonFile(path);
-        const JsonValue &schema = checkpoint.at("schema");
-        if (!schema.isString() ||
-            schema.text != "irtherm.sweep.aggcheckpoint.v1")
-            return false;
-        const JsonValue &c = checkpoint.at("coverage");
-        auto covNum = [&](const char *key) -> std::uint64_t {
-            const JsonValue &v = c.at(key);
-            if (!v.isNumber() || v.number < 0)
-                configError(path, ": bad coverage '", key, "'");
-            return static_cast<std::uint64_t>(v.number);
-        };
-        cov.jobs = covNum("jobs");
-        cov.sealedSegments = covNum("sealed_segments");
-        cov.jsonlOffset = covNum("jsonl_offset");
-    } catch (const FatalError &) {
-        return false;
-    }
-    std::error_code ec;
-    const auto size =
-        std::filesystem::file_size(journalFile(dir), ec);
-    if (!ec && cov.jsonlOffset > static_cast<std::uint64_t>(size))
-        return false; // journal rewritten behind the checkpoint
-    return true;
-}
-
 /** Parse JSONL rows from @p offset to EOF into @p rows/@p agg. */
 void
 scanJsonl(const std::string &dir, std::uint64_t offset,
@@ -108,7 +73,14 @@ readJournal(const std::string &dir, bool fullScan)
 
     JsonValue checkpoint;
     AggregateCoverage cov;
-    bool fast = !fullScan && readCoverage(dir, checkpoint, cov);
+    bool fast = !fullScan && std::filesystem::exists(checkpointFile(dir));
+    if (fast) {
+        try {
+            cov = ResultStore::readCheckpoint(dir, checkpoint);
+        } catch (const FatalError &) {
+            fast = false;
+        }
+    }
 
     if (fast) {
         // Fast path: covered segments carry the rows the checkpoint
@@ -153,8 +125,6 @@ readJournal(const std::string &dir, bool fullScan)
 CompactStats
 compactJournal(const std::string &dir, std::size_t segmentJobs)
 {
-    if (segmentJobs == 0)
-        configError("journal_compact: segment size must be > 0");
     // ResultStore's resume path is exactly the compaction we want:
     // load everything not yet covered by a checkpoint, then finalize
     // seals the pending rows into segments and checkpoints the

@@ -1,7 +1,8 @@
 #include "sweep/result_store.hh"
 
+#include <algorithm>
 #include <filesystem>
-#include <tuple>
+#include <iterator>
 #include <vector>
 
 #include "base/fault_injection.hh"
@@ -17,6 +18,14 @@ namespace irtherm::sweep
 
 namespace
 {
+
+constexpr const char *kCheckpointSchema = "irtherm.sweep.aggcheckpoint.v1";
+
+std::string
+pathIn(const std::string &dir, const char *name)
+{
+    return (std::filesystem::path(dir) / name).string();
+}
 
 std::uint64_t
 fileSizeOrZero(const std::string &path)
@@ -36,6 +45,27 @@ setAsideSegment(const std::string &path, const char *suffix)
         // Last resort so the next scan doesn't trip over it again.
         std::filesystem::remove(path, ec);
     }
+}
+
+/** Replace @p path with @p content through a temp file and a rename,
+ *  so a reader sees the old file or the new one, never a torn one. */
+void
+replaceFile(const std::string &path, const std::string &content)
+{
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream f(tmp, std::ios::trunc);
+        if (!f)
+            ioError("sweep: cannot write '", tmp, "'");
+        f << content;
+        f.flush();
+        if (!f)
+            ioError("sweep: short write to '", tmp, "'");
+    }
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec)
+        ioError("sweep: cannot replace '", path, "': ", ec.message());
 }
 
 /** Overwrite scattered bytes of @p path in place (ckpt.corrupt). */
@@ -298,6 +328,8 @@ ResultStore::ResultStore(const std::string &dir,
 {
     if (dir_.empty())
         configError("sweep: output directory must not be empty");
+    if (options.segmentJobs == 0)
+        configError("sweep: segment size must be > 0");
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (ec)
@@ -314,20 +346,43 @@ ResultStore::~ResultStore() = default;
 std::string
 ResultStore::journalPath() const
 {
-    return (std::filesystem::path(dir_) / "journal.jsonl").string();
+    return pathIn(dir_, "journal.jsonl");
 }
 
 std::string
 ResultStore::quarantinePath() const
 {
-    return (std::filesystem::path(dir_) / "journal.quarantine")
-        .string();
+    return pathIn(dir_, "journal.quarantine");
 }
 
 std::string
 ResultStore::checkpointPath() const
 {
-    return (std::filesystem::path(dir_) / "aggregates.ckpt").string();
+    return pathIn(dir_, "aggregates.ckpt");
+}
+
+AggregateCoverage
+ResultStore::readCheckpoint(const std::string &dir, JsonValue &checkpoint)
+{
+    const std::string path = pathIn(dir, "aggregates.ckpt");
+    checkpoint = loadJsonFile(path);
+    const JsonValue &schema = checkpoint.at("schema");
+    if (!schema.isString() || schema.text != kCheckpointSchema)
+        configError(path, ": unsupported checkpoint schema");
+    const JsonValue &c = checkpoint.at("coverage");
+    auto covNum = [&](const char *key) -> std::uint64_t {
+        const JsonValue &v = c.at(key);
+        if (!v.isNumber() || v.number < 0)
+            configError(path, ": bad coverage '", key, "'");
+        return static_cast<std::uint64_t>(v.number);
+    };
+    AggregateCoverage cov;
+    cov.jobs = covNum("jobs");
+    cov.sealedSegments = covNum("sealed_segments");
+    cov.jsonlOffset = covNum("jsonl_offset");
+    if (cov.jsonlOffset > fileSizeOrZero(pathIn(dir, "journal.jsonl")))
+        configError(path, ": covers more journal than exists");
+    return cov;
 }
 
 std::size_t
@@ -364,40 +419,12 @@ ResultStore::loadJournal()
                 faultpoint::CkptCorrupt, dir_))
             scrambleFile(checkpointPath());
         try {
-            checkpoint = loadJsonFile(checkpointPath());
-            const JsonValue &schema = checkpoint.at("schema");
-            if (!schema.isString() ||
-                schema.text != "irtherm.sweep.aggcheckpoint.v1") {
-                configError(checkpointPath(),
-                            ": unsupported checkpoint schema");
-            }
-            const JsonValue &c = checkpoint.at("coverage");
-            auto covNum = [&](const char *key) -> std::uint64_t {
-                const JsonValue &v = c.at(key);
-                if (!v.isNumber() || v.number < 0)
-                    configError(checkpointPath(), ": bad coverage '",
-                                key, "'");
-                return static_cast<std::uint64_t>(v.number);
-            };
-            cov.jobs = covNum("jobs");
-            cov.sealedSegments = covNum("sealed_segments");
-            cov.jsonlOffset = covNum("jsonl_offset");
+            cov = readCheckpoint(dir_, checkpoint);
             haveCheckpoint = true;
         } catch (const FatalError &e) {
             warn("sweep: discarding unreadable aggregate checkpoint (",
                  e.what(), ")");
-            haveCheckpoint = false;
         }
-    }
-
-    // A checkpoint whose offset points past the current journal means
-    // the journal was rewritten/truncated behind our back; the
-    // watermark is meaningless.
-    if (haveCheckpoint &&
-        cov.jsonlOffset > fileSizeOrZero(journalPath())) {
-        warn("sweep: aggregate checkpoint covers more journal than "
-             "exists; rebuilding from the full journal");
-        haveCheckpoint = false;
     }
 
     if (haveCheckpoint) {
@@ -408,27 +435,20 @@ ResultStore::loadJournal()
         // quarantine it and fall back to the full scan.
         bool coveredLoss = false;
         for (const auto &[index, path] : scan.sealed) {
-            if (index >= cov.sealedSegments) {
-                // Sealed after the checkpoint (crash in the window
-                // between seal and checkpoint write). Its rows are in
-                // the JSONL tail; set the file aside so nothing is
-                // counted twice. A tear here is the injected
-                // journal.torn_segment scenario.
-                try {
-                    (void)readSegmentFile(path);
+            // A segment sealed after the checkpoint (a crash between
+            // the seal and the checkpoint write) holds rows the JSONL
+            // tail replays: set it aside so nothing counts twice. A
+            // tear there is the injected journal.torn_segment case.
+            const bool covered = index < cov.sealedSegments;
+            try {
+                std::vector<JobResult> rows = readSegmentFile(path);
+                if (!covered) {
                     warn("sweep: setting aside uncheckpointed segment '",
                          path, "' (rows recovered from journal tail)");
                     setAsideSegment(path, ".orphan");
-                } catch (const FatalError &e) {
-                    warn("sweep: quarantining torn segment '", path,
-                         "' (", e.what(), ")");
-                    setAsideSegment(path, ".torn");
-                    ++quarantinedSegs;
+                    continue;
                 }
-                continue;
-            }
-            try {
-                for (JobResult &r : readSegmentFile(path)) {
+                for (JobResult &r : rows) {
                     const std::string hash = r.hash;
                     byHash[hash] = std::move(r);
                 }
@@ -437,7 +457,7 @@ ResultStore::loadJournal()
                      e.what(), ")");
                 setAsideSegment(path, ".torn");
                 ++quarantinedSegs;
-                coveredLoss = true;
+                coveredLoss = coveredLoss || covered;
             }
         }
         if (coveredLoss) {
@@ -469,7 +489,6 @@ ResultStore::loadJournal()
     // Replay the JSONL tail: every row journaled after the
     // checkpoint. These go back into the pending buffer so the next
     // seal folds them into a segment (streaming merge on resume).
-    std::size_t tailBad = 0;
     std::string tail;
     {
         std::ifstream in(journalPath(), std::ios::binary);
@@ -479,7 +498,7 @@ ResultStore::loadJournal()
                         std::istreambuf_iterator<char>());
         }
     }
-    std::vector<std::tuple<std::size_t, std::string, std::string>> bad;
+    BadLines bad;
     std::size_t pos = 0;
     std::size_t tailLine = 0;
     while (pos < tail.size()) {
@@ -490,22 +509,10 @@ ResultStore::loadJournal()
         ++tailLine;
         if (line.empty())
             continue;
-        const std::string context = journalPath() + " tail line " +
-                                    std::to_string(tailLine);
-        try {
-            JobResult r = JobResult::fromJsonLine(line, context);
-            agg->update(r);
-            if (options.segmentJobs > 0)
-                pending.push_back(r);
-            byHash[r.hash] = std::move(r);
-        } catch (const FatalError &e) {
-            // Torn flush from the dead writer. Quarantine the
-            // diagnostics but leave the journal bytes in place — a
-            // rewrite would invalidate the checkpoint watermark. The
-            // next checkpoint's offset moves past this line.
-            bad.emplace_back(tailLine, e.what(), line);
-            ++tailBad;
-        }
+        // A torn flush from the dead writer is quarantined, but its
+        // bytes stay: a rewrite would invalidate the checkpoint
+        // watermark. The next checkpoint's offset moves past it.
+        replay(line, tailLine, "tail line", bad);
     }
     const bool endsWithNewline = tail.empty() || tail.back() == '\n';
     journalBytes = cov.jsonlOffset + tail.size();
@@ -517,27 +524,7 @@ ResultStore::loadJournal()
         ++journalBytes;
     }
 
-    if (!bad.empty()) {
-        std::ofstream quarantine(quarantinePath(), std::ios::app);
-        if (!quarantine)
-            ioError("sweep: cannot open quarantine '",
-                    quarantinePath(), "'");
-        for (const auto &[no, reason, raw] : bad) {
-            warn("sweep journal: quarantining tail line ", no, " (",
-                 reason, ")");
-            quarantine << "{\"line\":" << no << ",\"reason\":\""
-                       << obs::jsonEscape(reason) << "\",\"data\":\""
-                       << obs::jsonEscape(raw) << "\"}\n";
-        }
-        quarantine.flush();
-        quarantinedLines = bad.size();
-        obs::MetricsRegistry::global()
-            .counter("resilience.journal.quarantined")
-            .add(bad.size());
-        obs::MetricsRegistry::global()
-            .counter("sweep.journal.quarantined_lines")
-            .add(bad.size());
-    }
+    quarantine(bad, "tail line");
     return byHash.size();
 }
 
@@ -551,81 +538,82 @@ ResultStore::loadJournalFullScan()
     std::string line;
     std::size_t lineno = 0;
     std::size_t loaded = 0;
-    std::vector<std::string> good;
-    // {lineno, reason, raw line} of every unparsable entry.
-    std::vector<std::tuple<std::size_t, std::string, std::string>> bad;
+    std::string good; ///< the parsable lines, newline-terminated
+    BadLines bad;
     while (std::getline(in, line)) {
         ++lineno;
         if (line.empty())
             continue;
-        const std::string context =
-            journalPath() + " line " + std::to_string(lineno);
-        try {
-            JobResult r = JobResult::fromJsonLine(line, context);
-            agg->update(r);
-            if (options.segmentJobs > 0)
-                pending.push_back(r);
-            byHash[r.hash] = std::move(r);
-            good.push_back(line);
+        // Truncated flush, disk corruption, or an injected fault: set
+        // the line aside and keep going — the job re-runs.
+        if (replay(line, lineno, "line", bad)) {
+            good.append(line).push_back('\n');
             ++loaded;
-        } catch (const FatalError &e) {
-            // Truncated flush, disk corruption, or an injected fault:
-            // set the line aside and keep going — the job re-runs.
-            bad.emplace_back(lineno, e.what(), line);
         }
     }
     in.close();
 
+    quarantine(bad, "line");
     if (!bad.empty()) {
-        std::ofstream quarantine(quarantinePath(), std::ios::app);
-        if (!quarantine)
-            ioError("sweep: cannot open quarantine '",
-                    quarantinePath(), "'");
-        for (const auto &[no, reason, raw] : bad) {
-            warn("sweep journal: quarantining line ", no, " (",
-                 reason, ")");
-            quarantine << "{\"line\":" << no << ",\"reason\":\""
-                       << obs::jsonEscape(reason) << "\",\"data\":\""
-                       << obs::jsonEscape(raw) << "\"}\n";
-        }
-        quarantine.flush();
-
         // Rewrite the journal with only the parsable lines, atomically
-        // (tmp + rename) so a crash here cannot lose good entries.
-        // Safe here precisely because no checkpoint watermark points
-        // into this file anymore.
-        const std::string tmp = journalPath() + ".tmp";
-        {
-            std::ofstream out(tmp, std::ios::trunc);
-            if (!out)
-                ioError("sweep: cannot write '", tmp, "'");
-            for (const std::string &l : good)
-                out << l << "\n";
-            out.flush();
-            if (!out)
-                ioError("sweep: short write to '", tmp, "'");
-        }
+        // so a crash here cannot lose good entries. Safe here
+        // precisely because no checkpoint watermark points into this
+        // file anymore.
         journal.close();
-        std::error_code ec;
-        std::filesystem::rename(tmp, journalPath(), ec);
-        if (ec) {
-            ioError("sweep: cannot replace journal '", journalPath(),
-                    "': ", ec.message());
-        }
+        replaceFile(journalPath(), good);
         journal.open(journalPath(), std::ios::app);
         if (!journal)
             ioError("sweep: cannot reopen journal '", journalPath(),
                     "'");
-        quarantinedLines = bad.size();
-        obs::MetricsRegistry::global()
-            .counter("resilience.journal.quarantined")
-            .add(bad.size());
-        obs::MetricsRegistry::global()
-            .counter("sweep.journal.quarantined_lines")
-            .add(bad.size());
     }
     journalBytes = fileSizeOrZero(journalPath());
     return loaded;
+}
+
+bool
+ResultStore::replay(const std::string &line, std::size_t lineno,
+                    const char *what, BadLines &bad)
+{
+    // Mutex held.
+    try {
+        JobResult r = JobResult::fromJsonLine(
+            line, journalPath() + " " + what + " " +
+                      std::to_string(lineno));
+        agg->update(r);
+        pending.push_back(r);
+        byHash[r.hash] = std::move(r);
+        return true;
+    } catch (const FatalError &e) {
+        bad.emplace_back(lineno, e.what(), line);
+        return false;
+    }
+}
+
+void
+ResultStore::quarantine(const BadLines &bad, const char *what)
+{
+    // Mutex held.
+    if (bad.empty())
+        return;
+    std::ofstream out(quarantinePath(), std::ios::app);
+    if (!out)
+        ioError("sweep: cannot open quarantine '", quarantinePath(),
+                "'");
+    for (const auto &[no, reason, raw] : bad) {
+        warn("sweep journal: quarantining ", what, " ", no, " (",
+             reason, ")");
+        out << "{\"line\":" << no << ",\"reason\":\""
+            << obs::jsonEscape(reason) << "\",\"data\":\""
+            << obs::jsonEscape(raw) << "\"}\n";
+    }
+    out.flush();
+    quarantinedLines = bad.size();
+    obs::MetricsRegistry::global()
+        .counter("resilience.journal.quarantined")
+        .add(bad.size());
+    obs::MetricsRegistry::global()
+        .counter("sweep.journal.quarantined_lines")
+        .add(bad.size());
 }
 
 std::size_t
@@ -713,26 +701,24 @@ ResultStore::add(const JobResult &result)
     if (crashed)
         return;
     journalBytes += wrote;
-    if (options.segmentJobs > 0) {
-        pending.push_back(result);
-        if (pending.size() >= options.segmentJobs)
-            sealPending();
-    }
+    pending.push_back(result);
+    sealPending(options.segmentJobs);
 }
 
 void
-ResultStore::sealPending()
+ResultStore::sealPending(std::size_t least)
 {
-    // Mutex held. Seal full chunks; finalize() handles the remainder.
+    // Mutex held. Seal chunks of segmentJobs rows, the last one short,
+    // while at least @p least rows wait.
     static obs::Counter &bytesWritten =
         obs::MetricsRegistry::global().counter(
             "sweep.journal.bytes_written");
-    while (!crashed && pending.size() >= options.segmentJobs &&
-           options.segmentJobs > 0) {
-        std::vector<JobResult> chunk(
-            pending.begin(),
-            pending.begin() +
-                static_cast<std::ptrdiff_t>(options.segmentJobs));
+    while (!crashed && !pending.empty() && pending.size() >= least) {
+        const auto rows = static_cast<std::ptrdiff_t>(
+            std::min(pending.size(), options.segmentJobs));
+        const std::vector<JobResult> chunk(
+            std::make_move_iterator(pending.begin()),
+            std::make_move_iterator(pending.begin() + rows));
         const SegmentWriteInfo info = writeSegmentFile(
             segmentPath(dir_, nextSegmentIndex), chunk);
         bytesWritten.add(info.bytes);
@@ -741,9 +727,7 @@ ResultStore::sealPending()
             crashed = true;
             return;
         }
-        pending.erase(pending.begin(),
-                      pending.begin() + static_cast<std::ptrdiff_t>(
-                                            options.segmentJobs));
+        pending.erase(pending.begin(), pending.begin() + rows);
         ++nextSegmentIndex;
         // A checkpoint claims every row journaled so far, so write one
         // only when none of them still waits here. After a resume the
@@ -757,54 +741,27 @@ ResultStore::sealPending()
 void
 ResultStore::writeCheckpoint()
 {
-    // Mutex held. tmp + rename so readers never see a half-written
-    // checkpoint; an unreadable one just forces the full-scan path.
-    std::string out = "{\"schema\":\"irtherm.sweep.aggcheckpoint.v1\"";
+    // Mutex held. A reader never sees a half-written checkpoint; an
+    // unreadable one just forces the full-scan path.
+    std::string out = std::string("{\"schema\":\"") +
+                      kCheckpointSchema + "\"";
     out += ",\"coverage\":{\"jobs\":" + std::to_string(agg->jobs());
     out += ",\"sealed_segments\":" + std::to_string(nextSegmentIndex);
     out += ",\"jsonl_offset\":" + std::to_string(journalBytes) + "}";
     out += ",\"aggregates\":" + agg->toJson() + "}\n";
-
-    const std::string tmp = checkpointPath() + ".tmp";
-    {
-        std::ofstream f(tmp, std::ios::trunc);
-        if (!f)
-            ioError("sweep: cannot write '", tmp, "'");
-        f << out;
-        f.flush();
-        if (!f)
-            ioError("sweep: short write to '", tmp, "'");
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, checkpointPath(), ec);
-    if (ec)
-        ioError("sweep: cannot replace checkpoint '", checkpointPath(),
-                "': ", ec.message());
+    replaceFile(checkpointPath(), out);
 }
 
 void
 ResultStore::finalize()
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (crashed || options.segmentJobs == 0)
-        return;
-    sealPending();
     if (crashed)
         return;
-    if (!pending.empty()) {
-        const SegmentWriteInfo info = writeSegmentFile(
-            segmentPath(dir_, nextSegmentIndex), pending);
-        obs::MetricsRegistry::global()
-            .counter("sweep.journal.bytes_written")
-            .add(info.bytes);
-        if (info.torn) {
-            crashed = true;
-            return;
-        }
-        pending.clear();
-        ++nextSegmentIndex;
-    }
-    writeCheckpoint();
+    if (pending.empty())
+        writeCheckpoint();
+    else
+        sealPending(1);
 }
 
 std::size_t

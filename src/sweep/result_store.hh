@@ -56,6 +56,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,7 @@ namespace irtherm::sweep
 {
 
 class JsonValue;
+struct AggregateCoverage;
 
 /** Terminal state of one job. */
 enum class JobStatus
@@ -175,8 +177,7 @@ class SweepAggregator;
 struct ResultStoreOptions
 {
     /** Rows buffered before sealing a columnar segment (and writing
-     *  an aggregate checkpoint). 0 disables segments entirely —
-     *  JSONL-only operation, exactly the pre-analytics behavior. */
+     *  an aggregate checkpoint); must be > 0 (ConfigError else). */
     std::size_t segmentJobs = 2048;
 };
 
@@ -233,14 +234,36 @@ class ResultStore
     /** Current aggregates as `irtherm.sweep.aggregates.v1` JSON. */
     std::string aggregatesJson() const;
 
+    /**
+     * Read <dir>/aggregates.ckpt into @p checkpoint and return its
+     * coverage. Throws (FatalError) when the file does not parse, has
+     * another schema or a bad coverage field, or covers more of
+     * <dir>/journal.jsonl than exists (the journal was rewritten).
+     */
+    static AggregateCoverage readCheckpoint(const std::string &dir,
+                                            JsonValue &checkpoint);
+
     const std::string &directory() const { return dir_; }
     std::string journalPath() const;
     std::string quarantinePath() const;
     std::string checkpointPath() const;
 
   private:
+    /** {line number, reason, raw line} of each unparsable line. */
+    using BadLines =
+        std::vector<std::tuple<std::size_t, std::string, std::string>>;
+
     std::size_t loadJournalFullScan();
-    void sealPending();
+    /** Fold journal line "<what> @p lineno" back into the cache, the
+     *  aggregates and the seal buffer; false (and a @p bad entry)
+     *  when it does not parse. */
+    bool replay(const std::string &line, std::size_t lineno,
+                const char *what, BadLines &bad);
+    /** Append @p bad to the quarantine file, warn once per line, and
+     *  count them. */
+    void quarantine(const BadLines &bad, const char *what);
+    /** Seal buffered rows while at least @p least wait (see .cc). */
+    void sealPending(std::size_t least);
     void writeCheckpoint();
 
     mutable std::mutex mu;

@@ -11,7 +11,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -25,13 +24,10 @@
 #include "base/units.hh"
 #include "core/simulator.hh"
 #include "core/stack_model.hh"
-#include "obs/export.hh"
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "sweep/dashboard.hh"
-#include "sweep/report.hh"
-#include "sweep/status.hh"
+#include "sweep/session.hh"
 
 namespace irtherm::sweep
 {
@@ -674,63 +670,8 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     obs::ScopedSpan batchSpan("sweep.batch");
     batchSpan.attr("plan", plan.name());
 
-    SweepSummary sum;
-    sum.outDir = opts.outDir;
-
-    const std::vector<ScenarioSpec> jobs = plan.expand();
-    sum.total = jobs.size();
-    reg.gauge("sweep.plan.jobs").set(static_cast<double>(sum.total));
-
-    ResultStoreOptions storeOptions;
-    storeOptions.segmentJobs = opts.segmentJobs;
-    ResultStore store(opts.outDir, storeOptions);
-    sum.journalPath = store.journalPath();
-    if (opts.resume) {
-        const std::size_t journaled = store.loadJournal();
-        sum.quarantined = store.quarantined();
-        sum.quarantinedSegments = store.quarantinedSegments();
-        IRTHERM_EVENT("sweep.resume", {"plan", plan.name()},
-                      {"journaled", journaled},
-                      {"quarantined", sum.quarantined},
-                      {"quarantined_segments",
-                       sum.quarantinedSegments});
-    }
-
-    // Pending = not journaled, not in the shared cache, first
-    // occurrence of its hash.
-    std::vector<const ScenarioSpec *> pending;
-    std::set<std::string> queued;
-    for (const ScenarioSpec &spec : jobs) {
-        const std::string hash = spec.hashHex();
-        if (store.has(hash)) {
-            ++sum.cached;
-            reg.counter("sweep.jobs.cached").add();
-            continue;
-        }
-        if (!queued.insert(hash).second) {
-            ++sum.duplicates;
-            reg.counter("sweep.jobs.duplicate").add();
-            continue;
-        }
-        JobResult cachedResult;
-        if (opts.sharedCacheLookup &&
-            opts.sharedCacheLookup(hash, cachedResult)) {
-            // Content-addressed hit: the stored result came from a
-            // prior run of this exact scenario, so journal it here
-            // verbatim — except the axis assignments, which belong
-            // to the plan being run, not the plan that produced it.
-            cachedResult.axisValues.clear();
-            for (const SweepAxis &axis : plan.axes()) {
-                if (const std::string *v = spec.find(axis.key))
-                    cachedResult.axisValues.emplace_back(axis.key, *v);
-            }
-            store.add(cachedResult);
-            ++sum.sharedCacheHits;
-            reg.counter("sweep.shared_cache.hits").add();
-            continue;
-        }
-        pending.push_back(&spec);
-    }
+    SweepSession session(plan, opts);
+    const std::vector<const ScenarioSpec *> &pending = session.pending();
 
     // Jobs per stack hash. The executor keeps a stack's model while
     // the stack has jobs left; a stack whose steady jobs cross the
@@ -754,55 +695,26 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     };
 
     IRTHERM_EVENT("sweep.start", {"plan", plan.name()},
-                  {"jobs", sum.total}, {"pending", pending.size()},
-                  {"cached", sum.cached},
-                  {"shared_cache_hits", sum.sharedCacheHits});
+                  {"jobs", session.summary().total},
+                  {"pending", pending.size()},
+                  {"cached", session.summary().cached},
+                  {"shared_cache_hits",
+                   session.summary().sharedCacheHits});
 
     JobExecutor executor(opts);
     executor.expectJobs(stackJobs);
     std::atomic<std::size_t> nextJob{0};
-    std::atomic<std::size_t> executed{0};
-    std::mutex sumMu;
 
     std::size_t width =
         opts.workers != 0 ? opts.workers
                           : ThreadPool::plannedGlobalThreads();
     width = std::max<std::size_t>(1, std::min(width, pending.size()));
+    session.board().setWorkers(width);
 
-    // Live telemetry: the board aggregates counters; the server (if
-    // asked for) exposes it plus Prometheus metrics for the sweep's
-    // duration. Handlers run on the listener thread and only read
-    // shared state through their own locks.
-    SweepStatusBoard board;
-    board.begin(plan.name(), sum.total, pending.size(), sum.cached,
-                width);
+    // Live telemetry for the sweep's duration, if asked for.
     obs::HttpServer server;
     if (opts.servePort >= 0) {
-        server.route("/status", [&board] {
-            return obs::HttpResponse{200, "application/json",
-                                     board.statusJson() + "\n"};
-        });
-        server.route("/metrics", [&reg] {
-            return obs::HttpResponse{
-                200, "text/plain; version=0.0.4; charset=utf-8",
-                obs::metricsToPrometheus(reg)};
-        });
-        server.route("/healthz", [] {
-            return obs::HttpResponse{200,
-                                     "text/plain; charset=utf-8",
-                                     "ok\n"};
-        });
-        // Continuous aggregates: O(1) in sweep size by construction
-        // (the store folds each job in as it lands).
-        server.route("/aggregates", [&store] {
-            return obs::HttpResponse{200, "application/json",
-                                     store.aggregatesJson() + "\n"};
-        });
-        server.route("/dashboard", [] {
-            return obs::HttpResponse{200,
-                                     "text/html; charset=utf-8",
-                                     dashboardHtml()};
-        });
+        session.route(server);
         server.start(opts.servePort, opts.serveBindAddress);
         inform("sweep: serving /status /metrics /healthz /aggregates "
                "/dashboard on ",
@@ -823,69 +735,17 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
             if (shutdownRequested())
                 break;
             if (opts.stopAfter != 0 &&
-                executed.load(std::memory_order_relaxed) >=
-                    opts.stopAfter)
+                session.executed() >= opts.stopAfter)
                 break;
             const std::size_t i =
                 nextJob.fetch_add(1, std::memory_order_relaxed);
             if (i >= pending.size())
                 break;
             const ScenarioSpec &spec = *pending[i];
-            board.jobStarted();
-            JobResult r = executor.run(
-                spec, superpositionEligible(spec), label);
-            // Journal the axis assignment with the result so the
-            // aggregates can group by axis value without the plan.
-            for (const SweepAxis &axis : plan.axes()) {
-                if (const std::string *v = spec.find(axis.key))
-                    r.axisValues.emplace_back(axis.key, *v);
-            }
-            store.add(r);
-            if (r.status == JobStatus::Ok && opts.sharedCacheStore)
-                opts.sharedCacheStore(r);
-            board.jobFinished(r.status);
-            executed.fetch_add(1, std::memory_order_relaxed);
-            reg.counter("sweep.jobs.executed").add();
-            IRTHERM_EVENT("sweep.job.done", {"name", r.name},
-                          {"hash", r.hash},
-                          {"status", jobStatusName(r.status)},
-                          {"peak_c", r.peakCelsius},
-                          {"wall_s", r.wallSeconds});
-            std::lock_guard<std::mutex> lock(sumMu);
-            switch (r.status) {
-              case JobStatus::Ok:
-                ++sum.ok;
-                reg.counter("sweep.jobs.ok").add();
-                break;
-              case JobStatus::Failed:
-                ++sum.failed;
-                reg.counter("sweep.jobs.failed").add();
-                warn("sweep: job '", r.name, "' failed: ", r.error);
-                break;
-              case JobStatus::Timeout:
-                ++sum.timedOut;
-                reg.counter("sweep.jobs.timeout").add();
-                warn("sweep: job '", r.name, "' timed out after ",
-                     r.wallSeconds, " s");
-                break;
-              case JobStatus::Hung:
-                ++sum.hung;
-                reg.counter("resilience.jobs.hung").add();
-                warn("sweep: job '", r.name,
-                     "' hung; thread abandoned after ", r.wallSeconds,
-                     " s");
-                break;
-            }
-            if (r.warmStarted) {
-                ++sum.warmStarted;
-                reg.counter("sweep.warm_start.hits").add();
-            }
-            if (r.impulseCacheHit)
-                ++sum.impulseCacheHits;
-            if (r.attempts > 1)
-                ++sum.retried;
-            if (r.fallbackTier > 0)
-                ++sum.fallbacks;
+            session.board().jobStarted();
+            session.record(
+                executor.run(spec, superpositionEligible(spec), label),
+                spec);
         }
     };
 
@@ -899,10 +759,9 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
         for (std::thread &t : threads)
             t.join();
     }
-    sum.executed = executed.load();
     if (shutdownRequested())
         inform("sweep: shutdown requested; drained after ",
-               sum.executed, " of ", pending.size(),
+               session.executed(), " of ", pending.size(),
                " pending jobs (journal sealed, checkpoint written)");
 
     // Give abandoned job threads a bounded chance to finish (joined),
@@ -910,24 +769,7 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     executor.reapAbandoned(
         std::max(2.0, 4.0 * opts.jobTimeoutSeconds));
 
-    // Seal the remaining buffered rows and checkpoint the aggregates
-    // so the next resume (and sweep_report) start from O(1) state.
-    store.finalize();
-
-    if (opts.writeReports) {
-        const std::filesystem::path dir(opts.outDir);
-        sum.csvPath = (dir / "report.csv").string();
-        sum.jsonPath = (dir / "report.json").string();
-        std::ofstream csv(sum.csvPath);
-        if (!csv)
-            fatal("sweep: cannot write ", sum.csvPath);
-        writeSweepCsv(csv, plan, jobs, store);
-        std::ofstream json(sum.jsonPath);
-        if (!json)
-            fatal("sweep: cannot write ", sum.jsonPath);
-        writeSweepJson(json, plan, jobs, store, sum);
-    }
-
+    const SweepSummary sum = session.finish();
     IRTHERM_EVENT("sweep.done", {"plan", plan.name()},
                   {"executed", sum.executed}, {"ok", sum.ok},
                   {"failed", sum.failed}, {"timeout", sum.timedOut},

@@ -51,9 +51,10 @@
  * the model), core.summarize and sweep.map_write, with
  * model=built|reused on sweep.job.
  *
- * Resume: with SweepOptions::resume, previously journaled hashes are
- * skipped entirely — a re-run of a completed sweep performs zero
- * simulations.
+ * Bookkeeping (store, resume, queue, tally, reports) is the
+ * SweepSession the fabric coordinator drives too (sweep/session.hh).
+ * With SweepOptions::resume, previously journaled hashes are skipped
+ * entirely — a re-run of a completed sweep performs zero simulations.
  */
 
 #ifndef IRTHERM_SWEEP_RUNNER_HH
@@ -112,8 +113,7 @@ struct SweepOptions
     std::size_t superpositionMinJobs = 8;
     /**
      * Completed jobs per sealed columnar journal segment (and per
-     * aggregate checkpoint); 0 disables segments and checkpoints
-     * entirely (JSONL-only journaling). See sweep/segment.hh.
+     * aggregate checkpoint); must be > 0. See sweep/segment.hh.
      */
     std::size_t segmentJobs = 2048;
     /** Write report.csv / report.json after the batch. */

@@ -555,26 +555,36 @@ TEST(SegmentResume, TearWhileSealingAResumedTailRerunsNothing)
     EXPECT_EQ(hashes.size(), 10u);
 }
 
-TEST(SegmentResume, SegmentsDisabledKeepsLegacyJsonlBehavior)
+TEST(SegmentResume, JsonlOnlyDirectoryResumesThroughTheFullScan)
 {
     const sweep::SweepPlan plan =
         sweep::SweepPlan::parse(kResumePlan, "seg");
     sweep::SweepOptions opts;
-    opts.outDir = freshDir("nosegs");
+    opts.outDir = freshDir("jsonl_only");
     opts.workers = 1;
     opts.segmentJobs = 0;
+    EXPECT_THROW(sweep::runSweep(plan, opts), ConfigError);
+
+    // A directory holding only journal.jsonl, as a journal written
+    // without segments or checkpoints leaves it.
+    opts.segmentJobs = 4;
     opts.writeReports = false;
-    const sweep::SweepSummary first = sweep::runSweep(plan, opts);
-    EXPECT_EQ(first.executed, 6u);
-    EXPECT_FALSE(std::filesystem::exists(
-        sweep::segmentDir(opts.outDir)));
-    EXPECT_FALSE(std::filesystem::exists(
-        (std::filesystem::path(opts.outDir) / "aggregates.ckpt")
-            .string()));
+    EXPECT_EQ(sweep::runSweep(plan, opts).executed, 6u);
+    std::filesystem::remove_all(sweep::segmentDir(opts.outDir));
+    std::filesystem::remove(
+        std::filesystem::path(opts.outDir) / "aggregates.ckpt");
+
     opts.resume = true;
     const sweep::SweepSummary second = sweep::runSweep(plan, opts);
     EXPECT_EQ(second.cached, 6u);
     EXPECT_EQ(second.executed, 0u);
+    EXPECT_EQ(second.quarantined, 0u);
+    // The resume sealed the scanned rows and checkpointed them, so
+    // the directory now reads through the fast path.
+    const sweep::JournalData fast = sweep::readJournal(opts.outDir);
+    EXPECT_TRUE(fast.fromCheckpoint);
+    EXPECT_EQ(fast.segmentsRead, 2u);
+    EXPECT_EQ(fast.rows.size(), 6u);
 }
 
 // ---------------------------------------------------------------

@@ -35,6 +35,7 @@
 #include "base/rng.hh"
 #include "campaign/driver.hh"
 #include "campaign/fault_gen.hh"
+#include "campaign/invariants.hh"
 #include "campaign/plan_gen.hh"
 #include "obs/metrics.hh"
 #include "sweep/result_store.hh"
@@ -286,6 +287,37 @@ TEST(CampaignGen, CycleSpecsAreDeterministicAndInRange)
             EXPECT_TRUE(s1.useCache);
         }
     }
+}
+
+// ---------------------------------------------------------------
+// Invariants
+// ---------------------------------------------------------------
+
+TEST(CampaignInvariants, NormalizedLineDropsEveryFabricProvenanceField)
+{
+    // A fleet row differs from the local reference's only in timing,
+    // resources and the four provenance fields the coordinator and
+    // its workers stamp (a re-leased job carries lease_expiries and
+    // re_leases); the comparison form must clear all of them.
+    sweep::JobResult local;
+    local.hash = "00000000000000ab";
+    local.name = "plan/power.uniform=0.5";
+    local.peakCelsius = 61.25;
+    local.blockCelsius.emplace_back("core0", 60.5);
+    sweep::JobResult fleet = local;
+    fleet.wallSeconds = 0.25;
+    fleet.resources.cpuSeconds = 0.2;
+    fleet.worker = "w1";
+    fleet.leaseRenewals = 2;
+    fleet.leaseExpiries = 1;
+    fleet.reLeases = 1;
+    EXPECT_EQ(campaign::normalizedLine(fleet),
+              campaign::normalizedLine(local));
+
+    // Physics still counts.
+    fleet.peakCelsius = 61.5;
+    EXPECT_NE(campaign::normalizedLine(fleet),
+              campaign::normalizedLine(local));
 }
 
 // ---------------------------------------------------------------

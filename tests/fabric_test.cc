@@ -38,6 +38,7 @@
 #include "fabric/result_cache.hh"
 #include "fabric/worker.hh"
 #include "obs/http_server.hh"
+#include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/trace_clock.hh"
 #include "obs/trace_context.hh"
@@ -428,30 +429,83 @@ TEST(ResultCache, RoundTripsOkResultsAndEvictsCorruptEntries)
 // Coordinator + worker fleets (in-process)
 // ---------------------------------------------------------------
 
-TEST_F(Fabric, TwoWorkerJournalMatchesSingleProcessRun)
+/** The counters the sweep tally owns, read from the registry. */
+std::map<std::string, std::uint64_t>
+tallyCounters()
 {
-    const sweep::SweepPlan plan = distinctStackPlan();
+    std::map<std::string, std::uint64_t> out;
+    for (const char *name :
+         {"sweep.jobs.cached", "sweep.jobs.duplicate",
+          "sweep.jobs.executed", "sweep.jobs.ok", "sweep.jobs.failed",
+          "sweep.jobs.timeout", "sweep.warm_start.hits"})
+        out[name] =
+            obs::MetricsRegistry::global().counter(name).value();
+    return out;
+}
 
+/** Counter movement since @p before. */
+std::map<std::string, std::uint64_t>
+tallySince(const std::map<std::string, std::uint64_t> &before)
+{
+    std::map<std::string, std::uint64_t> out = tallyCounters();
+    for (auto &[name, value] : out)
+        value -= before.at(name);
+    return out;
+}
+
+/**
+ * Run @p plan once as a single-process sweep and once through a
+ * coordinator and @p workers, and expect the same summary, the same
+ * tally counter movement and journals equivalent modulo provenance,
+ * timing and row order.
+ */
+void
+expectFleetMatchesLocalRun(const sweep::SweepPlan &plan,
+                           const std::string &tag,
+                           std::size_t leaseJobs,
+                           const std::vector<WorkerOptions> &workers)
+{
+    SCOPED_TRACE(tag);
     // Reference: plain single-process sweep.
     sweep::SweepOptions solo;
-    solo.outDir = freshDir("equiv_solo");
+    solo.outDir = freshDir(tag + "_solo");
     solo.workers = 1;
     solo.writeReports = false;
+    const auto soloBefore = tallyCounters();
     const sweep::SweepSummary ref = sweep::runSweep(plan, solo);
+    const auto soloTally = tallySince(soloBefore);
     ASSERT_EQ(ref.ok, ref.total);
 
-    // Same plan through a coordinator and two workers.
+    // Same plan through a coordinator and its workers.
     CoordinatorOptions copts;
-    copts.outDir = freshDir("equiv_fabric");
-    copts.leaseJobs = 2;
+    copts.outDir = freshDir(tag + "_fabric");
+    copts.leaseJobs = leaseJobs;
     copts.writeReports = false;
-    WorkerOptions wa, wb;
-    wa.name = "wa";
-    wb.name = "wb";
-    const CoordinatorSummary csum = runFleet(plan, copts, {wa, wb});
-    EXPECT_EQ(csum.sweep.ok, ref.total);
-    EXPECT_EQ(csum.workersSeen, 2u);
+    const auto fleetBefore = tallyCounters();
+    const CoordinatorSummary csum = runFleet(plan, copts, workers);
+    const auto fleetTally = tallySince(fleetBefore);
+    EXPECT_EQ(csum.workersSeen, workers.size());
     EXPECT_EQ(csum.duplicateCompletes, 0u);
+
+    const sweep::SweepSummary &got = csum.sweep;
+    EXPECT_EQ(got.total, ref.total);
+    EXPECT_EQ(got.executed, ref.executed);
+    EXPECT_EQ(got.ok, ref.ok);
+    EXPECT_EQ(got.failed, ref.failed);
+    EXPECT_EQ(got.timedOut, ref.timedOut);
+    EXPECT_EQ(got.hung, ref.hung);
+    EXPECT_EQ(got.cached, ref.cached);
+    EXPECT_EQ(got.duplicates, ref.duplicates);
+    EXPECT_EQ(got.sharedCacheHits, ref.sharedCacheHits);
+    EXPECT_EQ(got.warmStarted, ref.warmStarted);
+    EXPECT_EQ(got.retried, ref.retried);
+    EXPECT_EQ(got.fallbacks, ref.fallbacks);
+    if (obs::kMetricsEnabled) {
+        EXPECT_EQ(fleetTally, soloTally);
+        EXPECT_EQ(fleetTally.at("sweep.jobs.executed"), ref.executed);
+        EXPECT_EQ(fleetTally.at("sweep.warm_start.hits"),
+                  ref.warmStarted);
+    }
 
     // Journals equivalent modulo provenance, timing, and row order.
     const auto a = normalizedJournal(solo.outDir);
@@ -463,6 +517,30 @@ TEST_F(Fabric, TwoWorkerJournalMatchesSingleProcessRun)
         ASSERT_NE(it, b.end()) << hash;
         EXPECT_EQ(row, it->second) << hash;
     }
+}
+
+TEST_F(Fabric, TwoWorkerJournalMatchesSingleProcessRun)
+{
+    WorkerOptions wa, wb;
+    wa.name = "wa";
+    wb.name = "wb";
+    expectFleetMatchesLocalRun(distinctStackPlan(), "equiv", 2,
+                               {wa, wb});
+
+    // Three jobs of one stack: under the superposition threshold, so
+    // the local run and the lone worker both warm-start jobs 2 and 3
+    // from their predecessor, in the same order.
+    const sweep::SweepPlan sameStack = sweep::SweepPlan::parse(
+        R"({"name": "fabric-same-stack",
+            "base": {"floorplan": "preset:ev6",
+                     "mode": "steady",
+                     "config": {"model_mode": "grid",
+                                "grid_nx": 16, "grid_ny": 16}},
+            "axes": {"power.uniform": [0.5, 0.6, 0.7]}})",
+        "fabric-same-stack");
+    WorkerOptions lone;
+    lone.name = "lone";
+    expectFleetMatchesLocalRun(sameStack, "equiv_warm", 4, {lone});
 }
 
 TEST_F(Fabric, DeadWorkerJobsReleaseWithZeroDuplicateWork)

@@ -141,8 +141,8 @@ usage()
         "sweep runs (binds 127.0.0.1; port 0 picks an ephemeral "
         "port)\n"
         "  --segment-jobs <n>   completed jobs per sealed columnar "
-        "journal segment and aggregate checkpoint (default 2048; "
-        "0 disables segments — JSONL-only journaling)\n"
+        "journal segment and aggregate checkpoint (default "
+        "2048)\n"
         "  --superpose-min <n>  minimum pending steady jobs sharing "
         "a stack before the sweep answers them by impulse-response "
         "superposition instead of per-job solves (default 8; 0 "
@@ -239,9 +239,9 @@ runSweepCommand(int argc, char **argv)
             sopts.servePort = static_cast<int>(n);
         } else if (arg == "--segment-jobs") {
             const double n = parseDouble(value(), "--segment-jobs");
-            if (n < 0.0 || n != std::floor(n))
-                fatal("--segment-jobs wants a non-negative integer, "
-                      "got ", n);
+            if (n < 1.0 || n != std::floor(n))
+                configError("--segment-jobs wants a positive integer, "
+                            "got ", n);
             sopts.segmentJobs = static_cast<std::size_t>(n);
         } else if (arg == "--superpose-min") {
             const double n = parseDouble(value(), "--superpose-min");
@@ -354,15 +354,7 @@ runSweepCommand(int argc, char **argv)
         std::unique_ptr<fabric::ResultCache> cache;
         if (!cacheDir.empty()) {
             cache = std::make_unique<fabric::ResultCache>(cacheDir);
-            sopts.sharedCacheLookup =
-                [&cache](const std::string &hash,
-                         sweep::JobResult &out) {
-                    return cache->lookup(hash, out);
-                };
-            sopts.sharedCacheStore =
-                [&cache](const sweep::JobResult &r) {
-                    cache->store(r);
-                };
+            cache->attach(sopts);
         }
         sum = sweep::runSweep(plan, sopts);
     }
