@@ -453,8 +453,12 @@ runFleetCycle(const CampaignOptions &opts, const CycleSpec &spec,
         plan << spec.plan.json;
     }
 
-    // Armed phase: real processes, fault spec in every child's
-    // environment, SIGKILL on a schedule.
+    // Armed phase: real processes, the fault spec in every child's
+    // environment, SIGKILL on a schedule. The coordinator arms the
+    // whole spec and each worker its share of every rule's budget:
+    // the points a worker probes (solves, stalls, its own death and
+    // re-sends) are never probed by the coordinator, so the fleet
+    // fires each rule at most as often as one process would.
     std::map<std::string, sweep::JobResult> midRows;
     {
         obs::ScopedSpan phase("campaign.phase.armed-fleet");
@@ -466,9 +470,9 @@ runFleetCycle(const CampaignOptions &opts, const CycleSpec &spec,
                              /*resume=*/false, spec.faultSpec, &port);
         std::vector<ChildProc> workers;
         for (std::size_t i = 0; i < spec.workers; ++i)
-            workers.push_back(startWorker(opts, dir, port,
-                                          "w" + std::to_string(i),
-                                          spec.faultSpec));
+            workers.push_back(startWorker(
+                opts, dir, port, "w" + std::to_string(i),
+                shareFaultBudget(spec.faultSpec, i, spec.workers)));
         IRTHERM_EVENT("campaign.spawn",
                       {"workers", static_cast<double>(spec.workers)},
                       {"port", static_cast<double>(port)});
@@ -573,15 +577,27 @@ writeRepro(const CampaignOptions &opts, const CycleOutcome &oc)
         repro << "error: " << oc.error << "\n";
     repro << "invariants:\n" << oc.report.summary();
     repro << "\nreplay exactly this cycle with:\n";
-    repro << "  irtherm_campaign --seed " << opts.seed
-          << " --cycles " << (oc.spec.index + 1)
-          << " --only-cycle " << oc.spec.index;
-    if (!opts.cliPath.empty())
-        repro << " --cli " << opts.cliPath;
-    repro << "\n\ngenerated plan:\n" << oc.spec.plan.json;
+    repro << "  " << replayCommand(opts, oc.spec.index) << "\n";
+    repro << "\ngenerated plan:\n" << oc.spec.plan.json;
 }
 
 } // namespace
+
+std::string
+replayCommand(const CampaignOptions &opts, std::size_t cycle)
+{
+    std::string cmd = "irtherm_campaign --seed " +
+                      std::to_string(opts.seed) + " --cycles " +
+                      std::to_string(cycle + 1) + " --only-cycle " +
+                      std::to_string(cycle);
+    // Without a CLI every cycle ran in-process, and --in-process
+    // draws the same cycle spec even where a sibling CLI exists.
+    if (opts.cliPath.empty() || opts.forceKind == 0)
+        cmd += " --in-process";
+    else
+        cmd += " --cli " + opts.cliPath;
+    return cmd;
+}
 
 CycleSpec
 makeCycleSpec(const CampaignOptions &opts, std::size_t index)

@@ -20,9 +20,11 @@
  *    disarmed resume to completion;
  *  - multi-process: a real coordinator process and 1-3 real worker
  *    processes over loopback HTTP with the fault spec in their
- *    environment, SIGKILL delivered to a random victim (worker or
- *    the coordinator itself) at a random time, then a fresh disarmed
- *    coordinator + workers resuming to completion.
+ *    environment (each worker arms its share of every rule's count,
+ *    so the fleet's budget is the spec's), SIGKILL delivered to a
+ *    random victim (worker or the coordinator itself) at a random
+ *    time, then a fresh disarmed coordinator + workers resuming to
+ *    completion.
  *
  * After each cycle the invariant checker (campaign/invariants.hh)
  * must pass; a failing cycle dumps seed, generated plan, fault spec,
@@ -125,6 +127,16 @@ struct CampaignSummary
         return cyclesRun > 0 && cyclesPassed == cyclesRun;
     }
 };
+
+/**
+ * The irtherm_campaign command line that replays exactly cycle
+ * @p cycle of a campaign run with @p opts: `--seed S --cycles i+1
+ * --only-cycle i`, plus `--cli <path>` when opts.cliPath is set and
+ * `--in-process` when it is not. repro.txt and the tool's failure
+ * line both print it.
+ */
+std::string replayCommand(const CampaignOptions &opts,
+                          std::size_t cycle);
 
 /** Run the campaign. Never throws for per-cycle failures — they land
  *  in the summary (and repro dumps); throws only for unusable

@@ -5,6 +5,7 @@
 
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
+#include "base/str.hh"
 
 namespace irtherm::campaign
 {
@@ -55,6 +56,45 @@ generateFaultSpec(SplitMix64 &rng,
             spec += ":seconds=0.05";
     }
     return spec;
+}
+
+std::string
+shareFaultBudget(const std::string &spec, std::size_t worker,
+                 std::size_t workers)
+{
+    if (workers <= 1)
+        return spec;
+    std::string out;
+    for (const std::string &ruleText : split(spec, ',')) {
+        const std::string rule = trim(ruleText);
+        if (rule.empty())
+            continue;
+        std::vector<std::string> parts = split(rule, ':');
+        std::string *countPart = nullptr;
+        std::uint64_t count = 1;
+        for (std::string &part : parts) {
+            part = trim(part);
+            if (startsWith(part, "count=")) {
+                countPart = &part;
+                count = static_cast<std::uint64_t>(parseDouble(
+                    part.substr(6), "faults option count"));
+            }
+        }
+        const std::uint64_t share =
+            count / workers + (worker < count % workers ? 1 : 0);
+        if (share == 0)
+            continue;
+        const std::string shared = "count=" + std::to_string(share);
+        if (countPart != nullptr)
+            *countPart = shared;
+        else
+            parts.push_back(shared);
+        if (!out.empty())
+            out += ',';
+        for (std::size_t i = 0; i < parts.size(); ++i)
+            out += (i ? ":" : "") + parts[i];
+    }
+    return out;
 }
 
 } // namespace irtherm::campaign

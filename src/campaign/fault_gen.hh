@@ -13,6 +13,7 @@
 #ifndef IRTHERM_CAMPAIGN_FAULT_GEN_HH
 #define IRTHERM_CAMPAIGN_FAULT_GEN_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,19 @@ namespace irtherm::campaign
  */
 std::string generateFaultSpec(
     SplitMix64 &rng, const std::vector<const char *> &eligible);
+
+/**
+ * Worker @p worker's share (0-based, of @p workers) of @p spec's
+ * fault budget. Each process arms its own injector, so a fleet whose
+ * workers each armed the whole spec could fire every rule once per
+ * worker; with shares, the workers together fire each rule at most
+ * its count= times (1 when absent), as one process would. A rule's
+ * count splits as evenly as integers allow, the first workers taking
+ * the remainder; a rule whose share is 0 is left out, and its other
+ * options keep their place.
+ */
+std::string shareFaultBudget(const std::string &spec,
+                             std::size_t worker, std::size_t workers);
 
 } // namespace irtherm::campaign
 

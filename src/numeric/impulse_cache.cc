@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "base/errors.hh"
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "numeric/iterative.hh"
 #include "obs/metrics.hh"
+#include "obs/span.hh"
 
 namespace irtherm
 {
@@ -103,9 +105,15 @@ ImpulseResponseCache::acquire(std::uint64_t key, const Builder &build,
     static obs::Counter &misses =
         obs::MetricsRegistry::global().counter(
             "sweep.impulse_cache.misses");
+    static obs::Counter &waits =
+        obs::MetricsRegistry::global().counter(
+            "sweep.impulse_cache.waits");
 
     if (wasHit != nullptr)
         *wasHit = false;
+    // Declared before the lock: a wait that ends in a hit records
+    // its span after unlocking.
+    std::optional<obs::ScopedSpan> waitSpan;
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
         auto it = entries.find(key);
@@ -120,8 +128,16 @@ ImpulseResponseCache::acquire(std::uint64_t key, const Builder &build,
         }
         // Another worker is solving the impulse problems for this
         // stack; wait rather than duplicate k CG solves.
+        if (!waitSpan) {
+            waits.add();
+            waitSpan.emplace("sweep.build_wait");
+            waitSpan->attr("on", "impulse");
+        }
         cv.wait(lk);
     }
+    // A wait ends here only when the build it waited on failed;
+    // this call builds instead.
+    waitSpan.reset();
 
     Entry &slot = entries[key];
     slot.building = true;

@@ -84,7 +84,9 @@ class ImpulseResponseCache
 
     /**
      * Matrix for @p key, building it via @p build on first use. Only
-     * one builder runs per key; concurrent callers wait. Returns
+     * one builder runs per key; concurrent callers wait, each wait
+     * counted in `sweep.impulse_cache.waits` and timed by a
+     * `sweep.build_wait` span with on=impulse. Returns
      * null when the build failed (callers fall back to the iterative
      * chain). A matrix larger than the whole capacity is returned
      * but not retained. @p wasHit (optional) reports whether the

@@ -1,7 +1,6 @@
 #include "sweep/runner.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -11,8 +10,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "analysis/thermal_map.hh"
 #include "base/errors.hh"
@@ -105,6 +107,9 @@ class StackCache
         static obs::Counter &hits =
             obs::MetricsRegistry::global().counter(
                 "sweep.stack_cache.hits");
+        static obs::Counter &waits =
+            obs::MetricsRegistry::global().counter(
+                "sweep.stack_cache.waits");
 
         std::unique_lock<std::mutex> lock(mu);
         const auto it = entries.find(stack);
@@ -112,6 +117,14 @@ class StackCache
             it->second.lastUse = ++useClock;
             const std::shared_future<ModelPtr> kept = it->second.model;
             lock.unlock();
+            if (kept.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+                // Another job of the stack is still assembling it.
+                waits.add();
+                obs::ScopedSpan span("sweep.build_wait");
+                span.attr("on", "model");
+                kept.wait();
+            }
             if (ModelPtr m = kept.get()) {
                 hits.add();
                 built = false;
@@ -575,6 +588,89 @@ class SerialKernelGuard
     bool wasEnabled;
 };
 
+/**
+ * The order runSweep's workers take pending jobs in ("Claim order"
+ * in runner.hh): the earliest unclaimed job whose stack is not
+ * warming, else the earliest unclaimed job. A stack with further
+ * jobs warms from the claim of its first job until that job
+ * returns, since that job assembles the model and builds the
+ * impulse response its other jobs would block on
+ * (StackCache::model, ImpulseResponseCache::acquire).
+ */
+class JobClaims
+{
+  public:
+    static constexpr std::size_t kNone =
+        std::numeric_limits<std::size_t>::max();
+
+    /** @p stackOf: the stack hash of each pending job, in plan
+     *  order; must outlive the claims. */
+    explicit JobClaims(const std::vector<std::uint64_t> &stackOf)
+        : stackOf(stackOf), nextOfStack(stackOf.size(), kNone),
+          warms(stackOf.size(), false)
+    {
+        std::unordered_map<std::uint64_t, std::size_t> last;
+        for (std::size_t i = 0; i < stackOf.size(); ++i) {
+            const auto [it, first] = last.try_emplace(stackOf[i], i);
+            if (first)
+                heads.insert(i);
+            else
+                nextOfStack[std::exchange(it->second, i)] = i;
+        }
+        for (const std::size_t h : heads)
+            warms[h] = nextOfStack[h] != kNone;
+    }
+
+    /** The pending index to run next; kNone once all are claimed. */
+    std::size_t
+    claim()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (heads.empty())
+            return kNone;
+        // A warming stack holds one head, so this passes over at
+        // most one head per busy worker.
+        auto pick = std::find_if(
+            heads.begin(), heads.end(), [&](std::size_t h) {
+                return std::find(warming.begin(), warming.end(),
+                                 stackOf[h]) == warming.end();
+            });
+        if (pick == heads.end())
+            pick = heads.begin();
+        const std::size_t i = *pick;
+        heads.erase(pick);
+        if (nextOfStack[i] != kNone)
+            heads.insert(nextOfStack[i]);
+        if (warms[i])
+            warming.push_back(stackOf[i]);
+        return i;
+    }
+
+    /** The job at pending index @p i returned. */
+    void
+    done(std::size_t i)
+    {
+        if (!warms[i])
+            return;
+        std::lock_guard<std::mutex> lock(mu);
+        warming.erase(
+            std::find(warming.begin(), warming.end(), stackOf[i]));
+    }
+
+  private:
+    const std::vector<std::uint64_t> &stackOf;
+    /** Pending index of the same stack's next job; kNone past the
+     *  last. */
+    std::vector<std::size_t> nextOfStack;
+    /** The job is the first of a stack with further jobs. */
+    std::vector<bool> warms;
+    std::mutex mu;
+    /** Earliest unclaimed job of each stack that has one. */
+    std::set<std::size_t> heads;
+    /** Stacks whose first job is running. */
+    std::vector<std::uint64_t> warming;
+};
+
 } // namespace
 
 struct JobExecutor::Impl
@@ -677,19 +773,21 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     // the stack has jobs left; a stack whose steady jobs cross the
     // superposition threshold amortizes its impulse-response build
     // (one solve per block) across all of them.
+    std::vector<std::uint64_t> stackOf;
+    stackOf.reserve(pending.size());
     std::map<std::uint64_t, std::size_t> stackJobs;
     std::map<std::uint64_t, std::size_t> steadyStackJobs;
     for (const ScenarioSpec *spec : pending) {
-        const std::uint64_t stack = spec->stackHash();
+        const std::uint64_t stack = stackOf.emplace_back(spec->stackHash());
         ++stackJobs[stack];
         const std::string *mode = spec->find("mode");
         if (mode == nullptr || *mode == "steady")
             ++steadyStackJobs[stack];
     }
-    const auto superpositionEligible = [&](const ScenarioSpec &spec) {
+    const auto superpositionEligible = [&](std::size_t i) {
         if (opts.superpositionMinJobs == 0)
             return false;
-        const auto it = steadyStackJobs.find(spec.stackHash());
+        const auto it = steadyStackJobs.find(stackOf[i]);
         return it != steadyStackJobs.end() &&
                it->second >= opts.superpositionMinJobs;
     };
@@ -703,7 +801,7 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
 
     JobExecutor executor(opts);
     executor.expectJobs(stackJobs);
-    std::atomic<std::size_t> nextJob{0};
+    JobClaims claims(stackOf);
 
     std::size_t width =
         opts.workers != 0 ? opts.workers
@@ -737,15 +835,15 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
             if (opts.stopAfter != 0 &&
                 session.executed() >= opts.stopAfter)
                 break;
-            const std::size_t i =
-                nextJob.fetch_add(1, std::memory_order_relaxed);
-            if (i >= pending.size())
+            const std::size_t i = claims.claim();
+            if (i == JobClaims::kNone)
                 break;
             const ScenarioSpec &spec = *pending[i];
             session.board().jobStarted();
-            session.record(
-                executor.run(spec, superpositionEligible(spec), label),
-                spec);
+            JobResult r =
+                executor.run(spec, superpositionEligible(i), label);
+            claims.done(i);
+            session.record(std::move(r), spec);
         }
     };
 

@@ -15,6 +15,15 @@
  * serial-vs-parallel bit-identity guarantee means per-job results do
  * not change because of this.
  *
+ * Claim order: a worker takes the earliest unclaimed job whose stack
+ * is not warming, and waits on a warming stack only when every
+ * unclaimed job belongs to one. A stack with at least two pending
+ * jobs warms from the claim of its first job until that job returns
+ * (that job builds the model and impulse response the others would
+ * wait for), so idle workers start other stacks' builds side by
+ * side. One worker never skips: `workers == 1` runs the plan in
+ * order.
+ *
  * Failure isolation: a job that throws (bad scenario key, missing
  * file, diverging CG solve) is recorded as `failed` with the error
  * text and its taxonomy class (base/errors.hh); its siblings are
@@ -46,10 +55,12 @@
  * stack. An executor that was never given counts (a fabric worker,
  * which cannot know them) assembles a model per job and keeps only
  * warm starts. Telemetry: counters sweep.stack_cache.{builds,hits,
- * evictions}, gauge sweep.stack_cache.models (models kept), and per
- * job the spans sweep.resolve, core.assemble (on the job that builds
- * the model), core.summarize and sweep.map_write, with
- * model=built|reused on sweep.job.
+ * evictions,waits}, gauge sweep.stack_cache.models (models kept), and
+ * per job the spans sweep.resolve, core.assemble (on the job that
+ * builds the model), sweep.build_wait (on=model|impulse, on a job
+ * that waits for another job's model or impulse build),
+ * core.summarize and sweep.map_write, with model=built|reused on
+ * sweep.job.
  *
  * Bookkeeping (store, resume, queue, tally, reports) is the
  * SweepSession the fabric coordinator drives too (sweep/session.hh).

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -33,6 +34,7 @@
 #include "base/errors.hh"
 #include "base/fault_injection.hh"
 #include "base/rng.hh"
+#include "base/str.hh"
 #include "campaign/driver.hh"
 #include "campaign/fault_gen.hh"
 #include "campaign/invariants.hh"
@@ -287,6 +289,79 @@ TEST(CampaignGen, CycleSpecsAreDeterministicAndInRange)
             EXPECT_TRUE(s1.useCache);
         }
     }
+}
+
+/** count= of each rule of @p spec, by point (1 when absent). */
+std::map<std::string, std::uint64_t>
+ruleCounts(const std::string &spec)
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const std::string &rule : split(spec, ',')) {
+        if (rule.empty())
+            continue;
+        const std::size_t at = rule.find("count=");
+        out[rule.substr(0, rule.find(':'))] +=
+            at == std::string::npos
+                ? 1
+                : std::strtoull(rule.c_str() + at + 6, nullptr, 10);
+    }
+    return out;
+}
+
+TEST(CampaignGen, WorkerSharesSplitEachRulesBudget)
+{
+    const std::string spec =
+        "cg.nan:count=3,cg.diverge:count=1:prob=0.25";
+    EXPECT_EQ(campaign::shareFaultBudget(spec, 0, 1), spec);
+    EXPECT_EQ(campaign::shareFaultBudget(spec, 0, 3),
+              "cg.nan:count=1,cg.diverge:count=1:prob=0.25");
+    EXPECT_EQ(campaign::shareFaultBudget(spec, 1, 3), "cg.nan:count=1");
+    EXPECT_EQ(campaign::shareFaultBudget(spec, 2, 3), "cg.nan:count=1");
+    EXPECT_EQ(campaign::shareFaultBudget("job.stall:seconds=0.05", 0, 2),
+              "job.stall:seconds=0.05:count=1");
+    EXPECT_EQ(campaign::shareFaultBudget("job.stall:seconds=0.05", 1, 2),
+              "");
+
+    // Over generated specs every share arms, and the shares of each
+    // rule add up to its count.
+    std::vector<const char *> eligible;
+    for (const FaultPoint &p : FaultInjector::knownPoints())
+        eligible.push_back(p.name);
+    SplitMix64 rng(777);
+    for (int i = 0; i < 50; ++i) {
+        const std::string generated =
+            campaign::generateFaultSpec(rng, eligible);
+        for (std::size_t workers = 1; workers <= 3; ++workers) {
+            std::map<std::string, std::uint64_t> total;
+            for (std::size_t w = 0; w < workers; ++w) {
+                const std::string share =
+                    campaign::shareFaultBudget(generated, w, workers);
+                FaultInjector inj;
+                EXPECT_NO_THROW(inj.arm(share)) << share;
+                for (const auto &[point, count] : ruleCounts(share))
+                    total[point] += count;
+            }
+            EXPECT_EQ(total, ruleCounts(generated))
+                << generated << " over " << workers << " workers";
+        }
+    }
+}
+
+TEST(CampaignGen, ReplayCommandNamesExactlyTheFailingCycle)
+{
+    campaign::CampaignOptions opts;
+    opts.seed = 777;
+    EXPECT_EQ(campaign::replayCommand(opts, 10),
+              "irtherm_campaign --seed 777 --cycles 11 --only-cycle 10 "
+              "--in-process");
+    opts.cliPath = "build/tools/irtherm_cli";
+    EXPECT_EQ(campaign::replayCommand(opts, 0),
+              "irtherm_campaign --seed 777 --cycles 1 --only-cycle 0 "
+              "--cli build/tools/irtherm_cli");
+    opts.forceKind = 0;
+    EXPECT_EQ(campaign::replayCommand(opts, 3),
+              "irtherm_campaign --seed 777 --cycles 4 --only-cycle 3 "
+              "--in-process");
 }
 
 // ---------------------------------------------------------------

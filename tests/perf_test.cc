@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,6 +28,8 @@
 #include "numeric/linear_operator.hh"
 #include "numeric/sparse.hh"
 #include "numeric/sparse_cholesky.hh"
+#include "obs/metrics.hh"
+#include "obs/span.hh"
 
 namespace irtherm
 {
@@ -384,6 +388,70 @@ TEST(ImpulseCache, ConcurrentAcquireBuildsOnce)
     }
     EXPECT_EQ(hits, kThreads - 1);
     EXPECT_EQ(cache.entryCount(), 1u);
+}
+
+TEST(ImpulseCache, WaitOnAnotherBuildIsCountedAndNamed)
+{
+    if (!obs::kMetricsEnabled)
+        GTEST_SKIP() << "instrumentation compiled out";
+    // One thread builds a key until released while a second asks for
+    // it: the second one's wait counts once, however often the latch
+    // wakes it, and is recorded as a sweep.build_wait span.
+    obs::Counter &waits = obs::MetricsRegistry::global().counter(
+        "sweep.impulse_cache.waits");
+    const auto before = waits.value();
+    obs::SpanRecorder &recorder = obs::SpanRecorder::global();
+    recorder.clear();
+    recorder.setEnabled(true);
+
+    ImpulseResponseCache cache(std::size_t(64) << 20);
+    const auto matrix = [] {
+        auto m = std::make_shared<ImpulseResponseMatrix>();
+        m->nodes = 16;
+        m->blocks = 3;
+        m->values.assign(m->nodes * m->blocks, 1.5);
+        return m;
+    };
+    std::promise<void> release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    std::atomic<bool> building{false};
+    std::thread builder([&] {
+        cache.acquire(7, [&] {
+            building = true;
+            released.wait();
+            return matrix();
+        });
+    });
+    while (!building)
+        std::this_thread::yield();
+    bool wasHit = false;
+    std::thread waiter([&] { cache.acquire(7, matrix, &wasHit); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (waits.value() == before &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    // Another key's build wakes the waiter without ending its wait.
+    cache.acquire(8, matrix);
+    release.set_value();
+    builder.join();
+    waiter.join();
+    recorder.setEnabled(false);
+
+    EXPECT_TRUE(wasHit);
+    EXPECT_EQ(waits.value() - before, 1u);
+    std::size_t spans = 0;
+    for (const obs::SpanRecord &r : recorder.snapshot()) {
+        if (r.name != "sweep.build_wait")
+            continue;
+        ++spans;
+        ASSERT_EQ(r.attrs.size(), 1u);
+        EXPECT_EQ(r.attrs[0].key, "on");
+        EXPECT_EQ(r.attrs[0].text, "impulse");
+    }
+    EXPECT_EQ(spans, 1u);
+    recorder.clear();
 }
 
 TEST(Solvers, BiCgStabReportsActualIterations)

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "base/errors.hh"
+#include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "campaign/invariants.hh"
 #include "floorplan/presets.hh"
@@ -568,23 +569,30 @@ runPerJobBuild(const std::vector<ScenarioSpec> &jobs,
     return out;
 }
 
+/** Write a 12-sample EV6 ptrace of square pulses to @p dir and
+ *  return its path. */
+std::string
+writePulseTrace(const std::string &dir)
+{
+    std::filesystem::create_directories(dir);
+    const std::string ptrace = dir + "/pulse.ptrace";
+    std::ofstream out(ptrace);
+    const Floorplan fp = floorplans::alphaEv6();
+    for (std::size_t b = 0; b < fp.blockCount(); ++b)
+        out << (b ? " " : "") << fp.block(b).name;
+    out << "\n";
+    for (int row = 0; row < 12; ++row) {
+        for (std::size_t b = 0; b < fp.blockCount(); ++b)
+            out << (b ? " " : "") << (row % 4 < 2 ? 2.0 : 0.5);
+        out << "\n";
+    }
+    return ptrace;
+}
+
 TEST(StackCache, SharingIsTransparentToJournaledRows)
 {
     const std::string dir = freshOutDir("stack_transparent");
-    std::filesystem::create_directories(dir);
-    const std::string ptrace = dir + "/pulse.ptrace";
-    {
-        std::ofstream out(ptrace);
-        const Floorplan fp = floorplans::alphaEv6();
-        for (std::size_t b = 0; b < fp.blockCount(); ++b)
-            out << (b ? " " : "") << fp.block(b).name;
-        out << "\n";
-        for (int row = 0; row < 12; ++row) {
-            for (std::size_t b = 0; b < fp.blockCount(); ++b)
-                out << (b ? " " : "") << (row % 4 < 2 ? 2.0 : 0.5);
-            out << "\n";
-        }
-    }
+    const std::string ptrace = writePulseTrace(dir);
     // Stack A: 12 superposed jobs with 3 iterative ones (warm
     // started from their superposed neighbours) and 2 transient
     // replays between them; stack B: 12 superposed jobs. The stacks
@@ -785,6 +793,120 @@ TEST(StackCache, FailedBuildFailsOnlyItsOwnStack)
         EXPECT_EQ(row->status, reference[i].status);
         EXPECT_EQ(row->errorClass, reference[i].errorClass);
         EXPECT_EQ(row->error, reference[i].error);
+    }
+}
+
+// ---------------------------------------------------------------
+// Job claims: an idle worker starts another stack's build
+// ---------------------------------------------------------------
+
+TEST(JobClaims, IdleWorkerTakesAnotherStackWhileOneWarms)
+{
+    // Two block-mode stacks of 10 superposed jobs each. Stack A's
+    // first job stalls before it assembles anything, so A warms for
+    // half a second: the other worker must spend it on stack B, not
+    // on A's second job (which would build A itself) or on waiting.
+    std::vector<std::string> scenarios;
+    for (const char *stack : {"A", "B"}) {
+        for (int j = 0; j < 10; ++j)
+            scenarios.push_back(
+                std::string("{\"name\": \"stack") + stack + "-" +
+                std::to_string(j) + "\", \"config.r_convec\": " +
+                (*stack == 'A' ? "0.2" : "0.4") +
+                ", \"power.uniform\": " + std::to_string(0.3 + 0.05 * j) +
+                "}");
+    }
+    std::string text =
+        R"({"base": {"floorplan": "preset:ev6", "mode": "steady",
+                     "config": {"cooling": "air",
+                                "model_mode": "block"}},
+            "scenarios": [)";
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+        text += (i ? ", " : "") + scenarios[i];
+    const SweepPlan plan = SweepPlan::parse(text + "]}", "claims");
+
+    SweepOptions opts;
+    opts.outDir = freshOutDir("claims");
+    opts.workers = 2;
+    ImpulseResponseCache::global().clear();
+    const double modelWaits = counterValue("sweep.stack_cache.waits");
+    const double impulseWaits =
+        counterValue("sweep.impulse_cache.waits");
+    FaultInjector::global().arm(
+        "job.stall:match=stackA-0:seconds=0.5:count=1");
+    const SweepSummary sum = runSweep(plan, opts);
+    FaultInjector::global().disarm();
+    EXPECT_EQ(sum.ok, 20u);
+    EXPECT_EQ(sum.impulseCacheHits, 18u);
+
+    std::ifstream journal(sum.journalPath);
+    std::string first;
+    ASSERT_TRUE(std::getline(journal, first));
+    EXPECT_EQ(JobResult::fromJsonLine(first, "journal").name.rfind(
+                  "stackB-", 0),
+              0u)
+        << first;
+    EXPECT_EQ(counterValue("sweep.stack_cache.waits"), modelWaits);
+    EXPECT_EQ(counterValue("sweep.impulse_cache.waits"), impulseWaits);
+}
+
+TEST(JobClaims, RowsAreBitIdenticalAtAnyWorkerCount)
+{
+    // Two superposed stacks, each with two transient replays among
+    // its steady jobs.
+    const std::string ptrace =
+        writePulseTrace(freshOutDir("claims_bits"));
+    std::vector<std::string> scenarios;
+    for (const double v : {6.0, 9.0}) {
+        const std::string stack =
+            "v" + std::to_string(static_cast<int>(v));
+        for (int j = 0; j < 10; ++j) {
+            scenarios.push_back(steadyScenario(
+                stack + "-" + std::to_string(j), v, 0.3 + 0.05 * j));
+            if (j == 3 || j == 6)
+                scenarios.push_back(
+                    "{\"name\": \"" + stack + "-pulse" +
+                    std::to_string(j) + "\", \"config.oil_velocity\": " +
+                    std::to_string(v) +
+                    ", \"mode\": \"transient\", \"integrator\": "
+                    "\"be\", \"ptrace\": \"" + ptrace +
+                    "\", \"ptrace.sampling\": " +
+                    (j == 3 ? "0.001" : "0.002") + "}");
+        }
+    }
+    const SweepPlan plan =
+        SweepPlan::parse(planOf(scenarios), "claims_bits");
+    const std::vector<ScenarioSpec> jobs = plan.expand();
+    ASSERT_EQ(jobs.size(), 24u);
+
+    // Journaled rows by name, with what may differ between worker
+    // counts cleared: timing, resources, worker, impulse_hit.
+    std::vector<std::map<std::string, std::string>> runs;
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+        SweepOptions opts;
+        opts.outDir = freshOutDir("claims_bits_w" +
+                                  std::to_string(workers));
+        opts.workers = workers;
+        ImpulseResponseCache::global().clear();
+        const SweepSummary sum = runSweep(plan, opts);
+        EXPECT_EQ(sum.ok, jobs.size()) << workers << " workers";
+        EXPECT_EQ(sum.impulseCacheHits, 18u) << workers << " workers";
+        ResultStore store(opts.outDir);
+        ASSERT_EQ(store.loadJournal(), jobs.size());
+        std::map<std::string, std::string> rows;
+        for (const ScenarioSpec &spec : jobs) {
+            const JobResult *row = store.findResult(spec.hashHex());
+            ASSERT_NE(row, nullptr) << spec.displayName();
+            JobResult r = *row;
+            r.impulseCacheHit = false;
+            rows[spec.displayName()] = campaign::normalizedLine(r);
+        }
+        runs.push_back(std::move(rows));
+    }
+    for (std::size_t k = 1; k < runs.size(); ++k) {
+        for (const auto &[name, line] : runs[0])
+            EXPECT_EQ(runs[k].at(name), line)
+                << name << " at run " << k;
     }
 }
 

@@ -9,9 +9,11 @@
  *
  * Everything a campaign does derives from the seed (see
  * src/campaign/driver.hh), so the one line this tool always prints —
- * the seed — is a complete reproduction recipe. Nightly CI runs it
- * with a fresh random seed and a time budget; the PR smoke job runs
- * two cycles on a fixed seed.
+ * the seed — is a complete reproduction recipe, and a failing run
+ * ends with the exact command that replays its first failing cycle
+ * alone (campaign::replayCommand, the line repro.txt carries too).
+ * Nightly CI runs it with a fresh random seed and a time budget; the
+ * PR smoke job runs two cycles on a fixed seed.
  *
  * Exit codes: 0 all cycles passed, 1 any cycle failed (or zero
  * cycles ran), 2 usage error.
@@ -19,6 +21,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -183,9 +186,16 @@ main(int argc, char **argv)
             std::printf("%s", oc.report.summary().c_str());
     }
     if (!summary.passed()) {
-        std::printf("\nFAILED — replay with: irtherm_campaign "
-                    "--seed %" PRIu64 " --cycles %zu\n",
-                    summary.seed, summary.cyclesRun);
+        const auto failed = std::find_if(
+            summary.outcomes.begin(), summary.outcomes.end(),
+            [](const campaign::CycleOutcome &oc) { return !oc.passed; });
+        if (failed == summary.outcomes.end())
+            std::printf("\nFAILED — no cycle ran\n");
+        else
+            std::printf("\nFAILED — replay the first failing cycle "
+                        "with: %s\n",
+                        campaign::replayCommand(opts, failed->spec.index)
+                            .c_str());
         return 1;
     }
     return 0;
