@@ -122,5 +122,22 @@ main()
         std::printf("  OIL-SILICON: no crossover within 490 ms of "
                     "the switch (paper: IntReg still hottest)\n");
     }
-    return 0;
+
+    std::size_t at14ms = 0;
+    while (oil.times[at14ms] < 0.014 - 1e-9)
+        ++at14ms;
+    bool holds = true;
+    const auto broken = [&holds](const char *what) {
+        std::printf("claim broken: %s\n", what);
+        holds = false;
+    };
+    if (!(air_cross > 0.0))
+        broken("AIR-SINK's hot spot never moves to FPMap");
+    if (!(oil_cross < 0.0 ||
+          oil_cross - 0.010 >= 2.0 * (air_cross - 0.010)))
+        broken("OIL-SILICON's crossover comes less than 2x as long "
+               "after the switch as AIR-SINK's");
+    if (!(oil.intreg[at14ms] > oil.fpmap[at14ms]))
+        broken("OIL-SILICON's hotter unit at 14 ms is not IntReg");
+    return holds ? 0 : 1;
 }

@@ -72,25 +72,35 @@ main()
             model, nodes, {{"s", x, y, 0.0, 0.0}});
     };
 
+    // The gate holds OIL-SILICON's error above AIR-SINK's from 2 mm
+    // out only: at 0.5 mm AIR-SINK's error is the larger.
+    bool offsets_hold = true;
     TextTable t1({"sensor offset from hot spot (mm)",
                   "AIR error (C)", "OIL error (C)"});
     for (double off_mm : {0.5, 1.0, 2.0, 4.0}) {
-        t1.addRow(formatFixed(off_mm, 1),
-                  {offset_error(air, air_nodes, air_cells,
-                                off_mm * 1e-3),
-                   offset_error(oil, oil_nodes, oil_cells,
-                                off_mm * 1e-3)});
+        const double air_err = offset_error(air, air_nodes, air_cells,
+                                            off_mm * 1e-3);
+        const double oil_err = offset_error(oil, oil_nodes, oil_cells,
+                                            off_mm * 1e-3);
+        t1.addRow(formatFixed(off_mm, 1), {air_err, oil_err});
+        if (off_mm >= 2.0 && !(oil_err > air_err))
+            offsets_hold = false;
     }
     t1.print(std::cout);
 
     // Part 2: uniform sensor grids of growing size.
+    bool grids_hold = true;
     TextTable t2({"uniform sensors", "AIR worst error (C)",
                   "OIL worst error (C)"});
     for (std::size_t n : {1, 2, 3, 4, 6, 8}) {
         const auto sensors = placement::uniformGrid(fp, n, n);
-        t2.addRow(std::to_string(n * n),
-                  {worstCaseSensingError(air, air_nodes, sensors),
-                   worstCaseSensingError(oil, oil_nodes, sensors)});
+        const double air_err =
+            worstCaseSensingError(air, air_nodes, sensors);
+        const double oil_err =
+            worstCaseSensingError(oil, oil_nodes, sensors);
+        t2.addRow(std::to_string(n * n), {air_err, oil_err});
+        if (!(oil_err > air_err))
+            grids_hold = false;
     }
     std::printf("\n");
     t2.print(std::cout);
@@ -98,5 +108,17 @@ main()
     std::printf("\npaper: the same sensor budget leaves a much "
                 "larger blind margin under OIL-SILICON, forcing "
                 "lower DTM thresholds and more false engagements\n");
-    return 0;
+
+    bool holds = true;
+    const auto broken = [&holds](const char *what) {
+        std::printf("claim broken: %s\n", what);
+        holds = false;
+    };
+    if (!offsets_hold)
+        broken("OIL-SILICON's error does not exceed AIR-SINK's at "
+               "the 2 mm and 4 mm offsets");
+    if (!grids_hold)
+        broken("OIL-SILICON's worst error does not exceed "
+               "AIR-SINK's for every uniform sensor grid");
+    return holds ? 0 : 1;
 }

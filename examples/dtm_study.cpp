@@ -3,10 +3,10 @@
  * DTM policy study: how the package choice changes dynamic thermal
  * management (the paper's Sec. 5 in example form).
  *
- * A gcc-like workload runs on the cycle-approximate pipeline
- * simulator; its power trace replays through an EV6-like die under
- * AIR-SINK and OIL-SILICON at equal Rconv, with a closed-loop DTM
- * controller. Two policies (DVFS, fetch gating) are compared on
+ * A gcc-like power trace from the synthetic phase model (the one the
+ * Fig. 12 and Sec. 5.1 benches use) replays through an EV6-like die
+ * under AIR-SINK and OIL-SILICON at equal Rconv, with a closed-loop
+ * DTM controller. Two policies (DVFS, fetch gating) are compared on
  * violation time and performance penalty.
  *
  * Run: ./dtm_study
@@ -25,7 +25,7 @@
 #include "core/stack_model.hh"
 #include "dtm/policy.hh"
 #include "floorplan/presets.hh"
-#include "power/pipeline.hh"
+#include "power/synthetic_cpu.hh"
 #include "power/wattch_model.hh"
 
 using namespace irtherm;
@@ -95,14 +95,12 @@ runPolicy(const StackModel &model, const PowerTrace &trace,
 int
 main()
 {
-    // Workload: the pipeline simulator running a gcc-like stream.
+    // Workload: the synthetic phase model running gcc.
     const Floorplan fp = floorplans::alphaEv6();
     const WattchPowerModel pm = WattchPowerModel::alphaEv6();
-    PipelineSimulator cpu(PipelineConfig{},
-                          InstructionStream(workloads::gcc()));
-    const PowerTrace trace =
-        cpu.generateTrace(pm, 20000, 10000).reorderedFor(fp);
-    std::printf("pipeline-simulated gcc: %.1f W average\n\n",
+    SyntheticCpu cpu(pm, workloads::gcc());
+    const PowerTrace trace = cpu.generate(20000).reorderedFor(fp);
+    std::printf("synthetic gcc: %.1f W average\n\n",
                 trace.averageTotalPower());
 
     setQuiet(true);
