@@ -1,6 +1,7 @@
 #include "base/str.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -76,11 +77,16 @@ parseDouble(const std::string &s, const std::string &context)
 std::string
 formatFixed(double value, int precision)
 {
-    std::ostringstream oss;
-    oss.setf(std::ios::fixed);
-    oss.precision(precision);
-    oss << value;
-    return oss.str();
+    // "%.*f" is what an ostringstream in fixed mode prints (it
+    // formats through the same conversion), without building a
+    // stream per number.
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof buf, "%.*f", precision, value);
+    if (n < static_cast<int>(sizeof buf))
+        return std::string(buf, static_cast<std::size_t>(n));
+    std::string out(static_cast<std::size_t>(n), '\0');
+    std::snprintf(out.data(), out.size() + 1, "%.*f", precision, value);
+    return out;
 }
 
 } // namespace irtherm

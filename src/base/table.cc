@@ -70,25 +70,28 @@ TextTable::print(std::ostream &os) const
 void
 TextTable::printCsv(std::ostream &os) const
 {
-    auto cell = [](const std::string &s) {
-        if (s.find_first_of(",\"\n\r") == std::string::npos)
-            return s;
-        std::string quoted = "\"";
-        for (char c : s) {
-            if (c == '"')
-                quoted += '"';
-            quoted += c;
-        }
-        quoted += '"';
-        return quoted;
-    };
+    // Each row is built in one string and written once.
+    std::string line;
     auto print_row = [&](const std::vector<std::string> &row) {
+        line.clear();
         for (std::size_t c = 0; c < row.size(); ++c) {
             if (c > 0)
-                os << ",";
-            os << cell(row[c]);
+                line += ',';
+            const std::string &s = row[c];
+            if (s.find_first_of(",\"\n\r") == std::string::npos) {
+                line += s;
+                continue;
+            }
+            line += '"';
+            for (char ch : s) {
+                if (ch == '"')
+                    line += '"';
+                line += ch;
+            }
+            line += '"';
         }
-        os << "\n";
+        line += '\n';
+        os << line;
     };
     print_row(header);
     for (const auto &row : rows)

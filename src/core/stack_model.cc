@@ -786,6 +786,10 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
                                 SteadySolveInfo *info,
                                 std::vector<double> &out) const
 {
+    static obs::Counter &solves =
+        obs::MetricsRegistry::global().counter("core.steady.solves");
+    static obs::Counter &superposed =
+        obs::MetricsRegistry::global().counter("core.steady.superposed");
     ImpulseResponseCache &cache = ImpulseResponseCache::global();
     bool wasHit = false;
     std::shared_ptr<const ImpulseResponseMatrix> matrix;
@@ -832,9 +836,8 @@ StackModel::trySuperposedSteady(const std::vector<double> &block_powers,
         return false;
     }
     span.attr("verified", "yes");
-    auto &reg = obs::MetricsRegistry::global();
-    reg.counter("core.steady.solves").add();
-    reg.counter("core.steady.superposed").add();
+    solves.add();
+    superposed.add();
     if (info != nullptr) {
         info->iterations = 0;
         info->residualNorm = v.residualNorm;

@@ -8,6 +8,7 @@
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "numeric/iterative.hh"
+#include "numeric/vec2.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 
@@ -26,9 +27,10 @@ ImpulseResponseMatrix::superpose(const std::vector<double> &blockPowers,
     // Column-major accumulation in fixed block order: deterministic
     // regardless of caller threading (the GEMV itself is serial; it
     // is already ~1000x cheaper than the CG solve it replaces). Four
-    // powered columns share one pass over the rise vector, and each
-    // entry still adds them one at a time in block order, so the
-    // answer does not depend on how the columns are grouped.
+    // powered columns share one pass over the rise vector, two
+    // entries per V2 lane pair, and each entry still adds them one
+    // at a time in block order, so the answer does not depend on how
+    // the columns are grouped.
     const double *col[4];
     double pw[4];
     std::size_t k = 0;
@@ -41,14 +43,26 @@ ImpulseResponseMatrix::superpose(const std::vector<double> &blockPowers,
             continue;
         const double *c0 = col[0], *c1 = col[1], *c2 = col[2],
                      *c3 = col[3];
-        for (std::size_t i = 0; i < nodes; ++i)
+        const V2 s0 = splat(pw[0]), s1 = splat(pw[1]);
+        const V2 s2 = splat(pw[2]), s3 = splat(pw[3]);
+        std::size_t i = 0;
+        for (; i + 2 <= nodes; i += 2)
+            store2(rd + i, load2(rd + i) + s0 * load2(c0 + i) +
+                               s1 * load2(c1 + i) + s2 * load2(c2 + i) +
+                               s3 * load2(c3 + i));
+        for (; i < nodes; ++i)
             rd[i] = rd[i] + pw[0] * c0[i] + pw[1] * c1[i] +
                     pw[2] * c2[i] + pw[3] * c3[i];
         k = 0;
     }
     for (std::size_t j = 0; j < k; ++j) {
-        for (std::size_t i = 0; i < nodes; ++i)
-            rd[i] += pw[j] * col[j][i];
+        const double *c = col[j];
+        const V2 s = splat(pw[j]);
+        std::size_t i = 0;
+        for (; i + 2 <= nodes; i += 2)
+            store2(rd + i, load2(rd + i) + s * load2(c + i));
+        for (; i < nodes; ++i)
+            rd[i] += pw[j] * c[i];
     }
 }
 

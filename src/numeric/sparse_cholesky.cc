@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "base/logging.hh"
+#include "numeric/vec2.hh"
 
 namespace irtherm
 {
@@ -453,34 +454,11 @@ forEachRowSubtree(const std::vector<Idx> &ptr, const MappedVector<Idx> &adj,
 }
 
 // ---------------------------------------------------------------------
-// Dense kernels. GCC and Clang vector types hold two doubles, the
-// width every x86-64 and AArch64 target has without extra flags, so
-// the kernels vectorize in the default build. Every entry sees the
-// same operations in the same order whichever tile computes it, so a
-// kernel's answer does not depend on how the loops are blocked.
+// Dense kernels, on the two-lane V2 vectors (numeric/vec2.hh). Every
+// entry sees the same operations in the same order whichever tile
+// computes it, so a kernel's answer does not depend on how the loops
+// are blocked.
 // ---------------------------------------------------------------------
-
-using V2 = double __attribute__((vector_size(16)));
-
-inline V2
-load2(const double *p)
-{
-    V2 v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-inline void
-store2(double *p, V2 v)
-{
-    std::memcpy(p, &v, sizeof v);
-}
-
-inline V2
-splat(double x)
-{
-    return V2{x, x};
-}
 
 /** y[r] -= alpha · x[r] for r < k. */
 inline void

@@ -126,6 +126,7 @@ SweepPlan::expand() const
     }
 
     std::vector<ScenarioSpec> jobs;
+    jobs.reserve(jobCount());
     std::vector<std::size_t> odometer(axisList.size(), 0);
     for (const ScenarioSpec &stem : stems) {
         std::fill(odometer.begin(), odometer.end(), 0);

@@ -65,13 +65,13 @@ writeSweepCsv(std::ostream &os, const SweepPlan &plan,
 {
     // Provenance columns appear only when a result carries them, so
     // local-run reports keep their pre-fabric shape.
+    std::vector<const JobResult *> results;
+    results.reserve(jobs.size());
     bool anyWorker = false;
     for (const ScenarioSpec &spec : jobs) {
-        const JobResult *r = store.findResult(spec.hashHex());
-        if (r != nullptr && !r->worker.empty()) {
-            anyWorker = true;
-            break;
-        }
+        const JobResult *r =
+            results.emplace_back(store.findResult(spec.hashHex()));
+        anyWorker = anyWorker || (r != nullptr && !r->worker.empty());
     }
 
     std::vector<std::string> header{"name", "hash"};
@@ -91,15 +91,15 @@ writeSweepCsv(std::ostream &os, const SweepPlan &plan,
     }
 
     TextTable table(std::move(header));
-    for (const ScenarioSpec &spec : jobs) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const ScenarioSpec &spec = jobs[i];
         std::vector<std::string> row{spec.displayName(),
                                      spec.hashHex()};
         for (const SweepAxis &axis : plan.axes()) {
             const std::string *v = spec.find(axis.key);
             row.push_back(v != nullptr ? *v : "");
         }
-        const JobResult *r = store.findResult(spec.hashHex());
-        if (r != nullptr) {
+        if (const JobResult *r = results[i]) {
             for (std::string &cell : summaryCells(*r))
                 row.push_back(std::move(cell));
             if (anyWorker) {

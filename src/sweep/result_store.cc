@@ -120,36 +120,53 @@ parseJobStatus(const std::string &name)
 std::string
 JobResult::toJsonLine() const
 {
-    std::string out = "{";
-    out += "\"hash\":\"" + obs::jsonEscape(hash) + "\"";
-    out += ",\"name\":\"" + obs::jsonEscape(name) + "\"";
-    out += ",\"status\":\"" + std::string(jobStatusName(status)) + "\"";
-    out += ",\"error\":\"" + obs::jsonEscape(error) + "\"";
-    out += ",\"error_class\":\"" +
-           std::string(errorClassName(errorClass)) + "\"";
-    out += ",\"attempts\":" + std::to_string(attempts);
-    out += ",\"fallback_tier\":" + std::to_string(fallbackTier);
-    out += ",\"wall_s\":" + obs::jsonNumber(wallSeconds);
-    out += ",\"peak_c\":" + obs::jsonNumber(peakCelsius);
-    out += ",\"min_c\":" + obs::jsonNumber(minCelsius);
-    out += ",\"gradient_k\":" + obs::jsonNumber(gradientKelvin);
-    out += ",\"hottest\":\"" + obs::jsonEscape(hottestUnit) + "\"";
-    out += ",\"heat_primary_w\":" + obs::jsonNumber(heatPrimaryWatts);
-    out += ",\"heat_secondary_w\":" + obs::jsonNumber(heatSecondaryWatts);
-    out += ",\"cg_iterations\":" + std::to_string(cgIterations);
+    // Every piece is appended in place: a chain of `+` would build a
+    // temporary string per field, which cost more than the numbers.
+    std::string out;
+    out.reserve(1024);
+    const auto text = [&out](const char *key, const std::string &value) {
+        out += key;
+        out += '"';
+        out += obs::jsonEscape(value);
+        out += '"';
+    };
+    const auto number = [&out](const char *key, double value) {
+        out += key;
+        out += obs::jsonNumber(value);
+    };
+    const auto count = [&out](const char *key, auto value) {
+        out += key;
+        out += std::to_string(value);
+    };
+    text("{\"hash\":", hash);
+    text(",\"name\":", name);
+    out += ",\"status\":\"";
+    out += jobStatusName(status);
+    out += '"';
+    text(",\"error\":", error);
+    out += ",\"error_class\":\"";
+    out += errorClassName(errorClass);
+    out += '"';
+    count(",\"attempts\":", attempts);
+    count(",\"fallback_tier\":", fallbackTier);
+    number(",\"wall_s\":", wallSeconds);
+    number(",\"peak_c\":", peakCelsius);
+    number(",\"min_c\":", minCelsius);
+    number(",\"gradient_k\":", gradientKelvin);
+    text(",\"hottest\":", hottestUnit);
+    number(",\"heat_primary_w\":", heatPrimaryWatts);
+    number(",\"heat_secondary_w\":", heatSecondaryWatts);
+    count(",\"cg_iterations\":", cgIterations);
     out += ",\"warm_start\":";
     out += warmStarted ? "true" : "false";
     out += ",\"impulse_hit\":";
     out += impulseCacheHit ? "true" : "false";
-    out += ",\"resources\":{\"cpu_s\":" +
-           obs::jsonNumber(resources.cpuSeconds) +
-           ",\"rss_delta_kb\":" +
-           std::to_string(resources.peakRssDeltaKb) +
-           ",\"solver_iterations\":" +
-           std::to_string(resources.solverIterations) +
-           ",\"retries\":" + std::to_string(resources.retries) +
-           ",\"fallbacks\":" +
-           std::to_string(resources.fallbackEscalations) + "}";
+    number(",\"resources\":{\"cpu_s\":", resources.cpuSeconds);
+    count(",\"rss_delta_kb\":", resources.peakRssDeltaKb);
+    count(",\"solver_iterations\":", resources.solverIterations);
+    count(",\"retries\":", resources.retries);
+    count(",\"fallbacks\":", resources.fallbackEscalations);
+    out += '}';
     if (!axisValues.empty()) {
         out += ",\"axes\":{";
         bool first = true;
@@ -157,29 +174,31 @@ JobResult::toJsonLine() const
             if (!first)
                 out += ',';
             first = false;
-            out += "\"" + obs::jsonEscape(key) + "\":\"" +
-                   obs::jsonEscape(value) + "\"";
+            out += '"';
+            out += obs::jsonEscape(key);
+            text("\":", value);
         }
-        out += "}";
+        out += '}';
     }
     // Fabric provenance, omitted at its defaults so single-process
     // journals carry no fabric fields.
     if (!worker.empty())
-        out += ",\"worker\":\"" + obs::jsonEscape(worker) + "\"";
+        text(",\"worker\":", worker);
     if (leaseRenewals != 0)
-        out += ",\"lease_renewals\":" + std::to_string(leaseRenewals);
+        count(",\"lease_renewals\":", leaseRenewals);
     if (leaseExpiries != 0)
-        out += ",\"lease_expiries\":" + std::to_string(leaseExpiries);
+        count(",\"lease_expiries\":", leaseExpiries);
     if (reLeases != 0)
-        out += ",\"re_leases\":" + std::to_string(reLeases);
+        count(",\"re_leases\":", reLeases);
     out += ",\"blocks\":{";
     bool first = true;
     for (const auto &[block, celsius] : blockCelsius) {
         if (!first)
             out += ',';
         first = false;
-        out += "\"" + obs::jsonEscape(block) +
-               "\":" + obs::jsonNumber(celsius);
+        out += '"';
+        out += obs::jsonEscape(block);
+        number("\":", celsius);
     }
     out += "}}";
     return out;
@@ -648,7 +667,6 @@ ResultStore::findResult(const std::string &hash) const
 void
 ResultStore::add(const JobResult &result)
 {
-    std::lock_guard<std::mutex> lock(mu);
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     static obs::Counter &bytesWritten =
         reg.counter("sweep.journal.bytes_written");
@@ -657,6 +675,7 @@ ResultStore::add(const JobResult &result)
     static obs::Timer &aggTimer = reg.timer("sweep.agg.update_seconds");
 
     std::string line = result.toJsonLine();
+    std::lock_guard<std::mutex> lock(mu);
     FaultInjector &faults = FaultInjector::global();
     bool rowFault = false;
     std::uint64_t wrote = 0;

@@ -214,7 +214,8 @@ class ResultStore
      *  the store is destroyed (results are never removed). */
     const JobResult *findResult(const std::string &hash) const;
 
-    /** Record a completed job and journal it durably. */
+    /** Record a completed job and journal it durably. The row is
+     *  serialized before the store's lock is taken. */
     void add(const JobResult &result);
 
     /**

@@ -374,12 +374,6 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
             r.warmStarted = info.warmStarted;
             r.fallbackTier = info.fallbackTier;
             r.impulseCacheHit = info.impulseCacheHit;
-            // Keep the warm start fresh even on superposed jobs: a
-            // demoted neighbor still gets a good starting guess.
-            std::vector<double> rise = nodes;
-            for (double &t : rise)
-                t -= rs.config.package.ambient;
-            stacks.storeRise(stack, std::move(rise));
             obs::ScopedSpan span("core.summarize");
             summarize(r, model, nodes);
         } else {
@@ -416,6 +410,14 @@ runOneJob(const ScenarioSpec &spec, const SweepOptions &opts,
             map.writeCsv(csv);
             std::ofstream ppm(base.string() + ".map.ppm");
             map.writePpm(ppm);
+        }
+        if (!rs.transient) {
+            // Keep the warm start fresh even on superposed jobs: a
+            // demoted neighbor still gets a good starting guess. The
+            // node field is not read past this point, so it moves.
+            for (double &t : nodes)
+                t -= rs.config.package.ambient;
+            stacks.storeRise(stack, std::move(nodes));
         }
         r.status = JobStatus::Ok;
     } catch (const JobTimeout &) {
@@ -704,13 +706,14 @@ JobResult
 JobExecutor::run(const ScenarioSpec &spec, bool allowSuperposition,
                  const std::string &workerLabel)
 {
-    auto &reg = obs::MetricsRegistry::global();
+    static obs::Timer &jobTime =
+        obs::MetricsRegistry::global().timer("sweep.job_time");
     const SweepOptions &opts = impl->opts;
     JobResult r;
     std::size_t attempt = 1;
     JobResources acc; ///< resource totals across attempts
     {
-        obs::ScopedTimer jobTimer(reg.timer("sweep.job_time"));
+        obs::ScopedTimer jobTimer(jobTime);
         for (;; ++attempt) {
             r = runGuarded(spec, opts, impl->stacks, impl->abandoned,
                            attempt, workerLabel, allowSuperposition);
@@ -727,7 +730,9 @@ JobExecutor::run(const ScenarioSpec &spec, bool allowSuperposition,
             warn("sweep: job '", r.name, "' failed (",
                  errorClassName(r.errorClass), "), retry ", attempt,
                  "/", opts.maxRetries, " in ", delay, " s: ", r.error);
-            reg.counter("resilience.retry.attempts").add();
+            obs::MetricsRegistry::global()
+                .counter("resilience.retry.attempts")
+                .add();
             IRTHERM_EVENT("resilience.retry", {"name", r.name},
                           {"attempt", attempt},
                           {"class", errorClassName(r.errorClass)},

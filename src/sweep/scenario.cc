@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
+#include <type_traits>
 
 #include "base/errors.hh"
 #include "base/logging.hh"
@@ -18,22 +20,46 @@ namespace
 constexpr const char *kConfigPrefix = "config.";
 constexpr const char *kBlockPowerPrefix = "power.block.";
 
+/** Context of a per-key resolve() error. resolve() runs once per
+ *  job, so its parsers build it only when they throw. */
+std::string
+keyContext(const std::string &key)
+{
+    return "scenario key '" + key + "'";
+}
+
+/** parseDouble() under the key's context, without building it for a
+ *  plain number. */
+double
+parseNumber(const std::string &key, const std::string &value)
+{
+    char *end = nullptr;
+    const double v = std::strtod(value.c_str(), &end);
+    if (end != value.c_str() && *end == '\0')
+        return v;
+    // Surrounding whitespace or a malformed number: parseDouble
+    // trims the one and throws the other, with the key's context.
+    return parseDouble(value, keyContext(key));
+}
+
 bool
-parseBool(const std::string &value, const std::string &ctx)
+parseBool(const std::string &key, const std::string &value)
 {
     if (value == "1" || value == "true" || value == "yes")
         return true;
     if (value == "0" || value == "false" || value == "no")
         return false;
-    configError(ctx, ": expected a boolean, got '", value, "'");
+    configError(keyContext(key), ": expected a boolean, got '", value,
+                "'");
 }
 
 std::size_t
-parsePositiveInt(const std::string &value, const std::string &ctx)
+parsePositiveInt(const std::string &key, const std::string &value)
 {
-    const double n = parseDouble(value, ctx);
+    const double n = parseNumber(key, value);
     if (n < 1.0 || n != std::floor(n))
-        configError(ctx, ": expected a positive integer, got '", value, "'");
+        configError(keyContext(key), ": expected a positive integer, got '",
+                    value, "'");
     return static_cast<std::size_t>(n);
 }
 
@@ -77,12 +103,48 @@ hashHex(std::uint64_t hash)
     return buf;
 }
 
+static_assert(std::is_nothrow_move_constructible_v<ScenarioSpec>);
+
+ScenarioSpec::HashMemo &
+ScenarioSpec::HashMemo::operator=(const HashMemo &other) noexcept
+{
+    // valid is read first: the hashes read after it are the ones it
+    // vouches for, and a memo still being filled copies as not valid.
+    const bool v = other.valid.load();
+    scenario.store(other.scenario.load());
+    stack.store(other.stack.load());
+    valid.store(v);
+    return *this;
+}
+
 void
 ScenarioSpec::set(const std::string &key, const std::string &value)
 {
     if (key.empty())
         configError("scenario: empty setting key");
     values[key] = value;
+    memo.valid.store(false);
+}
+
+const ScenarioSpec::HashMemo &
+ScenarioSpec::hashes() const
+{
+    if (memo.valid.load())
+        return memo;
+    // Readers racing here store the same values.
+    std::string stack;
+    for (const auto &[key, value] : values) {
+        if (key != "floorplan" && !startsWith(key, kConfigPrefix))
+            continue;
+        stack += key;
+        stack += '=';
+        stack += value;
+        stack += '\n';
+    }
+    memo.scenario.store(fnv1a64(canonicalSerialization()));
+    memo.stack.store(fnv1a64(stack));
+    memo.valid.store(true);
+    return memo;
 }
 
 const std::string *
@@ -118,7 +180,7 @@ ScenarioSpec::canonicalSerialization() const
 std::uint64_t
 ScenarioSpec::hash() const
 {
-    return fnv1a64(canonicalSerialization());
+    return hashes().scenario.load();
 }
 
 std::string
@@ -130,16 +192,7 @@ ScenarioSpec::hashHex() const
 std::uint64_t
 ScenarioSpec::stackHash() const
 {
-    std::string out;
-    for (const auto &[key, value] : values) {
-        if (key != "floorplan" && !startsWith(key, kConfigPrefix))
-            continue;
-        out += key;
-        out += '=';
-        out += value;
-        out += '\n';
-    }
-    return fnv1a64(out);
+    return hashes().stack.load();
 }
 
 ResolvedScenario
@@ -155,7 +208,6 @@ ScenarioSpec::resolve() const
     std::vector<std::pair<std::string, double>> blockOverrides;
 
     for (const auto &[key, value] : values) {
-        const std::string ctx = "scenario key '" + key + "'";
         if (key == "name") {
             r.name = value;
         } else if (key == "floorplan") {
@@ -166,7 +218,8 @@ ScenarioSpec::resolve() const
             else if (value == "transient")
                 r.transient = true;
             else
-                configError(ctx, ": mode must be 'steady' or 'transient'");
+                configError(keyContext(key),
+                            ": mode must be 'steady' or 'transient'");
         } else if (key == "integrator") {
             if (value == "auto")
                 r.integrator = IntegratorKind::Auto;
@@ -175,38 +228,38 @@ ScenarioSpec::resolve() const
             else if (value == "be")
                 r.integrator = IntegratorKind::BackwardEuler;
             else
-                configError(ctx, ": integrator must be 'auto', 'rk4', or "
-                           "'be'");
+                configError(keyContext(key),
+                            ": integrator must be 'auto', 'rk4', or 'be'");
         } else if (key == "power.uniform") {
-            uniformPower = parseDouble(value, ctx);
+            uniformPower = parseNumber(key, value);
             havePowerKey = true;
         } else if (startsWith(key, kBlockPowerPrefix)) {
             blockOverrides.emplace_back(
                 key.substr(std::string(kBlockPowerPrefix).size()),
-                parseDouble(value, ctx));
+                parseNumber(key, value));
             havePowerKey = true;
         } else if (key == "ptrace") {
             ptracePath = &value;
         } else if (key == "ptrace.sampling") {
-            ptraceSampling = parseDouble(value, ctx);
+            ptraceSampling = parseNumber(key, value);
         } else if (key == "solver.max_iterations") {
-            r.maxIterations = parsePositiveInt(value, ctx);
+            r.maxIterations = parsePositiveInt(key, value);
         } else if (key == "solver.tolerance") {
-            r.tolerance = parseDouble(value, ctx);
+            r.tolerance = parseNumber(key, value);
         } else if (key == "solver.fallback") {
-            r.solverFallback = parseBool(value, ctx);
+            r.solverFallback = parseBool(key, value);
         } else if (key == "solver.preconditioner") {
             if (value == "jacobi")
                 r.preconditioner = PreconditionerKind::Jacobi;
             else if (value == "mg")
                 r.preconditioner = PreconditionerKind::Multigrid;
             else
-                configError(ctx, ": preconditioner must be 'jacobi' "
-                            "or 'mg'");
+                configError(keyContext(key),
+                            ": preconditioner must be 'jacobi' or 'mg'");
         } else if (key == "solver.superposition") {
-            r.superposition = parseBool(value, ctx);
+            r.superposition = parseBool(key, value);
         } else if (key == "outputs.map") {
-            r.writeMap = parseBool(value, ctx);
+            r.writeMap = parseBool(key, value);
         } else if (startsWith(key, kConfigPrefix)) {
             configText += key.substr(std::string(kConfigPrefix).size());
             configText += ' ';

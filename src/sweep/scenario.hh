@@ -51,6 +51,7 @@
 #ifndef IRTHERM_SWEEP_SCENARIO_HH
 #define IRTHERM_SWEEP_SCENARIO_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -96,7 +97,14 @@ struct ResolvedScenario
     bool writeMap = false;
 };
 
-/** One declarative scenario: sorted setting key -> canonical value. */
+/**
+ * One declarative scenario: sorted setting key -> canonical value.
+ *
+ * The scenario and stack hashes are computed together on first use
+ * and kept until the next set(), so a sweep hashes each job once no
+ * matter how many readers ask. The memo is atomic: const readers on
+ * several threads may share one spec, hashed or not.
+ */
 class ScenarioSpec
 {
   public:
@@ -139,7 +147,25 @@ class ScenarioSpec
     ResolvedScenario resolve() const;
 
   private:
+    /** hash() and stackHash() once computed; copies with the spec. */
+    struct HashMemo
+    {
+        std::atomic<std::uint64_t> scenario{0};
+        std::atomic<std::uint64_t> stack{0};
+        std::atomic<bool> valid{false};
+
+        HashMemo() = default;
+        // noexcept keeps ScenarioSpec nothrow-movable, so a growing
+        // std::vector of specs moves them instead of copying.
+        HashMemo(const HashMemo &other) noexcept { *this = other; }
+        HashMemo &operator=(const HashMemo &other) noexcept;
+    };
+
+    /** The memo, filled on first use. */
+    const HashMemo &hashes() const;
+
     std::map<std::string, std::string> values;
+    mutable HashMemo memo;
 };
 
 } // namespace irtherm::sweep

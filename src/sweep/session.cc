@@ -91,46 +91,50 @@ void
 SweepSession::record(JobResult r, const ScenarioSpec &spec)
 {
     auto &reg = obs::MetricsRegistry::global();
+    static obs::Counter &executedJobs = reg.counter("sweep.jobs.executed");
+    static obs::Counter &okJobs = reg.counter("sweep.jobs.ok");
+    static obs::Counter &warmHits = reg.counter("sweep.warm_start.hits");
     attachAxes(r, spec);
     store.add(r);
     if (r.status == JobStatus::Ok && opts.sharedCacheStore)
         opts.sharedCacheStore(r);
     status.jobFinished(r.status);
-    reg.counter("sweep.jobs.executed").add();
+    executedJobs.add();
     IRTHERM_EVENT("sweep.job.done", {"name", r.name}, {"hash", r.hash},
                   {"status", jobStatusName(r.status)},
                   {"peak_c", r.peakCelsius}, {"wall_s", r.wallSeconds});
-    const std::string where =
-        r.worker.empty() ? "" : " on worker '" + r.worker + "'";
+    const auto where = [&r] {
+        return r.worker.empty() ? "" : " on worker '" + r.worker + "'";
+    };
 
     std::lock_guard<std::mutex> lock(mu);
     ++sum.executed;
     switch (r.status) {
       case JobStatus::Ok:
         ++sum.ok;
-        reg.counter("sweep.jobs.ok").add();
+        okJobs.add();
         break;
       case JobStatus::Failed:
         ++sum.failed;
         reg.counter("sweep.jobs.failed").add();
-        warn("sweep: job '", r.name, "' failed", where, ": ", r.error);
+        warn("sweep: job '", r.name, "' failed", where(), ": ", r.error);
         break;
       case JobStatus::Timeout:
         ++sum.timedOut;
         reg.counter("sweep.jobs.timeout").add();
-        warn("sweep: job '", r.name, "' timed out", where, " after ",
+        warn("sweep: job '", r.name, "' timed out", where(), " after ",
              r.wallSeconds, " s");
         break;
       case JobStatus::Hung:
         ++sum.hung;
         reg.counter("resilience.jobs.hung").add();
-        warn("sweep: job '", r.name, "' hung", where,
+        warn("sweep: job '", r.name, "' hung", where(),
              "; thread abandoned after ", r.wallSeconds, " s");
         break;
     }
     if (r.warmStarted) {
         ++sum.warmStarted;
-        reg.counter("sweep.warm_start.hits").add();
+        warmHits.add();
     }
     if (r.impulseCacheHit)
         ++sum.impulseCacheHits;
@@ -184,9 +188,13 @@ SweepSession::route(obs::HttpServer &server,
 SweepSummary
 SweepSession::finish()
 {
-    // Seal the remaining buffered rows and checkpoint the aggregates
-    // so the next resume (and sweep_report) start from O(1) state.
-    store.finalize();
+    {
+        // Seal the remaining buffered rows and checkpoint the
+        // aggregates so the next resume (and sweep_report) start from
+        // O(1) state.
+        obs::ScopedSpan span("sweep.seal");
+        store.finalize();
+    }
 
     SweepSummary out;
     {
@@ -194,6 +202,7 @@ SweepSession::finish()
         out = sum;
     }
     if (opts.writeReports) {
+        obs::ScopedSpan span("sweep.reports");
         const std::filesystem::path dir(opts.outDir);
         out.csvPath = (dir / "report.csv").string();
         out.jsonPath = (dir / "report.json").string();

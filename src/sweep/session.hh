@@ -81,8 +81,9 @@ class SweepSession
                std::function<std::string()> statusMembers = {},
                std::function<std::string()> metricsText = {});
 
-    /** Seal the store, checkpoint its aggregates, write the reports
-     *  (opts.writeReports), and return the summary. */
+    /** Seal the store and checkpoint its aggregates (span
+     *  sweep.seal), write the reports (opts.writeReports; span
+     *  sweep.reports), and return the summary. */
     SweepSummary finish();
 
   private:

@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/errors.hh"
@@ -250,6 +252,139 @@ TEST(Scenario, ResolveValidates)
     EXPECT_EQ(mg.resolve().preconditioner, PreconditionerKind::Multigrid);
 }
 
+TEST(Scenario, PerKeyResolveErrorsNameTheirKey)
+{
+    ScenarioSpec ok;
+    ok.set("floorplan", "preset:ev6");
+    ok.set("power.uniform", "0.5");
+    const struct
+    {
+        const char *key;
+        const char *value;
+        const char *message;
+    } cases[] = {
+        {"power.block.IntReg", "4.0x",
+         "fatal: scenario key 'power.block.IntReg': invalid number "
+         "'4.0x'"},
+        {"power.uniform", "", "fatal: scenario key 'power.uniform': "
+                              "empty numeric field"},
+        {"power.uniform", "half",
+         "fatal: scenario key 'power.uniform': invalid number 'half'"},
+        {"ptrace.sampling", "3.3us",
+         "fatal: scenario key 'ptrace.sampling': invalid number "
+         "'3.3us'"},
+        {"solver.tolerance", "1e-9.5",
+         "fatal: scenario key 'solver.tolerance': invalid number "
+         "'1e-9.5'"},
+        {"solver.max_iterations", "2.5",
+         "fatal: scenario key 'solver.max_iterations': expected a "
+         "positive integer, got '2.5'"},
+        {"solver.max_iterations", "many",
+         "fatal: scenario key 'solver.max_iterations': invalid number "
+         "'many'"},
+        {"solver.fallback", "maybe",
+         "fatal: scenario key 'solver.fallback': expected a boolean, "
+         "got 'maybe'"},
+    };
+    for (const auto &c : cases) {
+        ScenarioSpec spec = ok;
+        spec.set(c.key, c.value);
+        try {
+            spec.resolve();
+            ADD_FAILURE() << c.key << "=" << c.value << " accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()), c.message);
+        }
+    }
+    // Surrounding whitespace is not an error; the value is the same.
+    ScenarioSpec padded = ok;
+    padded.set("power.block.IntReg", " 4.0 ");
+    const ResolvedScenario r = padded.resolve();
+    EXPECT_EQ(r.blockPowers[r.floorplan.blockIndex("IntReg")], 4.0);
+}
+
+TEST(ScenarioHash, SetAfterHashingChangesTheHashes)
+{
+    ScenarioSpec spec;
+    spec.set("floorplan", "preset:ev6");
+    spec.set("power.uniform", "0.5");
+    spec.set("config.cooling", "oil");
+    const std::uint64_t hash = spec.hash();
+    const std::uint64_t stack = spec.stackHash();
+    EXPECT_EQ(spec.hashHex(), hashHex(hash));
+    EXPECT_EQ(hash, fnv1a64(spec.canonicalSerialization()));
+
+    // A power key moves the scenario hash, not the stack hash, and
+    // setting it back restores the first hash.
+    spec.set("power.uniform", "0.75");
+    EXPECT_NE(spec.hash(), hash);
+    EXPECT_EQ(spec.hashHex(), hashHex(spec.hash()));
+    EXPECT_EQ(spec.stackHash(), stack);
+    spec.set("power.uniform", "0.5");
+    EXPECT_EQ(spec.hash(), hash);
+
+    // The display name stays out of both.
+    spec.set("name", "renamed");
+    EXPECT_EQ(spec.hash(), hash);
+    EXPECT_EQ(spec.stackHash(), stack);
+
+    // A config key moves both; a copy and an assigned spec keep the
+    // hashes of what they copied, and change with their own set().
+    spec.set("config.oil_velocity", "0.2");
+    EXPECT_NE(spec.hash(), hash);
+    EXPECT_NE(spec.stackHash(), stack);
+    ScenarioSpec copy = spec;
+    EXPECT_EQ(copy.hash(), spec.hash());
+    EXPECT_EQ(copy.stackHash(), spec.stackHash());
+    copy.set("config.oil_velocity", "0.3");
+    EXPECT_NE(copy.stackHash(), spec.stackHash());
+    EXPECT_EQ(copy.hash(), fnv1a64(copy.canonicalSerialization()));
+    copy = spec;
+    EXPECT_EQ(copy.hash(), spec.hash());
+    EXPECT_EQ(copy.stackHash(), spec.stackHash());
+}
+
+TEST(ScenarioHash, ThreadsSharingUnhashedSpecsAgree)
+{
+    // Four threads walk the same never-hashed specs in the same order,
+    // so they race to fill each memo and to copy it half-filled.
+    std::vector<ScenarioSpec> specs(64);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].set("floorplan", "preset:ev6");
+        specs[i].set("config.oil_velocity", std::to_string(i % 8));
+        specs[i].set("power.uniform", std::to_string(i));
+    }
+    std::vector<std::vector<std::uint64_t>> seen(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+        threads.emplace_back([&specs, &out = seen[t]] {
+            for (const ScenarioSpec &spec : specs) {
+                const ScenarioSpec copy = spec;
+                out.push_back(spec.hash());
+                out.push_back(spec.stackHash());
+                out.push_back(copy.hash());
+                out.push_back(copy.stackHash());
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        // A spec of only the stack keys hashes the stack hash's bytes.
+        ScenarioSpec stackOnly;
+        stackOnly.set("floorplan", "preset:ev6");
+        stackOnly.set("config.oil_velocity", std::to_string(i % 8));
+        const std::uint64_t hash =
+            fnv1a64(specs[i].canonicalSerialization());
+        for (const std::vector<std::uint64_t> &out : seen) {
+            EXPECT_EQ(out[4 * i], hash);
+            EXPECT_EQ(out[4 * i + 1], stackOnly.hash());
+            EXPECT_EQ(out[4 * i + 2], hash);
+            EXPECT_EQ(out[4 * i + 3], stackOnly.hash());
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // Journal round-trip
 // ---------------------------------------------------------------
@@ -295,6 +430,63 @@ TEST(ResultStore, JournalLineRoundTrip)
         JobResult::fromJsonLine(f.toJsonLine(), "test");
     EXPECT_EQ(fback.status, JobStatus::Failed);
     EXPECT_EQ(fback.error, "CG diverged");
+}
+
+TEST(ResultStore, JournalLineKeepsItsBytes)
+{
+    // Journals and report.json rows are compared byte for byte across
+    // builds and worker counts, so every field's text is pinned here:
+    // escapes, non-finite numbers, axes and the fabric fields.
+    JobResult r;
+    r.hash = "0123456789abcdef";
+    r.name = "we\"ird\\name\n\t";
+    r.status = JobStatus::Failed;
+    r.error = "bad \"thing\"\r\n\x01";
+    r.errorClass = ErrorClass::Numeric;
+    r.attempts = 3;
+    r.fallbackTier = 2;
+    r.wallSeconds = 1e-300;
+    r.peakCelsius = std::numeric_limits<double>::quiet_NaN();
+    r.minCelsius = -0.0;
+    r.gradientKelvin = std::numeric_limits<double>::infinity();
+    r.heatPrimaryWatts = 1e21;
+    r.heatSecondaryWatts = 123456789.125;
+    r.cgIterations = 99;
+    r.warmStarted = true;
+    r.resources.cpuSeconds = 0.5;
+    r.resources.peakRssDeltaKb = -12;
+    r.resources.solverIterations = 7;
+    r.resources.retries = 2;
+    r.resources.fallbackEscalations = 1;
+    r.axisValues = {{"power.uniform", "0.5"}, {"config.\"q\"", "a,b"}};
+    r.worker = "w-1";
+    r.leaseRenewals = 4;
+    r.leaseExpiries = 5;
+    r.reLeases = 6;
+    r.blockCelsius = {{"A", 1.5}, {"B\"", -2.25e-7}};
+    EXPECT_EQ(
+        r.toJsonLine(),
+        R"({"hash":"0123456789abcdef","name":"we\"ird\\name\n\t",)"
+        R"("status":"failed","error":"bad \"thing\"\r\n\u0001",)"
+        R"("error_class":"numeric","attempts":3,"fallback_tier":2,)"
+        R"("wall_s":1e-300,"peak_c":null,"min_c":-0,"gradient_k":null,)"
+        R"("hottest":"","heat_primary_w":1e+21,)"
+        R"("heat_secondary_w":123456789.125,"cg_iterations":99,)"
+        R"("warm_start":true,"impulse_hit":false,)"
+        R"("resources":{"cpu_s":0.5,"rss_delta_kb":-12,)"
+        R"("solver_iterations":7,"retries":2,"fallbacks":1},)"
+        R"("axes":{"power.uniform":"0.5","config.\"q\"":"a,b"},)"
+        R"("worker":"w-1","lease_renewals":4,"lease_expiries":5,)"
+        R"("re_leases":6,"blocks":{"A":1.5,"B\"":-2.25e-07}})");
+    EXPECT_EQ(
+        JobResult{}.toJsonLine(),
+        R"({"hash":"","name":"","status":"ok","error":"",)"
+        R"("error_class":"none","attempts":1,"fallback_tier":0,)"
+        R"("wall_s":0,"peak_c":0,"min_c":0,"gradient_k":0,"hottest":"",)"
+        R"("heat_primary_w":0,"heat_secondary_w":0,"cg_iterations":0,)"
+        R"("warm_start":false,"impulse_hit":false,)"
+        R"("resources":{"cpu_s":0,"rss_delta_kb":0,)"
+        R"("solver_iterations":0,"retries":0,"fallbacks":0},"blocks":{}})");
 }
 
 TEST(ResultStore, PersistsAndReloads)
@@ -908,6 +1100,113 @@ TEST(JobClaims, RowsAreBitIdenticalAtAnyWorkerCount)
             EXPECT_EQ(runs[k].at(name), line)
                 << name << " at run " << k;
     }
+}
+
+/** @p line (a journal row) without its wall_s and resources. */
+std::string
+withoutTiming(std::string line)
+{
+    const std::size_t wall = line.find(",\"wall_s\":");
+    if (wall != std::string::npos)
+        line.erase(wall, line.find(',', wall + 1) - wall);
+    const std::size_t res = line.find(",\"resources\":{");
+    if (res != std::string::npos)
+        line.erase(res, line.find('}', res) + 1 - res);
+    return line;
+}
+
+/** report.csv without its wall_s, cpu_s and rss_delta_kb columns. */
+std::vector<std::string>
+csvWithoutTiming(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> out;
+    std::vector<bool> keep;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::vector<std::string> cells;
+        std::stringstream ss(line);
+        for (std::string cell; std::getline(ss, cell, ',');)
+            cells.push_back(cell);
+        if (keep.empty()) {
+            for (const std::string &c : cells)
+                keep.push_back(c != "wall_s" && c != "cpu_s" &&
+                               c != "rss_delta_kb");
+        }
+        std::string row;
+        for (std::size_t c = 0; c < cells.size(); ++c)
+            if (c >= keep.size() || keep[c])
+                row += cells[c] + ",";
+        out.push_back(row);
+    }
+    return out;
+}
+
+TEST(SweepReports, MatchAtOneAndFourWorkers)
+{
+    // Two superposed stacks of 12 jobs. Four workers finish them out
+    // of plan order; the reports list them in plan order all the
+    // same. A first run fills the impulse cache, so every job of both
+    // measured runs is an impulse hit whichever worker gets there
+    // first.
+    std::vector<std::string> scenarios;
+    for (const double v : {6.0, 9.0}) {
+        for (int j = 0; j < 12; ++j)
+            scenarios.push_back(steadyScenario(
+                "v" + std::to_string(static_cast<int>(v)) + "-" +
+                    std::to_string(j),
+                v, 0.3 + 0.05 * j,
+                ", \"power.block.IntReg\": " + std::to_string(1.0 + j)));
+    }
+    const SweepPlan plan = SweepPlan::parse(planOf(scenarios), "reports");
+    ImpulseResponseCache::global().clear();
+    SweepOptions prime;
+    prime.outDir = freshOutDir("reports_prime");
+    prime.workers = 1;
+    ASSERT_EQ(runSweep(plan, prime).ok, 24u);
+
+    std::vector<std::vector<std::string>> csvs;
+    std::vector<std::string> jsons;
+    for (const std::size_t workers : {1u, 4u}) {
+        SweepOptions opts;
+        opts.outDir =
+            freshOutDir("reports_w" + std::to_string(workers));
+        opts.workers = workers;
+        const SweepSummary sum = runSweep(plan, opts);
+        ASSERT_EQ(sum.ok, 24u) << workers << " workers";
+        EXPECT_EQ(sum.impulseCacheHits, 24u) << workers << " workers";
+
+        std::map<std::string, std::string> journaled;
+        std::ifstream journal(sum.journalPath);
+        for (std::string line; std::getline(journal, line);)
+            journaled[JobResult::fromJsonLine(line, "journal").hash] = line;
+        ASSERT_EQ(journaled.size(), 24u);
+
+        // Every report.json row is its journal line, byte for byte.
+        std::ifstream json(sum.jsonPath);
+        std::string text, line;
+        std::size_t rows = 0;
+        while (std::getline(json, line)) {
+            const std::size_t brace = line.find("{\"hash\"");
+            if (brace != std::string::npos) {
+                std::string row = line.substr(brace);
+                if (row.back() == ',')
+                    row.pop_back();
+                const JobResult r = JobResult::fromJsonLine(row, "report");
+                EXPECT_EQ(row, journaled.at(r.hash)) << r.name;
+                ++rows;
+                line = line.substr(0, brace) + withoutTiming(row) +
+                       (line.back() == ',' ? "," : "");
+            }
+            text += line + "\n";
+        }
+        EXPECT_EQ(rows, 24u);
+        jsons.push_back(text);
+        csvs.push_back(csvWithoutTiming(sum.csvPath));
+        EXPECT_EQ(csvs.back().size(), 25u);
+    }
+    EXPECT_EQ(csvs[0], csvs[1]);
+    EXPECT_EQ(jsons[0], jsons[1]);
 }
 
 } // namespace
