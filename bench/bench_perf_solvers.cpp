@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "legacy_solvers.hh"
 
-#include "base/thread_pool.hh"
 #include "numeric/ode.hh"
 #include "core/package.hh"
 #include "core/simulator.hh"
@@ -31,8 +29,8 @@ namespace
 /**
  * Physical-flavoured n x n x 5 grid system (four silicon layers plus
  * an uncoupled film layer with a ground path), the same topology
- * FdSolver assembles. Used for the stencil-vs-CSR and
- * parallel-vs-serial comparisons below.
+ * FdSolver assembles. Used by the CG, Crank-Nicolson and
+ * stencil-vs-CSR benches below.
  */
 GridStencilOperator
 makeGridOperator(std::size_t n)
@@ -137,11 +135,10 @@ BM_BackwardEulerStepGrid(benchmark::State &state)
 BENCHMARK(BM_BackwardEulerStepGrid)->Arg(16)->Arg(32);
 
 /**
- * Steady CG on the grid system across the solver trajectory:
- * range(1) = 0 is the pre-optimization configuration
- * (legacy_solvers.hh: assembled CSR, Jacobi, redundant norm2 pass,
- * serial kernels), 1 is the stencil + geometric multigrid V-cycle
- * preconditioner. range(0) is the lateral grid size.
+ * Steady CG on the stencil grid system: range(1) = 0 is
+ * Jacobi-preconditioned CG (bench_to_json's steady baseline), 1 is
+ * the geometric multigrid V-cycle preconditioner. range(0) is the
+ * lateral grid size.
  */
 void
 BM_SteadyCgGrid(benchmark::State &state)
@@ -149,24 +146,21 @@ BM_SteadyCgGrid(benchmark::State &state)
     const auto n = static_cast<std::size_t>(state.range(0));
     const int config = static_cast<int>(state.range(1));
     const GridStencilOperator op = makeGridOperator(n);
-    const CsrMatrix csr = op.toCsr();
     const std::vector<double> b(op.rows(), 1.0);
 
     IterativeOptions opts;
     opts.tolerance = 1e-11;
     opts.maxIterations = 200000;
+    opts.preconditioner = config != 0 ? PreconditionerKind::Multigrid
+                                      : PreconditionerKind::Jacobi;
 
-    ThreadPool::setParallelEnabled(config != 0);
     std::size_t iterations = 0;
     for (auto _ : state) {
-        const IterativeResult res =
-            config != 0 ? conjugateGradient(op, b, {}, opts)
-                        : legacy::conjugateGradient(csr, b, {}, opts);
+        const IterativeResult res = conjugateGradient(op, b, {}, opts);
         iterations = res.iterations;
         benchmark::DoNotOptimize(res.x.data());
     }
-    ThreadPool::setParallelEnabled(true);
-    static const char *kConfigNames[] = {"legacy ", "mg "};
+    static const char *kConfigNames[] = {"jacobi ", "mg "};
     state.SetLabel(kConfigNames[config] +
                    std::to_string(iterations) + " iters");
 }
@@ -218,41 +212,27 @@ BENCHMARK(BM_SuperposedSweep)->Arg(100)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Single-thread transient throughput: the pre-optimization
- * Crank-Nicolson step (per-step rhs allocation, workspace rebuilt
- * per solve) vs the factored CSR integrator, whose one-time factor
- * is paid before the timed loop.
+ * Transient throughput: one step of the factored Crank-Nicolson CSR
+ * integrator, whose one-time factor is paid before the timed loop.
  */
 void
 BM_TransientCnGrid(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
-    const bool optimized = state.range(1) != 0;
     const GridStencilOperator op = makeGridOperator(n);
     const CsrMatrix csr = op.toCsr();
     const std::vector<double> cap(op.rows(), 1.0);
     const std::vector<double> power(op.rows(), 0.5);
     const double dt = 1e-3;
 
-    ThreadPool::setParallelEnabled(false);
     std::vector<double> t(op.rows(), 0.0);
-    if (optimized) {
-        CrankNicolsonIntegrator cn(csr, cap, dt);
-        for (auto _ : state)
-            cn.step(t, power);
-    } else {
-        legacy::CrankNicolson cn(csr, cap, dt);
-        for (auto _ : state)
-            cn.step(t, power);
-    }
-    ThreadPool::setParallelEnabled(true);
-    state.SetLabel(optimized ? "optimized" : "baseline");
+    CrankNicolsonIntegrator cn(csr, cap, dt);
+    for (auto _ : state)
+        cn.step(t, power);
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TransientCnGrid)
-    ->Args({16, 0})->Args({16, 1})
-    ->Args({32, 0})->Args({32, 1});
+BENCHMARK(BM_TransientCnGrid)->Arg(16)->Arg(32);
 
 /** Stencil matvec vs the equivalent assembled-CSR matvec. */
 void
@@ -277,26 +257,6 @@ BM_MatvecGrid(benchmark::State &state)
 BENCHMARK(BM_MatvecGrid)
     ->Args({32, 0})->Args({32, 1})
     ->Args({64, 0})->Args({64, 1});
-
-/** Thread-pooled vs serial execution of the same stencil matvec. */
-void
-BM_MatvecParallelVsSerial(benchmark::State &state)
-{
-    const bool parallel = state.range(0) != 0;
-    const GridStencilOperator op = makeGridOperator(64);
-    std::vector<double> x(op.rows(), 1.0), y(op.rows());
-    ThreadPool::setParallelEnabled(parallel);
-    for (auto _ : state) {
-        op.apply(x, y);
-        benchmark::DoNotOptimize(y.data());
-    }
-    ThreadPool::setParallelEnabled(true);
-    state.SetLabel(parallel ? std::to_string(
-                                  ThreadPool::plannedGlobalThreads()) +
-                                  " threads"
-                            : "serial");
-}
-BENCHMARK(BM_MatvecParallelVsSerial)->Arg(0)->Arg(1);
 
 } // namespace
 

@@ -1,157 +1,20 @@
 /**
  * @file
- * Fixed-size worker pool with a deterministic parallel-for primitive.
- *
- * The numeric kernels (SpMV, BLAS-1 reductions, stencil sweeps) are
- * data-parallel over contiguous index ranges. parallelFor() splits
- * [begin, end) into fixed chunks of @p grain indices — chunk
- * boundaries depend only on (begin, end, grain), never on the thread
- * count or on scheduling — and runs the chunks across the workers
- * plus the calling thread. Because each chunk writes a disjoint
- * slice, elementwise kernels are bit-identical to a serial run no
- * matter how chunks land on threads.
- *
- * Reductions get the same guarantee through parallelReduceSum():
- * every chunk produces one partial sum, and the partials are combined
- * in ascending chunk order on the calling thread. The serial
- * fallback walks the identical chunk decomposition, so a reduction
- * computes the exact same floating-point value whether it ran on 1 or
- * N threads — this is what makes parallel and serial solver paths
- * produce bit-identical temperatures.
- *
- * Sizing: the process-wide pool (global()) reads IRTHERM_THREADS at
- * first use (setGlobalThreads() overrides it programmatically, e.g.
- * from a --threads CLI flag, if called before first use); unset/0
- * means one software thread per hardware thread. Small ranges
- * (a single chunk) and nested calls from inside a worker run inline
- * without touching the pool.
+ * What is left of the retired kernel thread pool: a switch that does
+ * nothing. Every numeric kernel runs serially on its caller's thread.
+ * Its one caller is perfbench's SerialKernels guard
+ * (perfbench/src/workloads.cc); when that guard goes, so does this.
  */
 
 #ifndef IRTHERM_BASE_THREAD_POOL_HH
 #define IRTHERM_BASE_THREAD_POOL_HH
 
-#include <atomic>
-#include <condition_variable>
-#include <cstddef>
-#include <cstdint>
-#include <exception>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-namespace irtherm
+namespace irtherm::ThreadPool
 {
 
-/** Fixed-size worker pool; see file comment for the determinism
- *  contract. Each instance owns threadCount() - 1 worker threads
- *  (the calling thread is the last executor). */
-class ThreadPool
-{
-  public:
-    /** Cumulative cross-instance usage counters (obs export reads
-     *  these without instantiating the global pool). */
-    struct Stats
-    {
-        std::uint64_t parallelRegions = 0; ///< parallelFor dispatches
-        std::uint64_t chunks = 0;          ///< chunks run in parallel regions
-        std::uint64_t serialFallbacks = 0; ///< regions run inline instead
-        std::uint64_t regionNanos = 0;     ///< wall time inside parallel regions
-    };
+inline bool parallelEnabled() { return false; }
+inline void setParallelEnabled(bool) {}
 
-    /** @param threads total executors including the caller; >= 1. */
-    explicit ThreadPool(std::size_t threads);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Total executors (workers + the calling thread). */
-    std::size_t threadCount() const { return workers.size() + 1; }
-
-    /**
-     * Run @p fn(chunkBegin, chunkEnd) over [begin, end) in chunks of
-     * @p grain indices. Chunks must be independent (they run
-     * concurrently). The first exception thrown by any chunk is
-     * rethrown on the caller after all chunks finish. One region
-     * runs at a time; calls from inside a worker run inline.
-     */
-    void parallelFor(std::size_t begin, std::size_t end,
-                     std::size_t grain,
-                     const std::function<void(std::size_t, std::size_t)> &fn);
-
-    /**
-     * Deterministic chunked reduction: sum of fn(chunkBegin,
-     * chunkEnd) over the same chunk decomposition as parallelFor,
-     * combined in ascending chunk order. The result is bitwise
-     * independent of the thread count (including 1).
-     */
-    double
-    parallelReduceSum(std::size_t begin, std::size_t end,
-                      std::size_t grain,
-                      const std::function<double(std::size_t, std::size_t)> &fn);
-
-    /** The process-wide pool, created on first use. */
-    static ThreadPool &global();
-
-    /**
-     * Request the global pool size before its first use; later calls
-     * are ignored with a warning. 0 restores the IRTHERM_THREADS /
-     * hardware default.
-     */
-    static void setGlobalThreads(std::size_t n);
-
-    /**
-     * Process-wide kill switch consulted by the numeric kernels'
-     * "should I go parallel?" checks and by parallelFor itself: when
-     * disabled, every region runs the serial chunked fallback.
-     * Benchmarks use it to time serial-vs-parallel in one process.
-     */
-    static void setParallelEnabled(bool enabled);
-    static bool parallelEnabled();
-
-    /** Snapshot of the cumulative usage counters. */
-    static Stats cumulativeStats();
-
-    /** Thread count global() will use (env / override / hardware). */
-    static std::size_t plannedGlobalThreads();
-
-  private:
-    /**
-     * One dispatched region. Each region gets its own Job with its
-     * own claim/done counters so a worker that wakes late (after the
-     * region completed) can only touch an already-drained Job — never
-     * the fields of the next region.
-     */
-    struct Job
-    {
-        const std::function<void(std::size_t, std::size_t)> *fn;
-        std::size_t begin;
-        std::size_t end;
-        std::size_t grain;
-        std::size_t numChunks;
-        std::atomic<std::size_t> nextChunk{0};
-        std::atomic<std::size_t> chunksDone{0};
-        std::mutex errMu;
-        std::exception_ptr firstError;
-    };
-
-    void workerLoop();
-    void runChunks(Job &j);
-
-    std::vector<std::thread> workers;
-
-    /** Serializes concurrent callers: one region in flight at a time. */
-    std::mutex regionMu;
-    std::mutex mu;
-    std::condition_variable wakeCv;  ///< workers wait for a new job
-    std::condition_variable doneCv;  ///< caller waits for completion
-    std::shared_ptr<Job> current;    ///< published under mu
-    std::uint64_t generation = 0;    ///< bumped per parallelFor
-    bool stopping = false;
-};
-
-} // namespace irtherm
+} // namespace irtherm::ThreadPool
 
 #endif // IRTHERM_BASE_THREAD_POOL_HH

@@ -741,24 +741,28 @@ StackModel::nodePowerVector(const std::vector<double> &block_powers,
         mapping_->blockPowersToCells(block_powers, silicon);
 }
 
+std::span<const double>
+StackModel::siliconCells(const std::vector<double> &node_temps) const
+{
+    if (node_temps.size() != nodeCount())
+        fatal("siliconCellTemperatures: node vector size mismatch");
+    return {node_temps.data() + siliconNodeBegin(), partition_.size()};
+}
+
 std::vector<double>
 StackModel::siliconCellTemperatures(
     const std::vector<double> &node_temps) const
 {
-    if (node_temps.size() != nodeCount())
-        fatal("siliconCellTemperatures: node vector size mismatch");
-    const std::size_t off = siliconNodeBegin();
-    return {node_temps.begin() + static_cast<std::ptrdiff_t>(off),
-            node_temps.begin() +
-                static_cast<std::ptrdiff_t>(off + partition_.size())};
+    const std::span<const double> cells = siliconCells(node_temps);
+    return {cells.begin(), cells.end()};
 }
 
 std::vector<double>
 StackModel::blockTemperatures(const std::vector<double> &node_temps) const
 {
-    const std::vector<double> cells = siliconCellTemperatures(node_temps);
+    const std::span<const double> cells = siliconCells(node_temps);
     if (opts_.mode == ModelMode::Block)
-        return cells;
+        return {cells.begin(), cells.end()};
     return mapping_->cellTemperaturesToBlocks(cells);
 }
 
@@ -766,9 +770,9 @@ std::vector<double>
 StackModel::blockMaxTemperatures(
     const std::vector<double> &node_temps) const
 {
-    const std::vector<double> cells = siliconCellTemperatures(node_temps);
+    const std::span<const double> cells = siliconCells(node_temps);
     if (opts_.mode == ModelMode::Block)
-        return cells;
+        return {cells.begin(), cells.end()};
     return mapping_->cellMaximaToBlocks(cells);
 }
 

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,11 @@ class StackModel
     void buildPartition();
     void buildLayers();
     void assemble();
+
+    /** The silicon-layer slice of @p node_temps, one entry per
+     *  partition cell; fatal on a node vector of the wrong size. */
+    std::span<const double>
+    siliconCells(const std::vector<double> &node_temps) const;
 
     /**
      * Superposition fast path (see SteadySolveOptions): answer from

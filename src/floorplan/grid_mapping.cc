@@ -87,7 +87,7 @@ GridMapping::blockPowersToCells(const std::vector<double> &block_powers,
 
 std::vector<double>
 GridMapping::cellTemperaturesToBlocks(
-    const std::vector<double> &cell_temps) const
+    std::span<const double> cell_temps) const
 {
     if (cell_temps.size() != cellCount())
         fatal("cellTemperaturesToBlocks: size mismatch");
@@ -106,7 +106,7 @@ GridMapping::cellTemperaturesToBlocks(
 
 std::vector<double>
 GridMapping::cellMaximaToBlocks(
-    const std::vector<double> &cell_temps) const
+    std::span<const double> cell_temps) const
 {
     if (cell_temps.size() != cellCount())
         fatal("cellMaximaToBlocks: size mismatch");

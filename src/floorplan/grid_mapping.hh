@@ -12,6 +12,7 @@
 #define IRTHERM_FLOORPLAN_GRID_MAPPING_HH
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "floorplan/floorplan.hh"
@@ -69,11 +70,11 @@ class GridMapping
      * Area-weighted mean cell temperature per block.
      */
     std::vector<double>
-    cellTemperaturesToBlocks(const std::vector<double> &cell_temps) const;
+    cellTemperaturesToBlocks(std::span<const double> cell_temps) const;
 
     /** Maximum cell temperature inside each block's footprint. */
     std::vector<double>
-    cellMaximaToBlocks(const std::vector<double> &cell_temps) const;
+    cellMaximaToBlocks(std::span<const double> cell_temps) const;
 
     /**
      * Fraction of cell @p cell covered by block @p blk (0 when the

@@ -1,21 +1,10 @@
 #include "numeric/grid_stencil.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "numeric/multigrid.hh"
 
 namespace irtherm
 {
-
-namespace
-{
-
-/** Below this many cells a parallel dispatch costs more than it saves. */
-constexpr std::size_t kParallelCellThreshold = 4096;
-
-} // namespace
 
 GridStencilOperator::GridStencilOperator(std::size_t nx,
                                          std::size_t ny,
@@ -109,50 +98,33 @@ GridStencilOperator::applyAccumulate(const std::vector<double> &x,
     const double *gzd = gz.data();
     double *yd = y.data();
 
-    // One "line" = one (iy, iz) row of nx cells; lines are
-    // independent, so any partitioning over them is deterministic.
-    auto kernel = [&](std::size_t l0, std::size_t l1) {
-        for (std::size_t line = l0; line < l1; ++line) {
-            const std::size_t iz = line / ny;
-            const std::size_t iy = line % ny;
-            const std::size_t base = line * nx;
-            const std::size_t lxb = line * (nx - 1);
-            for (std::size_t ix = 0; ix < nx; ++ix) {
-                const std::size_t i = base + ix;
-                double acc = dd[i] * xd[i];
-                if (ix > 0)
-                    acc -= gxd[lxb + ix - 1] * xd[i - 1];
-                if (ix + 1 < nx)
-                    acc -= gxd[lxb + ix] * xd[i + 1];
-                if (iy > 0)
-                    acc -= gyd[(iz * (ny - 1) + iy - 1) * nx + ix] *
-                           xd[i - nx];
-                if (iy + 1 < ny)
-                    acc -= gyd[(iz * (ny - 1) + iy) * nx + ix] *
-                           xd[i + nx];
-                if (iz > 0)
-                    acc -= gzd[((iz - 1) * ny + iy) * nx + ix] *
-                           xd[i - plane];
-                if (iz + 1 < nz)
-                    acc -= gzd[(iz * ny + iy) * nx + ix] *
-                           xd[i + plane];
-                yd[i] += alpha * acc;
-            }
-        }
-    };
-
+    // One "line" = one (iy, iz) row of nx cells.
     const std::size_t lines = ny * nz;
-    if (diag.size() >= kParallelCellThreshold &&
-        ThreadPool::parallelEnabled()) {
-        ThreadPool &pool = ThreadPool::global();
-        if (pool.threadCount() > 1) {
-            const std::size_t grain = std::max<std::size_t>(
-                8, lines / (4 * pool.threadCount()));
-            pool.parallelFor(0, lines, grain, kernel);
-            return;
+    for (std::size_t line = 0; line < lines; ++line) {
+        const std::size_t iz = line / ny;
+        const std::size_t iy = line % ny;
+        const std::size_t base = line * nx;
+        const std::size_t lxb = line * (nx - 1);
+        for (std::size_t ix = 0; ix < nx; ++ix) {
+            const std::size_t i = base + ix;
+            double acc = dd[i] * xd[i];
+            if (ix > 0)
+                acc -= gxd[lxb + ix - 1] * xd[i - 1];
+            if (ix + 1 < nx)
+                acc -= gxd[lxb + ix] * xd[i + 1];
+            if (iy > 0)
+                acc -= gyd[(iz * (ny - 1) + iy - 1) * nx + ix] *
+                       xd[i - nx];
+            if (iy + 1 < ny)
+                acc -= gyd[(iz * (ny - 1) + iy) * nx + ix] * xd[i + nx];
+            if (iz > 0)
+                acc -= gzd[((iz - 1) * ny + iy) * nx + ix] *
+                       xd[i - plane];
+            if (iz + 1 < nz)
+                acc -= gzd[(iz * ny + iy) * nx + ix] * xd[i + plane];
+            yd[i] += alpha * acc;
         }
     }
-    kernel(0, lines);
 }
 
 void

@@ -8,7 +8,6 @@
 #include "base/errors.hh"
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 
@@ -18,26 +17,17 @@ namespace irtherm
 namespace
 {
 
-/**
- * Reduction chunk size. Both the serial and parallel reduction paths
- * accumulate per-chunk partial sums at these boundaries and combine
- * them in ascending chunk order, so the floating-point result is
- * bit-identical at any thread count.
- */
+/** Reduction chunk size (see "Summation order" in iterative.hh). */
 constexpr std::size_t kReduceChunk = 1024;
 
-/** Below this many elements a pool dispatch costs more than it saves. */
-constexpr std::size_t kParallelThreshold = 4096;
-
-/** A template for the same reason as forEachRange(). */
+/**
+ * Sum of fn(chunkBegin, chunkEnd) over [0, n) in kReduceChunk chunks,
+ * added in ascending chunk order. A template so the kernel inlines.
+ */
 template <typename Fn>
 double
 reduceChunked(std::size_t n, const Fn &fn)
 {
-    if (rangeRunsPooled(n)) {
-        return ThreadPool::global().parallelReduceSum(0, n, kReduceChunk,
-                                                      fn);
-    }
     double total = 0.0;
     for (std::size_t b = 0; b < n; b += kReduceChunk)
         total += fn(b, std::min(n, b + kReduceChunk));
@@ -45,23 +35,6 @@ reduceChunked(std::size_t n, const Fn &fn)
 }
 
 } // namespace
-
-bool
-rangeRunsPooled(std::size_t n)
-{
-    return n >= kParallelThreshold && ThreadPool::parallelEnabled() &&
-           ThreadPool::global().threadCount() > 1;
-}
-
-void
-forEachRangePooled(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)> &fn)
-{
-    ThreadPool &pool = ThreadPool::global();
-    const std::size_t grain = std::max<std::size_t>(
-        kReduceChunk, n / (4 * pool.threadCount()));
-    pool.parallelFor(0, n, grain, fn);
-}
 
 double
 norm2(const std::vector<double> &v)
@@ -214,10 +187,8 @@ conjugateGradient(const LinearOperator &a, const std::vector<double> &b,
         const double rz_next = dot(r, z);
         const double beta = rz_next / rz;
         rz = rz_next;
-        forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-                pd[i] = zd[i] + beta * pd[i];
-        });
+        for (std::size_t i = 0; i < n; ++i)
+            pd[i] = zd[i] + beta * pd[i];
     }
 
     res.residualNorm = std::sqrt(rr);

@@ -10,17 +10,16 @@
  * run through identical code; CsrMatrix overloads are kept for
  * callers that hold a concrete matrix.
  *
- * Determinism: the BLAS-1 reductions (dot, norm2) accumulate in
- * fixed-size chunks combined in ascending order in both the serial
- * and thread-pooled paths, so results are bit-identical regardless
- * of thread count. See base/thread_pool.hh for the contract.
+ * Summation order: the reductions (dot, norm2 and CG's fused
+ * residual update) sum 1024-element chunks into partial sums and add
+ * the partials in ascending chunk order. Every solver answer's bits
+ * depend on that order, so it stays fixed (a test pins it).
  */
 
 #ifndef IRTHERM_NUMERIC_ITERATIVE_HH
 #define IRTHERM_NUMERIC_ITERATIVE_HH
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "numeric/linear_operator.hh"
@@ -104,31 +103,6 @@ double norm2(const std::vector<double> &v);
 
 /** Dot product. @pre a.size() == b.size() */
 double dot(const std::vector<double> &a, const std::vector<double> &b);
-
-/** True when forEachRange() over @p n elements runs on the pool. */
-bool rangeRunsPooled(std::size_t n);
-
-/** forEachRange()'s pooled path. @pre rangeRunsPooled(n) */
-void forEachRangePooled(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)> &fn);
-
-/**
- * Run an elementwise kernel over [0, n) on the shared ThreadPool
- * above a size threshold, serially below it. The kernel receives
- * disjoint [begin, end) ranges; ranges depend only on n, so parallel
- * and serial execution visit identical partitions. The serial path
- * calls the kernel directly: a std::function would heap-allocate
- * most closures, and a multigrid cycle runs hundreds of kernels.
- */
-template <typename Fn>
-void
-forEachRange(std::size_t n, const Fn &fn)
-{
-    if (rangeRunsPooled(n))
-        forEachRangePooled(n, fn);
-    else
-        fn(0, n);
-}
 
 } // namespace irtherm
 

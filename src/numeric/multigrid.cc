@@ -7,7 +7,6 @@
 #include "base/errors.hh"
 #include "base/fault_injection.hh"
 #include "numeric/dense_matrix.hh"
-#include "numeric/iterative.hh"
 #include "obs/metrics.hh"
 
 namespace irtherm
@@ -532,8 +531,7 @@ MultigridPreconditioner::residualPlane(const Level &lv, std::size_t k,
     const std::size_t plane = nx * ny;
     const float *z = lv.zrow.data();
     const float *xv = lv.x.data();
-    forEachRange(ny, [&](std::size_t y0, std::size_t y1) {
-    for (std::size_t iy = y0; iy < y1; ++iy) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
         const std::size_t base = k * plane + iy * nx;
         const float *xR = xv + base;
         residualRow(
@@ -548,7 +546,6 @@ MultigridPreconditioner::residualPlane(const Level &lv, std::size_t k,
             k + 1 < nz ? xR + plane : z,
             lv.gx.data() + (k * ny + iy) * (nx - 1), out + iy * nx);
     }
-    });
 }
 
 void
@@ -569,23 +566,18 @@ MultigridPreconditioner::smoothFromZero(const Level &lv) const
     // reads only b, gz and the already-final carry plane below.
     for (std::size_t k = 0; k < nz; ++k) {
         const std::size_t pb = k * plane;
-        forEachRange(ny, [&, pb](std::size_t y0, std::size_t y1) {
-            for (std::size_t iy = y0; iy < y1; ++iy) {
-                const std::size_t base = pb + iy * nx;
-                carryScale(dv + base, bd + base,
-                           k > 0 ? gz + base - plane : z,
-                           k > 0 ? dv + base - plane : z, ti + base, nx);
-            }
-        });
+        for (std::size_t iy = 0; iy < ny; ++iy) {
+            const std::size_t base = pb + iy * nx;
+            carryScale(dv + base, bd + base,
+                       k > 0 ? gz + base - plane : z,
+                       k > 0 ? dv + base - plane : z, ti + base, nx);
+        }
     }
     // Backward substitution; x is overwritten (no zero fill needed).
     for (std::size_t k = nz; k-- > 0;) {
         const std::size_t pb = k * plane;
         const float *up = k + 1 < nz ? dv + pb + plane : nullptr;
-        forEachRange(plane, [&, pb](std::size_t i0, std::size_t i1) {
-            backSubstitute<false>(dv + pb + i0, up ? up + i0 : nullptr,
-                                  tu + pb + i0, xd + pb + i0, w, i1 - i0);
-        });
+        backSubstitute<false>(dv + pb, up, tu + pb, xd + pb, w, plane);
     }
 }
 
@@ -605,19 +597,15 @@ MultigridPreconditioner::smoothJacobi(const Level &lv) const
     // residual of plane k into d, then fold in the k-1 carry (which
     // lives in d of the already-final plane below) and scale by the
     // inverse pivots while the plane is still cache-hot. x is only
-    // read, and cells within a plane are independent, so the plane
-    // partitioning is race-free and bit-deterministic.
+    // read.
     for (std::size_t k = 0; k < nz; ++k) {
         const std::size_t pb = k * plane;
-        residualPlane(lv, k, dv + pb);
-        forEachRange(plane, [&, pb](std::size_t i0, std::size_t i1) {
-            float *o = dv + pb + i0;
-            if (k > 0)
-                carryScale(o, o, gz + pb - plane + i0,
-                           dv + pb - plane + i0, ti + pb + i0, i1 - i0);
-            else
-                scaleBy(o, ti + pb + i0, i1 - i0);
-        });
+        float *o = dv + pb;
+        residualPlane(lv, k, o);
+        if (k > 0)
+            carryScale(o, o, gz + pb - plane, o - plane, ti + pb, plane);
+        else
+            scaleBy(o, ti + pb, plane);
     }
 
     // Backward substitution plus damped update, top plane down. d at
@@ -625,10 +613,7 @@ MultigridPreconditioner::smoothJacobi(const Level &lv) const
     for (std::size_t k = nz; k-- > 0;) {
         const std::size_t pb = k * plane;
         const float *up = k + 1 < nz ? dv + pb + plane : nullptr;
-        forEachRange(plane, [&, pb](std::size_t i0, std::size_t i1) {
-            backSubstitute<true>(dv + pb + i0, up ? up + i0 : nullptr,
-                                 tu + pb + i0, xd + pb + i0, w, i1 - i0);
-        });
+        backSubstitute<true>(dv + pb, up, tu + pb, xd + pb, w, plane);
     }
 }
 
@@ -677,31 +662,26 @@ MultigridPreconditioner::restrictResidual(const Level &fine,
     // pass is a pair of unit-stride row combinations.
     for (std::size_t k = 0; k < nz; ++k) {
         residualPlane(fine, k, rp);
-        forEachRange(fny, [&](std::size_t y0, std::size_t y1) {
-            for (std::size_t iy = y0; iy < y1; ++iy) {
-                const float *__restrict row = rp + iy * fnx;
-                float *__restrict o = rp2 + iy * cnx;
-                for (std::size_t cx = 0; cx < cnx; ++cx) {
-                    const std::size_t cnt = tx.rCount[cx];
-                    float sum = 0.0f;
-                    for (std::size_t j = 0; j < cnt; ++j)
-                        sum += tx.rW[4 * cx + j] *
-                               row[tx.rIdx[4 * cx + j]];
-                    o[cx] = sum;
-                }
+        for (std::size_t iy = 0; iy < fny; ++iy) {
+            const float *__restrict row = rp + iy * fnx;
+            float *__restrict o = rp2 + iy * cnx;
+            for (std::size_t cx = 0; cx < cnx; ++cx) {
+                const std::size_t cnt = tx.rCount[cx];
+                float sum = 0.0f;
+                for (std::size_t j = 0; j < cnt; ++j)
+                    sum += tx.rW[4 * cx + j] * row[tx.rIdx[4 * cx + j]];
+                o[cx] = sum;
             }
-        });
+        }
         float *bk = bd + k * cplane;
-        forEachRange(cny, [&](std::size_t y0, std::size_t y1) {
-            for (std::size_t cy = y0; cy < y1; ++cy) {
-                float *o = bk + cy * cnx;
-                const std::size_t *idx = ty.rIdx.data() + 4 * cy;
-                const float *wy = ty.rW.data() + 4 * cy;
-                scaledRow<false>(o, rp2 + idx[0] * cnx, wy[0], cnx);
-                for (std::size_t j = 1; j < ty.rCount[cy]; ++j)
-                    scaledRow<true>(o, rp2 + idx[j] * cnx, wy[j], cnx);
-            }
-        });
+        for (std::size_t cy = 0; cy < cny; ++cy) {
+            float *o = bk + cy * cnx;
+            const std::size_t *idx = ty.rIdx.data() + 4 * cy;
+            const float *wy = ty.rW.data() + 4 * cy;
+            scaledRow<false>(o, rp2 + idx[0] * cnx, wy[0], cnx);
+            for (std::size_t j = 1; j < ty.rCount[cy]; ++j)
+                scaledRow<true>(o, rp2 + idx[j] * cnx, wy[j], cnx);
+        }
     }
 }
 
@@ -723,19 +703,14 @@ MultigridPreconditioner::prolongCorrect(const Level &coarse,
 
     for (std::size_t fz = 0; fz < nz; ++fz) {
         const float *cz = cd + fz * cny * cnx;
-        forEachRange(fny, [&](std::size_t y0, std::size_t y1) {
-            for (std::size_t fy = y0; fy < y1; ++fy)
-                blendRows(yt + fy * cnx, cz + ty.idx0[fy] * cnx,
-                          ty.w0[fy], cz + ty.idx1[fy] * cnx, ty.w1[fy],
-                          cnx);
-        });
+        for (std::size_t fy = 0; fy < fny; ++fy)
+            blendRows(yt + fy * cnx, cz + ty.idx0[fy] * cnx, ty.w0[fy],
+                      cz + ty.idx1[fy] * cnx, ty.w1[fy], cnx);
         float *xz = xd + fz * fplane;
-        forEachRange(fny, [&](std::size_t y0, std::size_t y1) {
-            for (std::size_t fy = y0; fy < y1; ++fy)
-                interpolateRow(xz + fy * fnx, yt + fy * cnx,
-                               tx.idx0.data(), tx.w0.data(),
-                               tx.idx1.data(), tx.w1.data(), fnx);
-        });
+        for (std::size_t fy = 0; fy < fny; ++fy)
+            interpolateRow(xz + fy * fnx, yt + fy * cnx, tx.idx0.data(),
+                           tx.w0.data(), tx.idx1.data(), tx.w1.data(),
+                           fnx);
     }
 }
 

@@ -24,10 +24,8 @@
  *    ascending order with the residual evaluation fused into the
  *    tridiagonal forward recursion (the k-1 carry lives in the
  *    already-final plane below), so every inner loop is unit-stride
- *    and vectorizable; cells within a plane are independent, so the
- *    smoother runs on the deterministic ThreadPool with bit-identical
- *    serial/parallel results. At nz == 1 this degenerates to damped
- *    point Jacobi.
+ *    and vectorizable. At nz == 1 this degenerates to damped point
+ *    Jacobi.
  *  - Lateral semi-coarsening: 2x aggregation in x and y only, z
  *    resolution kept, so the line smoother stays exact on every
  *    level. Coarse links are rediscretized — crossing fine links

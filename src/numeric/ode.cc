@@ -161,10 +161,9 @@ Rk4Integrator::derivative(const std::vector<double> &temps,
     g.multiplyAccumulate(temps, out, -1.0);
     double *od = out.data();
     const double *ic = invC.data();
-    forEachRange(out.size(), [od, ic](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            od[i] *= ic[i];
-    });
+    const std::size_t n = out.size();
+    for (std::size_t i = 0; i < n; ++i)
+        od[i] *= ic[i];
 }
 
 void
@@ -180,33 +179,25 @@ Rk4Integrator::rk4Step(const std::vector<double> &y,
     double *td = tmp.data();
 
     const double *k1d = dy.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            td[i] = yd[i] + 0.5 * h * k1d[i];
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        td[i] = yd[i] + 0.5 * h * k1d[i];
     derivative(tmp, power, k2);
     const double *k2d = k2.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            td[i] = yd[i] + 0.5 * h * k2d[i];
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        td[i] = yd[i] + 0.5 * h * k2d[i];
     derivative(tmp, power, k3);
     const double *k3d = k3.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            td[i] = yd[i] + h * k3d[i];
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        td[i] = yd[i] + h * k3d[i];
     derivative(tmp, power, k4);
     const double *k4d = k4.data();
 
     out.resize(n);
     double *od = out.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            od[i] = yd[i] + h / 6.0 * (k1d[i] + 2.0 * k2d[i] +
-                                       2.0 * k3d[i] + k4d[i]);
-        }
-    });
+    for (std::size_t i = 0; i < n; ++i) {
+        od[i] = yd[i] + h / 6.0 * (k1d[i] + 2.0 * k2d[i] + 2.0 * k3d[i] +
+                                   k4d[i]);
+    }
 }
 
 void
@@ -308,10 +299,8 @@ BackwardEulerIntegrator::step(std::vector<double> &temps,
     const double *td = temps.data();
     const double *pw = power.data();
     double *rd = rhs.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            rd[i] = cd[i] * td[i] + pw[i];
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        rd[i] = cd[i] * td[i] + pw[i];
     solvesMetric.add();
     if (direct &&
         direct->solve(system, rhs, solverOpts.tolerance, temps)) {
@@ -389,10 +378,8 @@ CrankNicolsonIntegrator::step(std::vector<double> &temps,
     const double *td = temps.data();
     const double *pw = power.data();
     double *rd = rhs.data();
-    forEachRange(n, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            rd[i] = cd[i] * td[i] + pw[i];
-    });
+    for (std::size_t i = 0; i < n; ++i)
+        rd[i] = cd[i] * td[i] + pw[i];
     gOp.applyAccumulate(temps, rhs, -0.5);
     solvesMetric.add();
     if (direct &&

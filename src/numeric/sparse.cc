@@ -5,38 +5,9 @@
 #include <memory>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 
 namespace irtherm
 {
-
-namespace
-{
-
-/** Below this many rows a pool dispatch costs more than it saves. */
-constexpr std::size_t kParallelRowThreshold = 4096;
-
-/** Run a row-range kernel, parallel above the threshold. */
-template <typename Fn>
-void
-forRows(std::size_t rows, const Fn &fn)
-{
-    if (rows >= kParallelRowThreshold && ThreadPool::parallelEnabled()) {
-        ThreadPool &pool = ThreadPool::global();
-        // A one-thread pool would route the kernel through the
-        // region machinery for nothing; fall through to the direct
-        // call instead.
-        if (pool.threadCount() > 1) {
-            const std::size_t grain = std::max<std::size_t>(
-                256, rows / (4 * pool.threadCount()));
-            pool.parallelFor(0, rows, grain, fn);
-            return;
-        }
-    }
-    fn(0, rows);
-}
-
-} // namespace
 
 std::vector<double>
 CsrMatrix::multiply(const std::vector<double> &x) const
@@ -58,14 +29,12 @@ CsrMatrix::apply(const std::vector<double> &x,
     const double *av = values.data();
     const double *xd = x.data();
     double *yd = y.data();
-    forRows(numRows, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            double acc = 0.0;
-            for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
-                acc += av[k] * xd[ci[k]];
-            yd[r] = acc;
-        }
-    });
+    for (std::size_t r = 0; r < numRows; ++r) {
+        double acc = 0.0;
+        for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
+            acc += av[k] * xd[ci[k]];
+        yd[r] = acc;
+    }
 }
 
 void
@@ -79,14 +48,12 @@ CsrMatrix::multiplyAccumulate(const std::vector<double> &x,
     const double *av = values.data();
     const double *xd = x.data();
     double *yd = y.data();
-    forRows(numRows, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            double acc = 0.0;
-            for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
-                acc += av[k] * xd[ci[k]];
-            yd[r] += alpha * acc;
-        }
-    });
+    for (std::size_t r = 0; r < numRows; ++r) {
+        double acc = 0.0;
+        for (std::size_t k = rp[r]; k < rp[r + 1]; ++k)
+            acc += av[k] * xd[ci[k]];
+        yd[r] += alpha * acc;
+    }
 }
 
 std::vector<double>

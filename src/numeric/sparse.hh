@@ -37,14 +37,7 @@ class CsrMatrix
      */
     void apply(const std::vector<double> &x, std::vector<double> &y) const;
 
-    /**
-     * y += alpha * A * x, in place.
-     *
-     * Rows are independent, so both matvec kernels run on the shared
-     * ThreadPool above a size threshold; chunk boundaries depend only
-     * on the row count, keeping results bit-identical to the serial
-     * path at any thread count.
-     */
+    /** y += alpha * A * x, in place. */
     void multiplyAccumulate(const std::vector<double> &x,
                             std::vector<double> &y, double alpha) const;
 

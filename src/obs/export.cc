@@ -9,7 +9,6 @@
 
 #include "base/fault_injection.hh"
 #include "base/table.hh"
-#include "base/thread_pool.hh"
 #include "obs/trace_clock.hh"
 
 namespace irtherm::obs
@@ -106,31 +105,20 @@ namespace
 {
 
 /**
- * Pull the thread pool's internal counters (base/ cannot depend on
- * obs/, so the pool keeps its own atomics) into gauges at export
- * time. Only the global registry gets them — custom registries used
- * in tests stay exactly as their owners populated them.
+ * Pull the fault injector's fired count (base/ cannot depend on
+ * obs/, so the injector keeps its own atomic) into a gauge at export
+ * time, so an instrumented run's stats dump proves whether the
+ * injection campaign reached its targets. Only the global registry
+ * gets it — custom registries used in tests stay exactly as their
+ * owners populated them.
  */
 void
-syncThreadPoolGauges(const MetricsRegistry &reg)
+syncFaultGauge(const MetricsRegistry &reg)
 {
     if (&reg != &MetricsRegistry::global())
         return;
-    MetricsRegistry &g = MetricsRegistry::global();
-    const ThreadPool::Stats s = ThreadPool::cumulativeStats();
-    g.gauge("base.pool.threads")
-        .set(static_cast<double>(ThreadPool::plannedGlobalThreads()));
-    g.gauge("base.pool.parallel_regions")
-        .set(static_cast<double>(s.parallelRegions));
-    g.gauge("base.pool.chunks").set(static_cast<double>(s.chunks));
-    g.gauge("base.pool.serial_fallbacks")
-        .set(static_cast<double>(s.serialFallbacks));
-    g.gauge("base.pool.region_time_s")
-        .set(1e-9 * static_cast<double>(s.regionNanos));
-    // Same pattern for the fault injector (also in base/): surface
-    // how many faults actually fired so an instrumented run's stats
-    // dump proves whether the injection campaign reached its targets.
-    g.gauge("resilience.faults.injected")
+    MetricsRegistry::global()
+        .gauge("resilience.faults.injected")
         .set(static_cast<double>(FaultInjector::global().fired()));
 }
 
@@ -139,7 +127,7 @@ syncThreadPoolGauges(const MetricsRegistry &reg)
 std::string
 metricsToJson(const MetricsRegistry &reg)
 {
-    syncThreadPoolGauges(reg);
+    syncFaultGauge(reg);
     const auto names = reg.names();
 
     std::ostringstream os;
@@ -290,14 +278,14 @@ metricsTable(const MetricsRegistry &reg)
 void
 writeMetricsCsv(std::ostream &os, const MetricsRegistry &reg)
 {
-    syncThreadPoolGauges(reg);
+    syncFaultGauge(reg);
     metricsTable(reg).printCsv(os);
 }
 
 void
 printMetricsSummary(std::ostream &os, const MetricsRegistry &reg)
 {
-    syncThreadPoolGauges(reg);
+    syncFaultGauge(reg);
     metricsTable(reg).print(os);
 }
 
@@ -470,7 +458,7 @@ promHelp(const std::string &exposed, const std::string &dottedName,
 std::string
 metricsToPrometheus(const MetricsRegistry &reg)
 {
-    syncThreadPoolGauges(reg);
+    syncFaultGauge(reg);
     std::ostringstream os;
     for (const auto &[name, kind] : reg.names()) {
         const std::string base = promName(name);

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -22,7 +23,6 @@
 #include "base/logging.hh"
 #include "base/shutdown.hh"
 #include "base/resource_usage.hh"
-#include "base/thread_pool.hh"
 #include "base/units.hh"
 #include "core/simulator.hh"
 #include "core/stack_model.hh"
@@ -254,8 +254,15 @@ void
 summarize(JobResult &r, const StackModel &model,
           const std::vector<double> &nodes)
 {
-    const std::vector<double> cells =
-        model.siliconCellTemperatures(nodes);
+    // The block maps check the node vector's size before the silicon
+    // slice below is read.
+    const std::vector<double> blockMax =
+        model.blockMaxTemperatures(nodes);
+    const std::vector<double> blockMean =
+        model.blockTemperatures(nodes);
+
+    const std::span<const double> cells(
+        nodes.data() + model.siliconNodeBegin(), model.partition().size());
     double hi = -std::numeric_limits<double>::infinity();
     double lo = std::numeric_limits<double>::infinity();
     for (const double t : cells) {
@@ -266,10 +273,6 @@ summarize(JobResult &r, const StackModel &model,
     r.minCelsius = toCelsius(lo);
     r.gradientKelvin = hi - lo;
 
-    const std::vector<double> blockMax =
-        model.blockMaxTemperatures(nodes);
-    const std::vector<double> blockMean =
-        model.blockTemperatures(nodes);
     const Floorplan &fp = model.floorplan();
     std::size_t hottest = 0;
     for (std::size_t b = 0; b < blockMax.size(); ++b) {
@@ -571,24 +574,15 @@ runGuarded(const ScenarioSpec &spec, const SweepOptions &opts,
     return hung;
 }
 
-/** RAII: run sweep jobs with the numeric-kernel pool disabled. */
-class SerialKernelGuard
+/** Concurrent jobs for @p workers (SweepOptions::workers): 0 means
+ *  one per hardware thread, and at least one. */
+std::size_t
+jobThreads(std::size_t workers)
 {
-  public:
-    SerialKernelGuard() : wasEnabled(ThreadPool::parallelEnabled())
-    {
-        ThreadPool::setParallelEnabled(false);
-    }
-    ~SerialKernelGuard()
-    {
-        ThreadPool::setParallelEnabled(wasEnabled);
-    }
-    SerialKernelGuard(const SerialKernelGuard &) = delete;
-    SerialKernelGuard &operator=(const SerialKernelGuard &) = delete;
-
-  private:
-    bool wasEnabled;
-};
+    if (workers != 0)
+        return workers;
+    return std::max(1u, std::thread::hardware_concurrency());
+}
 
 /**
  * The order runSweep's workers take pending jobs in ("Claim order"
@@ -678,14 +672,10 @@ class JobClaims
 struct JobExecutor::Impl
 {
     SweepOptions opts;
-    /** Jobs solve single-threaded; the executor's threads (or the
-     *  fabric's processes) provide the parallelism. */
-    SerialKernelGuard serialKernels;
     /** One kept model per job thread: enough for every worker to
      *  drain a different stack without rebuilding. */
-    std::shared_ptr<StackCache> stacks = std::make_shared<StackCache>(
-        opts.workers != 0 ? opts.workers
-                          : ThreadPool::plannedGlobalThreads());
+    std::shared_ptr<StackCache> stacks =
+        std::make_shared<StackCache>(jobThreads(opts.workers));
     AbandonedJobs abandoned;
 
     explicit Impl(const SweepOptions &o) : opts(o) {}
@@ -808,10 +798,8 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     executor.expectJobs(stackJobs);
     JobClaims claims(stackOf);
 
-    std::size_t width =
-        opts.workers != 0 ? opts.workers
-                          : ThreadPool::plannedGlobalThreads();
-    width = std::max<std::size_t>(1, std::min(width, pending.size()));
+    const std::size_t width = std::max<std::size_t>(
+        1, std::min(jobThreads(opts.workers), pending.size()));
     session.board().setWorkers(width);
 
     // Live telemetry for the sweep's duration, if asked for.

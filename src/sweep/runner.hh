@@ -6,14 +6,9 @@
  * resume.
  *
  * Scheduling model: the runner owns its worker threads (one job per
- * worker) and *disables* the numeric kernels' thread-pool
- * parallelism for the duration of the sweep, so each job runs its
- * solves single-threaded. Running N single-threaded jobs side by
- * side is both faster for a batch and immune to the nested-pool
- * serialization the base::ThreadPool region lock would impose (PR 2
- * documents why nesting parallel regions is a hazard). PR 2's
- * serial-vs-parallel bit-identity guarantee means per-job results do
- * not change because of this.
+ * worker), and each job runs its solves on its own thread (the
+ * numeric kernels are serial). The parallelism of a sweep is its
+ * jobs side by side.
  *
  * Claim order: a worker takes the earliest unclaimed job whose stack
  * is not warming, and waits on a warming stack only when every
@@ -89,8 +84,7 @@ struct SweepOptions
 {
     /** Output directory: journal, reports, per-job map files. */
     std::string outDir = "sweep_out";
-    /** Concurrent jobs; 0 = one per hardware thread (the planned
-     *  global pool width). */
+    /** Concurrent jobs; 0 = one per hardware thread. */
     std::size_t workers = 0;
     /** Per-job deadline in seconds; 0 disables. Checked at phase
      *  boundaries, so a job overruns by at most one phase. */
@@ -204,11 +198,8 @@ struct SweepSummary
  * execution of a scenario cannot diverge.
  *
  * Thread-safe: run() may be called from several threads at once
- * (runSweep does exactly that). Construction disables the numeric
- * kernels' thread-pool parallelism for the executor's lifetime (see
- * the scheduling-model note at the top of this file); destruction
- * restores it and gives watchdog-abandoned threads a bounded chance
- * to finish.
+ * (runSweep does exactly that). Destruction gives watchdog-abandoned
+ * threads a bounded chance to finish.
  */
 class JobExecutor
 {

@@ -21,7 +21,6 @@
 
 #include "base/fault_injection.hh"
 #include "base/rng.hh"
-#include "base/thread_pool.hh"
 #include "core/package.hh"
 #include "core/stack_model.hh"
 #include "floorplan/presets.hh"
@@ -660,26 +659,6 @@ TEST(FactoredStep, FactorCapSeparatesGrid16OilFromGrid64Air)
     }
 }
 
-TEST(FactoredStep, ReplayIsBitIdenticalWithPoolOffAndAtFourThreads)
-{
-    // Each discovered test runs in its own process, so this override
-    // precedes the pool's first use. Grid 32 puts the rhs, residual
-    // and SpMV kernels over their thread-pool thresholds.
-    ThreadPool::setGlobalThreads(4);
-    const bool saved = ThreadPool::parallelEnabled();
-    const StackModel model(floorplans::alphaEv6(),
-                           PackageConfig::makeAirSink(0.3), grid(32));
-    ThreadPool::setParallelEnabled(true);
-    const std::vector<double> par =
-        factoredReplay<BackwardEulerIntegrator>(model, 1e-3, 60);
-    ThreadPool::setParallelEnabled(false);
-    const std::vector<double> ser =
-        factoredReplay<BackwardEulerIntegrator>(model, 1e-3, 60);
-    ThreadPool::setParallelEnabled(saved);
-    for (std::size_t i = 0; i < par.size(); ++i)
-        ASSERT_EQ(par[i], ser[i]) << "node " << i;
-}
-
 TEST(FactoredStep, MicrochannelKeepsBiCgStab)
 {
     const Floorplan fp = floorplans::uniformChip(2, 0.01, 0.01);
@@ -825,25 +804,6 @@ TEST(ImpulseBuild, OneCorruptColumnIsDemotedAndAnswersStillPass)
     EXPECT_EQ(counterValue("numeric.chol.solves") - solves, blocks - 1);
     // The demoted column built the MG hierarchy on first use.
     EXPECT_EQ(counterValue("numeric.mg.setups") - setups, 1u);
-}
-
-TEST(ImpulseBuild, BitIdenticalWithPoolOffAndAtFourThreads)
-{
-    // Each discovered test runs in its own process, so this override
-    // precedes the pool's first use. Grid 32 puts the checks' SpMV
-    // over its thread-pool threshold.
-    ThreadPool::setGlobalThreads(4);
-    const bool saved = ThreadPool::parallelEnabled();
-    const StackModel m(floorplans::alphaEv6(),
-                       PackageConfig::makeOilSilicon(10.0), grid(32));
-    ThreadPool::setParallelEnabled(true);
-    const ImpulseResponseMatrix par = impulseMatrix(m, 0xb1);
-    ThreadPool::setParallelEnabled(false);
-    const ImpulseResponseMatrix ser = impulseMatrix(m, 0xb2);
-    ThreadPool::setParallelEnabled(saved);
-    ASSERT_EQ(par.values.size(), ser.values.size());
-    for (std::size_t i = 0; i < par.values.size(); ++i)
-        ASSERT_EQ(par.values[i], ser.values[i]) << "entry " << i;
 }
 
 TEST(ImpulseBuild, SuperposeKeepsTheColumnByColumnBits)

@@ -16,7 +16,6 @@
 #include "base/fault_injection.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
-#include "base/thread_pool.hh"
 #include "core/package.hh"
 #include "core/stack_model.hh"
 #include "floorplan/presets.hh"
@@ -531,29 +530,6 @@ TEST(StackMultigrid, FailFastSolveRunsTheSameCycle)
         m.steadyNodeTemperatures(p, so, &direct);
     EXPECT_EQ(viaDirect, viaChain);
     EXPECT_EQ(direct.iterations, chain.iterations);
-}
-
-TEST(StackMultigrid, BitIdenticalSerialAndAtFourThreads)
-{
-    const bool saved = ThreadPool::parallelEnabled();
-    // Before the pool's first use, so the pooled kernels really run
-    // on four threads (each discovered test is its own process).
-    ThreadPool::setGlobalThreads(4);
-    for (const StackCase &base : {kStackCases[0], kStackCases[2]}) {
-        StackCase c = base;
-        c.nx = c.ny = 32;
-        SCOPED_TRACE(c.name);
-        const StackModel m = buildStack(c);
-        const std::vector<double> p = stackPowers(m);
-        ThreadPool::setParallelEnabled(false);
-        const std::vector<double> serial = m.steadyNodeTemperatures(p);
-        ThreadPool::setParallelEnabled(true);
-        const std::vector<double> pooled = m.steadyNodeTemperatures(p);
-        ASSERT_EQ(serial.size(), pooled.size());
-        for (std::size_t i = 0; i < serial.size(); ++i)
-            ASSERT_EQ(bits(serial[i]), bits(pooled[i])) << "node " << i;
-    }
-    ThreadPool::setParallelEnabled(saved);
 }
 
 /** Arms fault rules for one scope; the injector is inert outside. */

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the parallel numeric core: the thread pool's dispatch,
- * determinism, and error handling, and the matrix-free grid stencil's
- * equivalence to the assembled-CSR formulation.
+ * Tests for the numeric core's fast paths: the reductions' fixed
+ * summation order, the matrix-free grid stencil's equivalence to the
+ * assembled-CSR formulation, MG-CG against a direct solve, and the
+ * impulse cache's concurrent build latch.
  */
 
 #include <algorithm>
@@ -10,10 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
 #include <future>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
-#include "base/thread_pool.hh"
 #include "numeric/grid_stencil.hh"
 #include "numeric/impulse_cache.hh"
 #include "numeric/iterative.hh"
@@ -36,129 +34,34 @@ namespace irtherm
 namespace
 {
 
-/** Restores the process-wide parallel switch on scope exit. */
-struct ParallelGuard
+/**
+ * The reductions' summation order is part of every solver answer's
+ * bits: dot() and norm2() sum 1024-element chunks into partials and
+ * add the partials in ascending chunk order. A single running sum
+ * over 20 000 terms rounds differently.
+ */
+TEST(Reduction, DotAndNorm2AddChunkPartialsInAscendingOrder)
 {
-    bool saved = ThreadPool::parallelEnabled();
-    ~ParallelGuard() { ThreadPool::setParallelEnabled(saved); }
-};
-
-TEST(ThreadPool, StartupShutdown)
-{
-    for (int round = 0; round < 3; ++round) {
-        ThreadPool pool(4);
-        EXPECT_EQ(pool.threadCount(), 4u);
-    }
-    ThreadPool single(1);
-    EXPECT_EQ(single.threadCount(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce)
-{
-    ThreadPool pool(4);
-    const std::size_t n = 10007; // prime: exercises a ragged tail
-    for (std::size_t grain : {std::size_t{1}, std::size_t{7},
-                              std::size_t{64}, std::size_t{1000},
-                              std::size_t{20000}}) {
-        std::vector<std::atomic<int>> hits(n);
-        pool.parallelFor(0, n, grain,
-                         [&](std::size_t b, std::size_t e) {
-                             for (std::size_t i = b; i < e; ++i)
-                                 hits[i].fetch_add(1);
-                         });
-        for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(hits[i].load(), 1) << "index " << i
-                                         << " grain " << grain;
-    }
-}
-
-TEST(ThreadPool, ReduceSumMatchesSerialBitExactly)
-{
-    ThreadPool pool(4);
-    Rng rng(42);
-    const std::size_t n = 50000;
-    std::vector<double> v(n);
-    for (double &x : v)
-        x = rng.uniform(-1.0, 1.0);
-
-    auto chunkFn = [&](std::size_t b, std::size_t e) {
-        double s = 0.0;
-        for (std::size_t i = b; i < e; ++i)
-            s += v[i] * v[i];
-        return s;
-    };
-
-    for (std::size_t grain :
-         {std::size_t{128}, std::size_t{1024}, std::size_t{4096}}) {
-        // Serial reference with the identical chunk decomposition.
-        double serial = 0.0;
-        for (std::size_t b = 0; b < n; b += grain)
-            serial += chunkFn(b, std::min(n, b + grain));
-        const double parallel =
-            pool.parallelReduceSum(0, n, grain, chunkFn);
-        EXPECT_EQ(serial, parallel) << "grain " << grain;
-    }
-}
-
-TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(
-        pool.parallelFor(0, 1000, 10,
-                         [](std::size_t b, std::size_t) {
-                             if (b >= 500)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
-
-    // The pool must stay usable after an exception.
-    std::atomic<std::size_t> visited{0};
-    pool.parallelFor(0, 1000, 10,
-                     [&](std::size_t b, std::size_t e) {
-                         visited.fetch_add(e - b);
-                     });
-    EXPECT_EQ(visited.load(), 1000u);
-}
-
-TEST(ThreadPool, NestedCallsRunInline)
-{
-    ThreadPool pool(4);
-    std::atomic<std::size_t> inner{0};
-    pool.parallelFor(0, 64, 4, [&](std::size_t b, std::size_t e) {
-        // A nested region from inside a worker must not deadlock.
-        pool.parallelFor(0, 10, 2,
-                         [&](std::size_t ib, std::size_t ie) {
-                             inner.fetch_add(ie - ib);
-                         });
-        (void)b;
-        (void)e;
-    });
-    EXPECT_EQ(inner.load(), 10u * (64 / 4));
-}
-
-TEST(ThreadPool, Blas1KernelsBitIdenticalSerialVsParallel)
-{
-    ParallelGuard guard;
-    // Pre-first-use override so the pooled branch really runs even
-    // on a single-core host (own process per discovered test).
-    ThreadPool::setGlobalThreads(4);
     Rng rng(7);
-    const std::size_t n = 20000; // above the kernels' dispatch threshold
+    const std::size_t n = 20000;
     std::vector<double> a(n), b(n);
     for (std::size_t i = 0; i < n; ++i) {
         a[i] = rng.gaussian(0.0, 3.0);
         b[i] = rng.gaussian(0.0, 3.0);
     }
-
-    ThreadPool::setParallelEnabled(true);
-    const double dotPar = dot(a, b);
-    const double normPar = norm2(a);
-    ThreadPool::setParallelEnabled(false);
-    const double dotSer = dot(a, b);
-    const double normSer = norm2(a);
-
-    EXPECT_EQ(dotPar, dotSer);
-    EXPECT_EQ(normPar, normSer);
+    auto chunked = [n](const std::vector<double> &x,
+                       const std::vector<double> &y) {
+        double total = 0.0;
+        for (std::size_t lo = 0; lo < n; lo += 1024) {
+            double partial = 0.0;
+            for (std::size_t i = lo; i < std::min(n, lo + 1024); ++i)
+                partial += x[i] * y[i];
+            total += partial;
+        }
+        return total;
+    };
+    EXPECT_EQ(dot(a, b), chunked(a, b));
+    EXPECT_EQ(norm2(a), std::sqrt(chunked(a, a)));
 }
 
 /** Random stencil with all link classes present plus ground paths. */
@@ -252,49 +155,11 @@ TEST(GridStencil, CgSolvesSameSystemAsCsr)
         EXPECT_NEAR(viaStencil.x[i], viaCsr.x[i], 1e-8);
 }
 
-TEST(Determinism, SteadyCgBitIdenticalSerialVsParallel)
+TEST(Multigrid, CgMatchesCholeskyOnLaneTailGrids)
 {
-    ParallelGuard guard;
-    // Force a real multi-thread pool regardless of the host's core
-    // count (each discovered test runs in its own process, so this
-    // pre-first-use override cannot leak into other tests), and make
-    // the system big enough that the SpMV / BLAS-1 kernels take
-    // their thread-pooled branch when parallelism is enabled.
-    ThreadPool::setGlobalThreads(4);
-    Rng rng(31);
-    const GridStencilOperator op = randomStencil(24, 24, 8, rng);
-    std::vector<double> b(op.rows());
-    for (double &v : b)
-        v = rng.uniform(0.0, 2.0);
-
-    // Jacobi keeps this on the plain CG kernels; the V-cycle has its
-    // own test below.
-    IterativeOptions opts;
-    opts.tolerance = 1e-11;
-    opts.preconditioner = PreconditionerKind::Jacobi;
-
-    ThreadPool::setParallelEnabled(true);
-    const IterativeResult par = conjugateGradient(op, b, {}, opts);
-    ThreadPool::setParallelEnabled(false);
-    const IterativeResult ser = conjugateGradient(op, b, {}, opts);
-
-    ASSERT_TRUE(par.converged);
-    ASSERT_TRUE(ser.converged);
-    ASSERT_EQ(par.iterations, ser.iterations);
-    for (std::size_t i = 0; i < b.size(); ++i)
-        ASSERT_EQ(par.x[i], ser.x[i]) << "node " << i;
-}
-
-TEST(Determinism, MultigridCgBitIdenticalSerialVsParallel)
-{
-    ParallelGuard guard;
-    // Same pre-first-use override as the plain-CG determinism test:
-    // force a real pool and a grid large enough that the smoother,
-    // transfer, and residual loops take their thread-pooled branches.
     // The small stencils are the vector-tail set: widths 3..11 leave
     // every remainder of the cycle's four-float lanes (and odd
     // coarse widths below them) on one and several planes.
-    ThreadPool::setGlobalThreads(4);
     Rng rng(47);
     std::vector<std::array<std::size_t, 3>> dims{{32, 32, 6}};
     for (std::size_t nx = 3; nx <= 11; ++nx) {
@@ -316,16 +181,8 @@ TEST(Determinism, MultigridCgBitIdenticalSerialVsParallel)
         for (double &v : b)
             v = rng.uniform(0.0, 2.0);
 
-        ThreadPool::setParallelEnabled(true);
-        const IterativeResult par = conjugateGradient(op, b, {}, opts);
-        ThreadPool::setParallelEnabled(false);
         const IterativeResult ser = conjugateGradient(op, b, {}, opts);
-
-        ASSERT_TRUE(par.converged);
         ASSERT_TRUE(ser.converged);
-        ASSERT_EQ(par.iterations, ser.iterations);
-        for (std::size_t i = 0; i < b.size(); ++i)
-            ASSERT_EQ(par.x[i], ser.x[i]) << "node " << i;
 
         const CsrMatrix a = op.toCsr();
         SparseCholesky chol(a);

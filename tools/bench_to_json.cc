@@ -2,10 +2,10 @@
  * @file
  * Bench-trajectory harness: times each optimization against a
  * baseline configuration — Jacobi-CG vs multigrid-CG for steady
- * solves, the pre-optimization per-step-alloc CSR integrator vs the
- * factored Crank-Nicolson integrator for transients, per-job MG-CG
- * solves vs the impulse-superposition path for single-stack sweeps —
- * and writes the results as BENCH_perf.json (schema
+ * solves, a Crank-Nicolson run that builds and factors its
+ * integrator vs the factored step alone for transients, per-job
+ * MG-CG solves vs the impulse-superposition path for single-stack
+ * sweeps — and writes the results as BENCH_perf.json (schema
  * irtherm.bench.v1).
  *
  * This is deliberately a standalone tool rather than a parser over
@@ -25,11 +25,9 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "core/package.hh"
 #include "core/stack_model.hh"
 #include "floorplan/presets.hh"
-#include "legacy_solvers.hh"
 #include "numeric/grid_stencil.hh"
 #include "numeric/impulse_cache.hh"
 #include "numeric/iterative.hh"
@@ -104,9 +102,8 @@ struct BenchRow
 /**
  * Steady CG to 1e-11 on an n x n grid system: the one-level
  * preconditioner (Jacobi-preconditioned stencil CG) against the
- * geometric-multigrid V-cycle. Both sides share the thread-pool
- * setting, so the delta is purely the preconditioner's iteration
- * count and per-iteration cost.
+ * geometric-multigrid V-cycle, so the delta is purely the
+ * preconditioner's iteration count and per-iteration cost.
  */
 BenchRow
 benchSteadyCg(std::size_t n, int repeat)
@@ -123,7 +120,6 @@ benchSteadyCg(std::size_t n, int repeat)
     row.unit = "seconds per solve";
 
     std::size_t baseIters = 0, optIters = 0;
-    ThreadPool::setParallelEnabled(true);
     row.baselineSeconds = bestOf(repeat, [&] {
         IterativeOptions jacobi = opts;
         jacobi.preconditioner = PreconditionerKind::Jacobi;
@@ -140,23 +136,22 @@ benchSteadyCg(std::size_t n, int repeat)
             fatal("optimized steady CG failed to converge");
         optIters = r.iterations;
     });
-    row.baselineNote = "stencil+jacobi pooled, " +
-                       std::to_string(baseIters) + " iters";
-    row.optimizedNote = "stencil+mg-vcycle pooled, " +
-                        std::to_string(optIters) + " iters";
+    row.baselineNote =
+        "stencil+jacobi, " + std::to_string(baseIters) + " iters";
+    row.optimizedNote =
+        "stencil+mg-vcycle, " + std::to_string(optIters) + " iters";
     return row;
 }
 
 /**
  * Fixed-step transient throughput: @p steps Crank-Nicolson steps.
- * The optimized side constructs the integrator inside the timed
- * region, so its time includes factoring the system once; over 50
- * steps at grid 16 that factor is most of the total (the retired
- * stencil CG integrator, which factored nothing, was cheaper here),
- * and it pays off on longer runs.
+ * The optimized side times the steps alone, with the integrator and
+ * its factor built before the timed region; the baseline times the
+ * same steps with that construction inside, so the row shows what the
+ * factor costs against the steps it serves.
  */
 BenchRow
-benchTransientCn(std::size_t n, int steps, int repeat)
+benchTransientCnStep(std::size_t n, int steps, int repeat)
 {
     const GridStencilOperator op = makeGridOperator(n);
     const CsrMatrix csr = op.toCsr();
@@ -165,64 +160,24 @@ benchTransientCn(std::size_t n, int steps, int repeat)
     const double dt = 1e-3;
 
     BenchRow row;
-    row.name = "transient_cn_grid" + std::to_string(n) + "_x" +
+    row.name = "transient_cn_step_grid" + std::to_string(n) + "_x" +
                std::to_string(steps);
     row.unit = "seconds per " + std::to_string(steps) + " steps";
 
-    // Single-thread on both sides: this row isolates the algorithmic
-    // gains (one factor for every step, zero per-step allocation).
-    ThreadPool::setParallelEnabled(false);
     row.baselineSeconds = bestOf(repeat, [&] {
-        legacy::CrankNicolson cn(csr, cap, dt);
-        std::vector<double> t(op.rows(), 0.0);
-        for (int s = 0; s < steps; ++s)
-            cn.step(t, power);
-    });
-    row.optimizedSeconds = bestOf(repeat, [&] {
         CrankNicolsonIntegrator cn(csr, cap, dt);
         std::vector<double> t(op.rows(), 0.0);
         for (int s = 0; s < steps; ++s)
             cn.step(t, power);
     });
-    ThreadPool::setParallelEnabled(true);
-    row.baselineNote = "pre-PR per-step alloc csr+jacobi, 1 thread";
-    row.optimizedNote = "factored csr integrator, 1 thread";
-    return row;
-}
-
-/**
- * Pooled vs serial stencil matvec (pure parallel-scaling row). The
- * thread count is part of the bench name so that files produced on
- * hosts with different pool widths are never compared against each
- * other — the old un-suffixed row once froze a "1 threads vs serial"
- * non-measurement into the committed baseline.
- */
-BenchRow
-benchMatvec(std::size_t n, int calls, int repeat)
-{
-    const GridStencilOperator op = makeGridOperator(n);
-    std::vector<double> x(op.rows(), 1.0), y(op.rows());
-
-    BenchRow row;
-    row.name = "spmv_grid" + std::to_string(n) + "_x" +
-               std::to_string(calls) + "_t" +
-               std::to_string(ThreadPool::plannedGlobalThreads());
-    row.unit = "seconds per " + std::to_string(calls) + " matvecs";
-
-    ThreadPool::setParallelEnabled(false);
-    row.baselineSeconds = bestOf(repeat, [&] {
-        for (int c = 0; c < calls; ++c)
-            op.apply(x, y);
-    });
-    ThreadPool::setParallelEnabled(true);
+    CrankNicolsonIntegrator cn(csr, cap, dt);
     row.optimizedSeconds = bestOf(repeat, [&] {
-        for (int c = 0; c < calls; ++c)
-            op.apply(x, y);
+        std::vector<double> t(op.rows(), 0.0);
+        for (int s = 0; s < steps; ++s)
+            cn.step(t, power);
     });
-    row.baselineNote = "serial";
-    row.optimizedNote =
-        std::to_string(ThreadPool::plannedGlobalThreads()) +
-        " threads";
+    row.baselineNote = "factored csr integrator, built in the loop";
+    row.optimizedNote = "factored csr integrator, steps only";
     return row;
 }
 
@@ -261,7 +216,6 @@ benchSuperposedSweep(int jobs, int repeat)
     row.unit = "seconds per job (amortized over " +
                std::to_string(jobs) + ")";
 
-    ThreadPool::setParallelEnabled(true);
     const int sample = 16;
     row.baselineSeconds = bestOf(repeat, [&] {
         // MG-CG: the default per-job solve when superposition is
@@ -299,8 +253,7 @@ void
 writeJson(std::ostream &os, const std::vector<BenchRow> &rows)
 {
     os << "{\n  \"schema\": \"irtherm.bench.v1\",\n"
-       << "  \"threads\": " << ThreadPool::plannedGlobalThreads()
-       << ",\n  \"hardware_concurrency\": "
+       << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency()
        << ",\n  \"baseline\": \"per-row; see each bench's baseline"
           " note\",\n  \"benches\": [\n";
@@ -345,17 +298,8 @@ main(int argc, char **argv)
     std::vector<BenchRow> rows;
     rows.push_back(benchSteadyCg(16, repeat));
     rows.push_back(benchSteadyCg(32, repeat));
-    rows.push_back(benchTransientCn(16, 50, repeat));
+    rows.push_back(benchTransientCnStep(16, 50, repeat));
     rows.push_back(benchSuperposedSweep(1000, repeat));
-    // On a single-hardware-thread host the pooled side of the matvec
-    // row measures nothing but pool overhead; skip it rather than
-    // freeze a vacuous "1 threads vs serial" pair into the file.
-    if (std::thread::hardware_concurrency() > 1)
-        rows.push_back(benchMatvec(64, 200, repeat));
-    else
-        std::fprintf(stderr,
-                     "bench_to_json: skipping spmv parallel-vs-serial "
-                     "row (hardware_concurrency == 1)\n");
 
     std::ofstream out(outPath);
     if (!out)

@@ -51,7 +51,6 @@
 #include "base/rng.hh"
 #include "base/str.hh"
 #include "base/table.hh"
-#include "base/thread_pool.hh"
 #include "base/units.hh"
 #include "core/config_io.hh"
 #include "fabric/coordinator.hh"
@@ -107,9 +106,6 @@ usage()
         "(default 3.33e-6)\n"
         "  -dtm <celsius>   engage a DVFS DTM controller at this "
         "trigger (transient only)\n"
-        "  --threads <n>    numeric-kernel worker threads "
-        "(default: IRTHERM_THREADS env or hardware concurrency; "
-        "results are bit-identical at any count)\n"
         "observability:\n"
         "  --stats-out <file>   write the metrics registry as JSON "
         "(implies -transient)\n"
@@ -526,11 +522,6 @@ parseArgs(int argc, char **argv)
             opt.sampling = parseDouble(value(), "-sampling");
         } else if (arg == "-dtm") {
             opt.dtmTriggerCelsius = parseDouble(value(), "-dtm");
-        } else if (arg == "--threads") {
-            const double n = parseDouble(value(), "--threads");
-            if (n < 1.0 || n != std::floor(n))
-                fatal("--threads wants a positive integer, got ", n);
-            ThreadPool::setGlobalThreads(static_cast<std::size_t>(n));
         } else if (arg == "--stats-out") {
             opt.statsOutPath = value();
         } else if (arg == "--spans-out") {
