@@ -8,8 +8,17 @@
  * (AIR-SINK) operation; (2) IR power extraction that ignores the
  * flow direction credits downstream cores with phantom power
  * (Hamann et al. correct for this).
+ *
+ * Gate: exits 1 with a "claim broken:" line unless the rig's sensor
+ * sits in Dcache while the deployment's hottest block is IntReg, the
+ * blind estimates rise strictly downstream across the true power,
+ * and every direction-aware estimate is within 0.01 W of it. The
+ * size of the sensor's miss is printed, not gated: the claim is
+ * which unit it watches.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -115,7 +124,8 @@ main()
     const StackModel truth_model(cores, directional, cm);
     const StackModel blind_model(cores, blind, cm);
 
-    const std::vector<double> truth(cores.blockCount(), 5.0);
+    const double coreWatts = 5.0;
+    const std::vector<double> truth(cores.blockCount(), coreWatts);
     const auto measured =
         truth_model.steadyBlockTemperatures(truth);
 
@@ -138,5 +148,28 @@ main()
                 "a direction-blind inversion converts that into "
                 "phantom power (Hamann et al. correct for the flow "
                 "direction)\n");
-    return 0;
+
+    bool holds = true;
+    const auto broken = [&holds](const char *what) {
+        std::printf("claim broken: %s\n", what);
+        holds = false;
+    };
+    if (watched != "Dcache")
+        broken("the IR rig's sensor does not sit in Dcache");
+    if (true_hot != "IntReg")
+        broken("the deployment's hottest block is not IntReg");
+    bool rising = est_blind.front() < coreWatts &&
+                  est_blind.back() > coreWatts;
+    for (std::size_t b = 1; b < est_blind.size(); ++b)
+        rising = rising && est_blind[b] > est_blind[b - 1];
+    if (!rising)
+        broken("the direction-blind estimates do not rise strictly "
+               "from upstream to downstream across the true power");
+    if (std::any_of(est_aware.begin(), est_aware.end(),
+                    [coreWatts](double p) {
+                        return std::abs(p - coreWatts) > 0.01;
+                    }))
+        broken("a direction-aware estimate is more than 0.01 W off "
+               "the true power");
+    return holds ? 0 : 1;
 }

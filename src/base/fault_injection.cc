@@ -84,10 +84,6 @@ FaultInjector::knownPoints()
         {JournalTruncate, "sweep/result_store",
          "write only a prefix of one journal line",
          "resume quarantines the merged line and re-runs the job"},
-        {JournalTornSegment, "sweep/segment",
-         "seal only a prefix of a columnar segment",
-         "resume quarantines the segment (.torn) and recovers rows "
-         "from the JSONL tail"},
         {LeaseLost, "fabric/coordinator",
          "coordinator forgets a live lease as if it expired",
          "holder's renew gets 410; jobs re-lease; completes land "
@@ -101,10 +97,6 @@ FaultInjector::knownPoints()
         {CacheCorrupt, "fabric/result_cache",
          "scramble a shared result-cache entry as it is read",
          "entry is evicted and reported as a miss, never served"},
-        {CkptCorrupt, "sweep/result_store",
-         "scramble the aggregates checkpoint as resume opens it",
-         "checkpoint is discarded; resume falls back to the full "
-         "JSONL scan"},
     };
     return catalog;
 }

@@ -32,11 +32,6 @@
  *     job.stall         sleep inside a sweep job (watchdog bait)
  *     journal.corrupt   scramble bytes of one journal line
  *     journal.truncate  write only a prefix of one journal line
- *     journal.torn_segment  kill mid-segment-seal: only a prefix of
- *                       a columnar segment reaches disk, and the
- *                       writer stops sealing/checkpointing after it
- *                       (resume must quarantine the segment and
- *                       recover its rows from the JSONL tail)
  *     lease.lost        fabric coordinator forgets a live lease (as
  *                       if it expired); the holder's next renew gets
  *                       410 and the jobs are re-leased — completes
@@ -52,9 +47,6 @@
  *                       read; the cache must evict the entry and
  *                       report a miss — a corrupt entry is never
  *                       served as a result
- *     ckpt.corrupt      scramble the aggregates checkpoint on disk as
- *                       resume opens it; resume must discard it and
- *                       fall back to the full JSONL scan
  *
  * The catalog above is exported programmatically as
  * FaultInjector::knownPoints() (name + layer + effect + expected
@@ -110,13 +102,10 @@ inline constexpr const char *CholCorrupt = "chol.corrupt";
 inline constexpr const char *JobStall = "job.stall";
 inline constexpr const char *JournalCorrupt = "journal.corrupt";
 inline constexpr const char *JournalTruncate = "journal.truncate";
-inline constexpr const char *JournalTornSegment =
-    "journal.torn_segment";
 inline constexpr const char *LeaseLost = "lease.lost";
 inline constexpr const char *WorkerDie = "worker.die";
 inline constexpr const char *CompleteDup = "complete.dup";
 inline constexpr const char *CacheCorrupt = "cache.corrupt";
-inline constexpr const char *CkptCorrupt = "ckpt.corrupt";
 } // namespace faultpoint
 
 /** One entry of the programmatic fault-point catalog. */

@@ -4,8 +4,8 @@
  *
  * Long-running loops (the sweep scheduler, the fabric coordinator and
  * worker) poll shutdownRequested() at their claim points and drain
- * instead of dying mid-write: the journal flushes, the open segment
- * seals, and a final aggregates checkpoint lands before exit. The
+ * instead of dying mid-write: in-flight jobs land in the journal and
+ * the reports are written before exit. The
  * handler itself only sets an atomic — everything async-signal-unsafe
  * happens on the polling thread.
  *

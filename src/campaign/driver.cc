@@ -240,8 +240,7 @@ waitFleet(ChildProc &coordinator, std::vector<ChildProc> &workers,
  *  Retries on nearby ports (bind collisions with unrelated
  *  processes); the retry offset is deterministic, not drawn. */
 ChildProc
-startCoordinator(const CampaignOptions &opts,
-                 const CycleSpec &spec, const std::string &dir,
+startCoordinator(const CampaignOptions &opts, const std::string &dir,
                  int basePort, bool resume,
                  const std::string &faults, int *boundPort)
 {
@@ -265,8 +264,6 @@ startCoordinator(const CampaignOptions &opts,
             "2",
             "--lease-jobs",
             "2",
-            "--segment-jobs",
-            std::to_string(spec.segmentJobs),
             "--cache",
             cacheDir,
         };
@@ -320,19 +317,17 @@ startWorker(const CampaignOptions &opts, const std::string &dir,
 // -----------------------------------------------------------------
 
 sweep::SweepOptions
-baseSweepOptions(const std::string &outDir,
-                 const CycleSpec &spec)
+baseSweepOptions(const std::string &outDir)
 {
     sweep::SweepOptions so;
     so.outDir = outDir;
     so.workers = 1;
-    so.segmentJobs = spec.segmentJobs;
     so.writeReports = false;
     return so;
 }
 
 /** The two disarmed single-worker reference runs plus the
- *  bit-identity verdict (I5). Returns ref_a's rows. */
+ *  bit-identity verdict (I4). Returns ref_a's rows. */
 std::map<std::string, sweep::JobResult>
 runReferencePair(const CycleSpec &spec, const std::string &dir,
                  InvariantReport &report)
@@ -341,7 +336,7 @@ runReferencePair(const CycleSpec &spec, const std::string &dir,
     for (const char *tag : {"ref_a", "ref_b"}) {
         const std::string refDir =
             (std::filesystem::path(dir) / tag).string();
-        sweep::SweepOptions so = baseSweepOptions(refDir, spec);
+        sweep::SweepOptions so = baseSweepOptions(refDir);
         sweep::runSweep(spec.plan.plan, so);
         if (std::strcmp(tag, "ref_a") == 0)
             rowsA = loadJournalRows(refDir);
@@ -353,7 +348,7 @@ runReferencePair(const CycleSpec &spec, const std::string &dir,
     return rowsA;
 }
 
-/** I4 when the cycle had a shared cache: entries must match the
+/** I3 when the cycle had a shared cache: entries must match the
  *  journal, and a fresh run with lookup enabled must be answered
  *  from the cache. */
 void
@@ -369,7 +364,7 @@ checkSharedCache(const CycleSpec &spec, const std::string &dir,
 
     const std::string rerunDir =
         (std::filesystem::path(dir) / "cache_rerun").string();
-    sweep::SweepOptions so = baseSweepOptions(rerunDir, spec);
+    sweep::SweepOptions so = baseSweepOptions(rerunDir);
     cache->attach(so, /*publish=*/false);
     const sweep::SweepSummary sum =
         sweep::runSweep(spec.plan.plan, so);
@@ -390,7 +385,7 @@ runInProcessCycle(const CycleSpec &spec, const std::string &dir,
         cache = std::make_unique<fabric::ResultCache>(
             (std::filesystem::path(dir) / "cache").string());
 
-    sweep::SweepOptions so = baseSweepOptions(runDir, spec);
+    sweep::SweepOptions so = baseSweepOptions(runDir);
     if (cache)
         cache->attach(so);
 
@@ -405,7 +400,7 @@ runInProcessCycle(const CycleSpec &spec, const std::string &dir,
         sweep::runSweep(spec.plan.plan, a);
         midRows = loadJournalRows(runDir);
         // Armed phase B: resume WITH faults still firing — the
-        // resume protocol itself (checkpoint parse, segment reads,
+        // resume protocol itself (journal scan and quarantine,
         // journal appends) is inside the blast radius.
         IRTHERM_EVENT("campaign.resume", {"armed", "true"});
         sweep::SweepOptions b = so;
@@ -431,7 +426,6 @@ runInProcessCycle(const CycleSpec &spec, const std::string &dir,
                    " jobs journaled after resume");
     checkNoDuplicateWork(runDir, report);
     checkJournaledOkPreserved(midRows, finalRows, report);
-    checkAggregateReplay(runDir, report);
     if (cache)
         checkSharedCache(spec, dir, cache.get(), finalRows,
                          report);
@@ -466,7 +460,7 @@ runFleetCycle(const CampaignOptions &opts, const CycleSpec &spec,
         phase.attr("workers", static_cast<double>(spec.workers));
         int port = 0;
         ChildProc coordinator =
-            startCoordinator(opts, spec, dir, spec.port,
+            startCoordinator(opts, dir, spec.port,
                              /*resume=*/false, spec.faultSpec, &port);
         std::vector<ChildProc> workers;
         for (std::size_t i = 0; i < spec.workers; ++i)
@@ -494,7 +488,7 @@ runFleetCycle(const CampaignOptions &opts, const CycleSpec &spec,
         IRTHERM_EVENT("campaign.resume", {"armed", "false"});
         int resumePort = 0;
         ChildProc resumeCoord = startCoordinator(
-            opts, spec, dir, spec.port + 1000, /*resume=*/true, "",
+            opts, dir, spec.port + 1000, /*resume=*/true, "",
             &resumePort);
         std::vector<ChildProc> resumeWorkers;
         if (resumeCoord.running) {
@@ -522,7 +516,6 @@ runFleetCycle(const CampaignOptions &opts, const CycleSpec &spec,
                    " jobs journaled after resume");
     checkNoDuplicateWork(fleetDir, report);
     checkJournaledOkPreserved(midRows, finalRows, report);
-    checkAggregateReplay(fleetDir, report);
 
     fabric::ResultCache cache(
         (std::filesystem::path(dir) / "cache").string());
@@ -626,22 +619,18 @@ makeCycleSpec(const CampaignOptions &opts, std::size_t index)
     if (fleet) {
         eligible = {CgNan,           CgDiverge,
                     JobStall,        JournalCorrupt,
-                    JournalTruncate, JournalTornSegment,
-                    LeaseLost,       WorkerDie,
-                    CompleteDup};
+                    JournalTruncate, LeaseLost,
+                    WorkerDie,       CompleteDup};
     } else {
-        eligible = {CgNan,           CgDiverge,
-                    MgDiverge,       ImpulseCorrupt,
-                    JobStall,        JournalCorrupt,
-                    JournalTruncate, JournalTornSegment,
-                    CkptCorrupt};
+        eligible = {CgNan,          CgDiverge,
+                    MgDiverge,      ImpulseCorrupt,
+                    JobStall,       JournalCorrupt,
+                    JournalTruncate};
     }
     if (spec.useCache)
         eligible.push_back(CacheCorrupt);
     spec.faultSpec = generateFaultSpec(rng, eligible);
 
-    spec.segmentJobs =
-        static_cast<std::size_t>(rng.range(2, 4));
     const std::size_t jobs = spec.plan.plan.jobCount();
     spec.stopAfter =
         jobs >= 2 ? static_cast<std::size_t>(rng.range(1, jobs - 1))

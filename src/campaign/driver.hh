@@ -16,8 +16,8 @@
  *
  *  - in-process: a single-worker sweep stopped partway (simulated
  *    kill), an *armed* resume (faults keep firing across the resume
- *    protocol: checkpoint rot, torn segments, corrupt lines), and a
- *    disarmed resume to completion;
+ *    protocol: torn and corrupt journal lines), and a disarmed resume
+ *    to completion;
  *  - multi-process: a real coordinator process and 1-3 real worker
  *    processes over loopback HTTP with the fault spec in their
  *    environment (each worker arms its share of every rule's count,
@@ -86,7 +86,6 @@ struct CycleSpec
     GeneratedPlan plan;
     std::string faultSpec;
     bool useCache = false;
-    std::size_t segmentJobs = 2;
     /** In-process: stop the armed run after this many executions. */
     std::size_t stopAfter = 1;
     // Fleet-only knobs.

@@ -6,9 +6,6 @@
 #include <set>
 
 #include "base/errors.hh"
-#include "sweep/compact.hh"
-#include "sweep/json.hh"
-#include "sweep/segment.hh"
 
 namespace irtherm::campaign
 {
@@ -77,25 +74,15 @@ loadJournalRows(const std::string &dir, std::size_t *skipped)
     std::map<std::string, JobResult> rows;
     if (skipped)
         *skipped = 0;
-    std::ifstream in(journalPath(dir));
-    if (!in)
-        return rows;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        try {
-            JobResult r = JobResult::fromJsonLine(
-                line,
-                dir + " line " + std::to_string(lineno));
-            rows.emplace(r.hash, std::move(r));
-        } catch (const FatalError &) {
+    sweep::scanJournal(
+        journalPath(dir),
+        [&rows](JobResult &&row, const std::string &) {
+            rows.emplace(row.hash, std::move(row));
+        },
+        [skipped](std::size_t, const std::string &, const std::string &) {
             if (skipped)
                 ++*skipped;
-        }
-    }
+        });
     return rows;
 }
 
@@ -116,28 +103,17 @@ void
 checkNoDuplicateWork(const std::string &dir,
                      InvariantReport &report)
 {
-    // Journal side: at most one parsable line per hash.
+    // At most one parsable line per hash; a fault-damaged line is
+    // resume's to quarantine, not a duplicate.
     std::map<std::string, std::size_t> seen;
     std::size_t parsable = 0;
-    {
-        std::ifstream in(journalPath(dir));
-        std::string line;
-        std::size_t lineno = 0;
-        while (in && std::getline(in, line)) {
-            ++lineno;
-            if (line.empty())
-                continue;
-            try {
-                const JobResult r = JobResult::fromJsonLine(
-                    line,
-                    dir + " line " + std::to_string(lineno));
-                ++seen[r.hash];
-                ++parsable;
-            } catch (const FatalError &) {
-                // Fault-damaged line; resume quarantines it.
-            }
-        }
-    }
+    sweep::scanJournal(
+        journalPath(dir),
+        [&](JobResult &&row, const std::string &) {
+            ++seen[row.hash];
+            ++parsable;
+        },
+        [](std::size_t, const std::string &, const std::string &) {});
     std::string dups;
     for (const auto &[hash, count] : seen) {
         if (count > 1)
@@ -145,50 +121,10 @@ checkNoDuplicateWork(const std::string &dir,
                     std::to_string(count);
     }
 
-    // Segment side: a hash sealed into two segments would be the
-    // same duplicate in columnar form, and a sealed row missing from
-    // the journal would mean the JSONL debug sink lost a job.
-    std::map<std::string, std::string> sealedIn;
-    std::string segmentIssues;
-    const sweep::SegmentScan scan = sweep::scanSegments(dir);
-    for (const auto &[index, path] : scan.sealed) {
-        std::vector<JobResult> segRows;
-        try {
-            segRows = sweep::readSegmentFile(path);
-        } catch (const FatalError &e) {
-            segmentIssues += (segmentIssues.empty() ? "" : "; ") +
-                             path + " unreadable (" + e.what() +
-                             ")";
-            continue;
-        }
-        for (const JobResult &r : segRows) {
-            const auto [it, inserted] =
-                sealedIn.emplace(r.hash, path);
-            if (!inserted) {
-                segmentIssues +=
-                    (segmentIssues.empty() ? "" : "; ") + r.hash +
-                    " sealed in both " + it->second + " and " +
-                    path;
-            }
-            if (seen.find(r.hash) == seen.end()) {
-                segmentIssues +=
-                    (segmentIssues.empty() ? "" : "; ") + r.hash +
-                    " sealed in " + path +
-                    " but absent from the journal";
-            }
-        }
-    }
-
-    const bool ok = dups.empty() && segmentIssues.empty();
-    std::string detail = std::to_string(parsable) +
-                         " journal rows, " +
-                         std::to_string(scan.sealed.size()) +
-                         " sealed segments";
+    std::string detail = std::to_string(parsable) + " journal rows";
     if (!dups.empty())
         detail += "; duplicate hashes: " + dups;
-    if (!segmentIssues.empty())
-        detail += "; " + segmentIssues;
-    report.add("zero-duplicate-work", ok, detail);
+    report.add("zero-duplicate-work", dups.empty(), detail);
 }
 
 void
@@ -217,75 +153,6 @@ checkJournaledOkPreserved(
     if (!lost.empty())
         detail += "; " + lost;
     report.add("journaled-ok-preserved", lost.empty(), detail);
-}
-
-void
-checkAggregateReplay(const std::string &dir,
-                     InvariantReport &report)
-{
-    sweep::JournalData fast;
-    sweep::JournalData full;
-    try {
-        fast = sweep::readJournal(dir, false);
-        full = sweep::readJournal(dir, true);
-    } catch (const FatalError &e) {
-        report.add("aggregate-replay", false,
-                   std::string("readJournal threw: ") + e.what());
-        return;
-    }
-
-    std::string issues;
-    if (fast.rows.size() != full.rows.size()) {
-        issues += "row count " + std::to_string(fast.rows.size()) +
-                  " (fast) vs " + std::to_string(full.rows.size()) +
-                  " (full scan)";
-    } else {
-        for (std::size_t i = 0; i < fast.rows.size(); ++i) {
-            if (normalizedLine(fast.rows[i]) !=
-                normalizedLine(full.rows[i])) {
-                issues += (issues.empty() ? "" : "; ") + std::string(
-                    "row mismatch at hash ") + fast.rows[i].hash;
-                break;
-            }
-        }
-    }
-
-    // Counts inside the aggregate documents themselves: the
-    // checkpoint-restored state must agree with the recomputed one.
-    auto counts = [&](const std::string &json,
-                      const char *which) -> std::string {
-        const sweep::JsonValue doc = sweep::parseJson(
-            json, std::string("aggregates (") + which + ")");
-        const sweep::JsonValue &states = doc.at("states");
-        std::string out =
-            "jobs=" + std::to_string(static_cast<std::uint64_t>(
-                          doc.at("jobs").number));
-        for (const char *k : {"ok", "failed", "timeout", "hung"})
-            out += std::string(" ") + k + "=" +
-                   std::to_string(static_cast<std::uint64_t>(
-                       states.at(k).number));
-        return out;
-    };
-    std::string fastCounts;
-    std::string fullCounts;
-    try {
-        fastCounts = counts(fast.aggregatesJson, "fast");
-        fullCounts = counts(full.aggregatesJson, "full");
-    } catch (const FatalError &e) {
-        issues += (issues.empty() ? "" : "; ") +
-                  std::string("bad aggregates json: ") + e.what();
-    }
-    if (fastCounts != fullCounts) {
-        issues += (issues.empty() ? "" : "; ") + std::string(
-            "counts diverge: ") + fastCounts + " vs " + fullCounts;
-    }
-
-    std::string detail = fastCounts;
-    detail += fast.fromCheckpoint ? " (via checkpoint)"
-                                  : " (no checkpoint fast path)";
-    if (!issues.empty())
-        detail += "; " + issues;
-    report.add("aggregate-replay", issues.empty(), detail);
 }
 
 void

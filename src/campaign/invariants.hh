@@ -1,24 +1,20 @@
 /**
  * @file
  * The invariant checker a campaign cycle runs after its
- * kill-and-resume sequence. Five properties, each of which earlier
+ * kill-and-resume sequence. Four properties, each of which earlier
  * PRs claim and targeted tests spot-check — the campaign asserts
  * them over *randomly composed* failures:
  *
  *  I1 zero-duplicate-work: the journal holds at most one row per
- *     scenario hash, no hash is sealed into two columnar segments,
- *     and every sealed row is also in the journal.
+ *     scenario hash.
  *  I2 journaled-ok-preserved: every Ok row present before a resume
  *     is still present — byte-identical — after it; resume never
  *     loses or re-executes completed work.
- *  I3 aggregate-replay: the checkpoint fast path (checkpoint +
- *     segments + JSONL tail) reports the same row set and the same
- *     per-status counts as a full JSONL scan.
- *  I4 cache-bit-identity: every shared-cache entry is bit-identical
+ *  I3 cache-bit-identity: every shared-cache entry is bit-identical
  *     (modulo timing/provenance) to the journaled result of the same
  *     scenario hash — a cache hit is indistinguishable from direct
  *     simulation.
- *  I5 disarmed-replay: two disarmed single-worker runs of the same
+ *  I4 disarmed-replay: two disarmed single-worker runs of the same
  *     generated plan produce bit-identical physics (normalized
  *     journals equal byte for byte).
  *
@@ -73,7 +69,7 @@ loadJournalRows(const std::string &dir,
  *  provenance zeroed — the bit-identity comparison form. */
 std::string normalizedLine(const sweep::JobResult &row);
 
-/** I1 over @p dir (journal + sealed segments). */
+/** I1 over @p dir's journal. */
 void checkNoDuplicateWork(const std::string &dir,
                           InvariantReport &report);
 
@@ -83,18 +79,13 @@ void checkJournaledOkPreserved(
     const std::map<std::string, sweep::JobResult> &after,
     InvariantReport &report);
 
-/** I3 over @p dir, via the read-only sweep/compact fast path vs a
- *  forced full scan. */
-void checkAggregateReplay(const std::string &dir,
-                          InvariantReport &report);
-
-/** I4: every entry of @p cacheDir vs the matching row in @p rows. */
+/** I3: every entry of @p cacheDir vs the matching row in @p rows. */
 void checkCacheBitIdentity(
     const std::string &cacheDir,
     const std::map<std::string, sweep::JobResult> &rows,
     InvariantReport &report);
 
-/** I5: @p a and @p b are normalized-bit-identical journals. @p label
+/** I4: @p a and @p b are normalized-bit-identical journals. @p label
  *  names the comparison in the verdict (e.g. "ref_a-vs-ref_b"). */
 void checkBitIdenticalReplay(
     const std::map<std::string, sweep::JobResult> &a,

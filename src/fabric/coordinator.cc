@@ -101,7 +101,6 @@ runCoordinator(const sweep::SweepPlan &plan,
     sweep::SweepOptions so;
     so.outDir = opts.outDir;
     so.resume = opts.resume;
-    so.segmentJobs = opts.segmentJobs;
     so.writeReports = opts.writeReports;
     std::unique_ptr<ResultCache> cache;
     if (!opts.cacheDir.empty()) {
@@ -156,8 +155,8 @@ runCoordinator(const sweep::SweepPlan &plan,
                                traceStore.dropped());
     };
 
-    // The fleet board rides along in /status (the dashboard needs only
-    // its existing poll) and in /metrics as irtherm_fleet_* series.
+    // The fleet board rides along in /status and in /metrics as
+    // irtherm_fleet_* series.
     session.route(
         server, [&fleetJson] { return "\"fleet\":" + fleetJson(); },
         [&fleet, &table] {
@@ -404,15 +403,15 @@ runCoordinator(const sweep::SweepPlan &plan,
                          [&] { return owedFlush.empty(); });
     }
 
-    // Stop accepting before finalizing: no /complete can race the
-    // seal-and-checkpoint below.
+    // Stop accepting before finishing: no /complete can race the
+    // reports below.
     server.stop();
     out.requestsShed = server.shedCount();
     if (shutdownRequested() && !table.allComplete())
         inform("fabric: shutdown requested; drained with ",
                table.remaining(),
-               " jobs unfinished (journal sealed, checkpoint "
-               "written; resume to continue)");
+               " jobs unfinished (journal flushed; resume to "
+               "continue)");
 
     out.sweep = session.finish();
     out.workersSeen = table.workersSeen();

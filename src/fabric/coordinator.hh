@@ -19,7 +19,7 @@
  *                  -> {"accepted": A, "duplicates": D, "done": B}
  *
  * plus the session's read-only telemetry routes (/status, /metrics,
- * /healthz, /aggregates, /dashboard). Jobs travel as their full
+ * /healthz, /aggregates). Jobs travel as their full
  * textual ScenarioSpec, so a worker needs nothing but the
  * coordinator's address — no plan file, no shared filesystem.
  *
@@ -34,7 +34,7 @@
  * CoordinatorOptions::fleetTraceOut at exit), federates the
  * snapshots into `irtherm_fleet_*` series on /metrics, and serves
  * the fleet health board at `GET /fleet` (also inlined into
- * /status for the dashboard). A worker whose heartbeat goes silent
+ * /status). A worker whose heartbeat goes silent
  * past the suspect threshold raises a `worker.suspect` event.
  *
  * Exactly-once journaling: the LeaseTable classifies every completed
@@ -53,9 +53,9 @@
  * unboundedly behind the listener thread.
  *
  * SIGINT/SIGTERM (via base/shutdown) drains: in-flight leases are
- * told "done" on their next pull, the server stops, the journal
- * flushes, the open segment seals, and a final aggregates checkpoint
- * is written — a later `--resume` continues where the fleet stopped.
+ * told "done" on their next pull, the server stops, and the reports
+ * are written over the flushed journal — a later `--resume`
+ * continues where the fleet stopped.
  */
 
 #ifndef IRTHERM_FABRIC_COORDINATOR_HH
@@ -74,7 +74,7 @@ namespace irtherm::fabric
 
 struct CoordinatorOptions
 {
-    /** Output directory: journal, segments, checkpoint, reports. */
+    /** Output directory: journal and reports. */
     std::string outDir = "sweep_out";
     /** Listen port; 0 picks an ephemeral one. */
     int port = 0;
@@ -85,8 +85,6 @@ struct CoordinatorOptions
     std::size_t leaseJobs = 4;
     /** Skip scenarios already present in the journal. */
     bool resume = false;
-    /** Completed jobs per sealed columnar segment (see runner.hh). */
-    std::size_t segmentJobs = 2048;
     bool writeReports = true;
     /** Shared content-addressed result cache directory; "" = off. */
     std::string cacheDir;

@@ -2,48 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/export.hh"
-#include "sweep/json.hh"
 
 namespace irtherm::sweep
 {
-
-namespace
-{
-
-double
-requireNumber(const JsonValue &doc, const char *key,
-              const std::string &context)
-{
-    const JsonValue &v = doc.at(key);
-    if (!v.isNumber())
-        configError(context, ": '", key, "' must be a number");
-    return v.number;
-}
-
-std::uint64_t
-requireCount(const JsonValue &doc, const char *key,
-             const std::string &context)
-{
-    const double v = requireNumber(doc, key, context);
-    if (v < 0.0)
-        configError(context, ": '", key, "' must be non-negative");
-    return static_cast<std::uint64_t>(v);
-}
-
-const JsonValue &
-requireObject(const JsonValue &doc, const char *key,
-              const std::string &context)
-{
-    const JsonValue &v = doc.at(key);
-    if (!v.isObject())
-        configError(context, ": '", key, "' must be an object");
-    return v;
-}
-
-} // namespace
 
 void
 SweepAggregator::Stat::add(double v)
@@ -255,128 +218,6 @@ SweepAggregator::toJson() const
     }
     out += "]}";
     return out;
-}
-
-void
-SweepAggregator::restore(const JsonValue &doc,
-                         const std::string &context)
-{
-    if (!doc.isObject())
-        configError(context, ": aggregates must be an object");
-    const JsonValue &schema = doc.at("schema");
-    if (!schema.isString() ||
-        schema.text != "irtherm.sweep.aggregates.v1") {
-        configError(context, ": unsupported aggregates schema");
-    }
-    clear();
-
-    total = requireCount(doc, "jobs", context);
-    const JsonValue &states = requireObject(doc, "states", context);
-    byStatus[static_cast<std::size_t>(JobStatus::Ok)] =
-        requireCount(states, "ok", context);
-    byStatus[static_cast<std::size_t>(JobStatus::Failed)] =
-        requireCount(states, "failed", context);
-    byStatus[static_cast<std::size_t>(JobStatus::Timeout)] =
-        requireCount(states, "timeout", context);
-    byStatus[static_cast<std::size_t>(JobStatus::Hung)] =
-        requireCount(states, "hung", context);
-    warmStarted = requireCount(doc, "warm_started", context);
-    // Same schema version, later field: checkpoints written before
-    // the impulse cache existed restore with zero hits.
-    if (doc.find("impulse_cache_hits") != nullptr)
-        impulseCacheHits =
-            requireCount(doc, "impulse_cache_hits", context);
-    attempts = requireCount(doc, "attempts", context);
-    retries = requireCount(doc, "retries", context);
-
-    auto restoreStat = [&](const JsonValue &v, Stat &s) {
-        s.count = requireCount(v, "count", context);
-        s.sum = requireNumber(v, "sum", context);
-        s.min = requireNumber(v, "min", context);
-        s.max = requireNumber(v, "max", context);
-    };
-
-    const JsonValue &w = requireObject(doc, "wall", context);
-    restoreStat(w, wall);
-    const JsonValue &buckets = requireObject(w, "buckets", context);
-    for (const auto &[key, count] : buckets.members) {
-        if (!count.isNumber())
-            configError(context, ": bucket count must be a number");
-        char *end = nullptr;
-        const unsigned long long i =
-            std::strtoull(key.c_str(), &end, 10);
-        if (end != key.c_str() + key.size() ||
-            i >= wallBuckets.size()) {
-            configError(context, ": bad wall bucket index '", key,
-                        "'");
-        }
-        wallBuckets[i] = static_cast<std::uint64_t>(count.number);
-    }
-
-    auto restoreTemp = [&](const char *key, TempHistogram &h) {
-        const JsonValue &v = requireObject(doc, key, context);
-        restoreStat(v, h.stat);
-        const JsonValue &bins = requireObject(v, "bins", context);
-        for (const auto &[bin, count] : bins.members) {
-            if (!count.isNumber())
-                configError(context, ": bin count must be a number");
-            char *end = nullptr;
-            const long long i = std::strtoll(bin.c_str(), &end, 10);
-            if (end != bin.c_str() + bin.size())
-                configError(context, ": bad temperature bin '", bin,
-                            "'");
-            h.bins[i] = static_cast<std::uint64_t>(count.number);
-        }
-    };
-    restoreTemp("peak_c", peak);
-    restoreTemp("gradient_k", gradient);
-
-    const JsonValue &axesDoc = requireObject(doc, "axes", context);
-    for (const auto &[key, cells] : axesDoc.members) {
-        if (!cells.isObject())
-            configError(context, ": axis '", key,
-                        "' must be an object");
-        auto &dst = axes[key];
-        for (const auto &[value, cellDoc] : cells.members) {
-            if (!cellDoc.isObject())
-                configError(context, ": axis cell must be an object");
-            AxisCell cell;
-            cell.count = requireCount(cellDoc, "count", context);
-            cell.ok = requireCount(cellDoc, "ok", context);
-            cell.peakSum = requireNumber(cellDoc, "peak_sum", context);
-            cell.peakMax = requireNumber(cellDoc, "peak_max", context);
-            cell.wallSum = requireNumber(cellDoc, "wall_sum", context);
-            dst.emplace(value, cell);
-        }
-    }
-    axisDropped = requireCount(doc, "axes_dropped", context);
-
-    const JsonValue &top = doc.at("top_slowest");
-    if (!top.isArray())
-        configError(context, ": 'top_slowest' must be an array");
-    for (const JsonValue &jobDoc : top.items) {
-        if (!jobDoc.isObject())
-            configError(context, ": top_slowest entry must be an object");
-        SlowJob job;
-        const JsonValue &name = jobDoc.at("name");
-        const JsonValue &hash = jobDoc.at("hash");
-        const JsonValue &status = jobDoc.at("status");
-        if (!name.isString() || !hash.isString() || !status.isString())
-            configError(context, ": malformed top_slowest entry");
-        job.name = name.text;
-        job.hash = hash.text;
-        job.wallSeconds = requireNumber(jobDoc, "wall_s", context);
-        job.status = parseJobStatus(status.text);
-        slowest.push_back(std::move(job));
-    }
-    std::sort(slowest.begin(), slowest.end(),
-              [](const SlowJob &a, const SlowJob &b) {
-                  if (a.wallSeconds != b.wallSeconds)
-                      return a.wallSeconds > b.wallSeconds;
-                  return a.name < b.name;
-              });
-    if (slowest.size() > kTopSlowest)
-        slowest.resize(kTopSlowest);
 }
 
 void

@@ -9,24 +9,13 @@
  * streaming top-k of the slowest jobs, and log2 latency buckets that
  * reuse obs::Histogram's bucket geometry so p50/p95/p99 come from
  * the same histogramQuantile interpolation the metrics exporter
- * uses. `/aggregates`, `/status`, and `sweep_report` then answer in
- * O(1) regardless of sweep size — no journal rescan.
+ * uses. `/aggregates` then answers in O(1) regardless of sweep size,
+ * without rereading the journal; `sweep_report` folds the same state
+ * in its one journal scan.
  *
  * The aggregator deliberately does NOT use obs::Histogram: those
  * instruments compile to no-ops under IRTHERM_ENABLE_METRICS=OFF,
  * and these counts are product data, not instrumentation.
- *
- * Checkpoint protocol (crash consistency): toJson() round-trips
- * through restore(), and ResultStore persists it together with an
- * AggregateCoverage watermark {jobs, sealed segments, JSONL byte
- * offset}. On resume the invariant is
- *
- *     aggregates = checkpoint + replay of the JSONL tail past
- *                  coverage.jsonlOffset
- *
- * — sealed-segment contents are never re-aggregated, so the crash
- * window between sealing a segment and writing the checkpoint cannot
- * double-count.
  *
  * Not internally synchronized: callers (ResultStore) serialize
  * updates under their own lock and hand read snapshots out as JSON.
@@ -47,20 +36,6 @@
 namespace irtherm::sweep
 {
 
-class JsonValue;
-
-/** How much of the on-disk journal a checkpoint accounts for. */
-struct AggregateCoverage
-{
-    /** Jobs folded into the aggregates. */
-    std::uint64_t jobs = 0;
-    /** Sealed segments whose rows are all covered. */
-    std::uint64_t sealedSegments = 0;
-    /** journal.jsonl byte offset up to which rows are covered; the
-     *  resume path replays only the tail past this point. */
-    std::uint64_t jsonlOffset = 0;
-};
-
 /** Streaming aggregate state over completed sweep jobs. */
 class SweepAggregator
 {
@@ -78,20 +53,8 @@ class SweepAggregator
     /** Jobs folded in so far. */
     std::uint64_t jobs() const { return total; }
 
-    /**
-     * Serialize as an `irtherm.sweep.aggregates.v1` document. The
-     * document doubles as the checkpoint payload: every stateful
-     * field round-trips through restore(); derived fields (mean,
-     * p50/p95/p99) are recomputed, not restored.
-     */
+    /** Serialize as an `irtherm.sweep.aggregates.v1` document. */
     std::string toJson() const;
-
-    /**
-     * Replace this aggregator's state with a parsed
-     * `irtherm.sweep.aggregates.v1` document. Throws ConfigError on
-     * schema mismatch or malformed fields.
-     */
-    void restore(const JsonValue &doc, const std::string &context);
 
     /** Reset to the empty state. */
     void clear();

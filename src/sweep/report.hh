@@ -59,13 +59,12 @@ std::string renderTopJobsMarkdown(const std::vector<JobResult> &results,
 
 /**
  * Markdown summary rendered from an `irtherm.sweep.aggregates.v1`
- * document (SweepAggregator::toJson() / the `/aggregates` endpoint /
- * a checkpoint file) instead of per-row journal entries: state
- * counts, wall-time quantiles, temperature spread, per-axis
- * group-bys, and the streaming top-slowest table. Size of the output
- * depends on the number of axis values and temperature bins, never
- * on the number of jobs — this is the O(1)-in-sweep-size report for
- * million-job journals. fatal() on a malformed document.
+ * document (SweepAggregator::toJson() / the `/aggregates` endpoint)
+ * instead of per-row journal entries: state counts, wall-time
+ * quantiles, temperature spread, per-axis group-bys, and the
+ * streaming top-slowest table. Size of the output depends on the
+ * number of axis values and temperature bins, never on the number of
+ * jobs. fatal() on a malformed document.
  */
 std::string renderAggregatesMarkdown(const std::string &aggregatesJson,
                                      const std::string &title);

@@ -1,49 +1,32 @@
 /**
  * @file
- * Completed-job cache with a crash-safe JSONL journal, columnar
- * segment sealing, and continuous aggregates.
+ * Completed-job cache over a crash-safe JSONL journal, with live
+ * aggregates.
  *
  * Every finished job (ok, failed, timed out, or hung) is recorded in
  * memory keyed by its scenario hash AND appended to
  * <dir>/journal.jsonl, one JSON object per line, flushed
  * immediately — so a sweep killed mid-flight loses at most the jobs
- * that were still running. The JSONL file is the durability
- * baseline and debug sink; on top of it the store:
+ * that were still running. The journal is the sweep directory's only
+ * durable format. Every row also feeds a SweepAggregator
+ * (sweep/aggregate.hh), which answers /aggregates and the reports
+ * without rereading the journal.
  *
- *  - buffers journaled rows and seals them in bounded chunks to
- *    <dir>/segments/NNNNNNNN.seg (columnar binary, CRC-checked; see
- *    sweep/segment.hh) so resume and reporting never re-parse
- *    millions of JSON lines;
- *  - feeds every row to a SweepAggregator (sweep/aggregate.hh) and
- *    checkpoints the aggregate state to <dir>/aggregates.ckpt after
- *    each seal, with a coverage watermark {jobs, sealed segments,
- *    JSONL byte offset}.
+ * Resume (loadJournal) is one scan of the journal that rebuilds the
+ * cache and the aggregates. A torn or corrupt line (a killed
+ * writer's last flush, disk rot, or an injected journal.corrupt /
+ * journal.truncate) is quarantined to <dir>/journal.quarantine as
+ * `{"line": N, "reason": "...", "data": "<raw line>"}`, the journal
+ * is rewritten atomically with only the good lines, and the job
+ * simply re-runs. A final row that lost only its newline is kept and
+ * terminated, so the next append cannot merge into it. add() keeps a
+ * row whose journaled bytes it damaged out of the live aggregates, so
+ * they always equal a scan of the journal.
  *
- * Resume (loadJournal) restores in O(tail) rather than O(sweep):
- * checkpoint aggregates + sealed-segment rows + a replay of only the
- * JSONL tail past the checkpoint's byte offset. Crash consistency:
- *
- *  - a row reaches journal.jsonl before it can reach a segment or
- *    the checkpoint, so the JSONL tail always recovers anything a
- *    torn segment or missing checkpoint lost;
- *  - torn/corrupt segments are quarantined (renamed to `.torn`) and
- *    their rows re-read from the tail; segments sealed after the
- *    last checkpoint are set aside (`.orphan`) the same way so no
- *    row is ever aggregated twice;
- *  - a torn or corrupt JSONL line can only live in the tail (the
- *    checkpoint is written strictly after flushed lines); each one
- *    is quarantined to <dir>/journal.quarantine as
- *    `{"line": N, "reason": "...", "data": "<raw line>"}` and the
- *    job simply re-runs;
- *  - with no checkpoint at all (old journals, or a checkpoint
- *    invalidated by a damaged covered segment) the store falls back
- *    to the full JSONL scan, rebuilding aggregates from scratch and
- *    rewriting the journal atomically with only the good lines.
- *
- * Injected journal faults (journal.corrupt / journal.truncate /
- * journal.torn_segment) flip the store into "crashed" mode: no
- * further seals or checkpoints, emulating a writer that died — so
- * the resilience tests exercise exactly the recovery paths above.
+ * scanJournal() is the one loop that parses a journal; readJournal()
+ * is its read-only form for tools that look at a sweep directory
+ * from outside (sweep_report), possibly while a sweep is still
+ * running.
  */
 
 #ifndef IRTHERM_SWEEP_RESULT_STORE_HH
@@ -52,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -66,7 +50,6 @@ namespace irtherm::sweep
 {
 
 class JsonValue;
-struct AggregateCoverage;
 
 /** Terminal state of one job. */
 enum class JobStatus
@@ -173,13 +156,45 @@ struct JobResult
 
 class SweepAggregator;
 
-/** Tuning knobs for ResultStore's analytics layer. */
-struct ResultStoreOptions
+/** Receives one parsed journal row and its raw line. */
+using JournalRowFn =
+    std::function<void(JobResult &&row, const std::string &line)>;
+/** Receives one unparsable journal line: its 1-based number, the
+ *  parse failure (which names the file and line) and the raw text. */
+using JournalBadLineFn =
+    std::function<void(std::size_t lineno, const std::string &reason,
+                       const std::string &line)>;
+
+/**
+ * Parse the journal file at @p path line by line, calling @p onRow
+ * once per parsed row and @p onBad once per unparsable line, in file
+ * order. Blank lines are skipped. Either callback may throw to stop
+ * the scan. Returns false when the file cannot be opened.
+ */
+bool scanJournal(const std::string &path, const JournalRowFn &onRow,
+                 const JournalBadLineFn &onBad);
+
+/** Everything readJournal() recovered. */
+struct JournalData
 {
-    /** Rows buffered before sealing a columnar segment (and writing
-     *  an aggregate checkpoint); must be > 0 (ConfigError else). */
-    std::size_t segmentJobs = 2048;
+    /** Completed jobs, deduplicated by scenario hash (last wins),
+     *  in hash order. */
+    std::vector<JobResult> rows;
+    /** `irtherm.sweep.aggregates.v1` over every parsed row. */
+    std::string aggregatesJson;
+    /** Unparsable lines skipped (not quarantined: read-only). */
+    std::size_t skippedLines = 0;
 };
+
+/**
+ * Read a sweep's results without touching its directory. @p path is
+ * a sweep directory or a journal file. @p onBad, when set, also sees
+ * each unparsable line, and may throw to stop the read. A missing
+ * journal reads as empty; one that exists but cannot be opened
+ * throws IoError.
+ */
+JournalData readJournal(const std::string &path,
+                        const JournalBadLineFn &onBad = {});
 
 /**
  * Thread-safe result cache over an output directory. Creates the
@@ -189,24 +204,19 @@ struct ResultStoreOptions
 class ResultStore
 {
   public:
-    explicit ResultStore(const std::string &dir,
-                         ResultStoreOptions options = {});
+    explicit ResultStore(const std::string &dir);
     ~ResultStore();
 
     /**
-     * Reload prior results: aggregate checkpoint + sealed segments +
-     * JSONL tail (see file comment). Returns entries loaded.
-     * Corrupt or truncated artifacts are quarantined rather than
-     * fatal; quarantined() / quarantinedSegments() report how many
+     * Reload prior results with one scan of the journal (see file
+     * comment). Returns the rows loaded. Unparsable lines are
+     * quarantined rather than fatal; quarantined() reports how many
      * this call set aside.
      */
     std::size_t loadJournal();
 
-    /** JSONL lines quarantined by the last loadJournal(). */
+    /** Journal lines quarantined by the last loadJournal(). */
     std::size_t quarantined() const;
-
-    /** Torn/corrupt segments quarantined by the last loadJournal(). */
-    std::size_t quarantinedSegments() const;
 
     bool has(const std::string &hash) const;
 
@@ -218,74 +228,35 @@ class ResultStore
      *  serialized before the store's lock is taken. */
     void add(const JobResult &result);
 
-    /**
-     * Seal any buffered rows into a final (possibly short) segment
-     * and write the aggregate checkpoint. Call when the sweep
-     * finishes; idempotent; a no-op after an injected journal fault
-     * (crashed mode) so recovery tests see the artifacts a dead
-     * writer would have left.
-     */
-    void finalize();
-
-    std::size_t size() const;
-
-    /** Segments sealed so far (loaded + written). */
-    std::size_t sealedSegments() const;
+    /** Nothing to do: every row is durable once add() returns. Kept
+     *  for its one caller, perfbench's sweep replay
+     *  (perfbench/src/workloads.cc). */
+    void finalize() {}
 
     /** Current aggregates as `irtherm.sweep.aggregates.v1` JSON. */
     std::string aggregatesJson() const;
 
-    /**
-     * Read <dir>/aggregates.ckpt into @p checkpoint and return its
-     * coverage. Throws (FatalError) when the file does not parse, has
-     * another schema or a bad coverage field, or covers more of
-     * <dir>/journal.jsonl than exists (the journal was rewritten).
-     */
-    static AggregateCoverage readCheckpoint(const std::string &dir,
-                                            JsonValue &checkpoint);
-
-    const std::string &directory() const { return dir_; }
     std::string journalPath() const;
     std::string quarantinePath() const;
-    std::string checkpointPath() const;
 
   private:
     /** {line number, reason, raw line} of each unparsable line. */
     using BadLines =
         std::vector<std::tuple<std::size_t, std::string, std::string>>;
 
-    std::size_t loadJournalFullScan();
-    /** Fold journal line "<what> @p lineno" back into the cache, the
-     *  aggregates and the seal buffer; false (and a @p bad entry)
-     *  when it does not parse. */
-    bool replay(const std::string &line, std::size_t lineno,
-                const char *what, BadLines &bad);
     /** Append @p bad to the quarantine file, warn once per line, and
      *  count them. */
-    void quarantine(const BadLines &bad, const char *what);
-    /** Seal buffered rows while at least @p least wait (see .cc). */
-    void sealPending(std::size_t least);
-    void writeCheckpoint();
+    void quarantine(const BadLines &bad);
 
     mutable std::mutex mu;
     std::string dir_;
-    ResultStoreOptions options;
     std::map<std::string, JobResult> byHash;
     std::ofstream journal;
     std::size_t quarantinedLines = 0;
-    std::size_t quarantinedSegs = 0;
-
     std::unique_ptr<SweepAggregator> agg;
-    /** Journaled rows not yet sealed into a segment. */
-    std::vector<JobResult> pending;
-    /** Index the next sealed segment will take. */
-    std::uint64_t nextSegmentIndex = 0;
-    /** Byte offset in journal.jsonl up to which rows are aggregated
-     *  (the next checkpoint's coverage watermark). */
-    std::uint64_t journalBytes = 0;
-    /** An injected journal fault fired: emulate a dead writer (no
-     *  more seals or checkpoints). */
-    bool crashed = false;
+    /** A journal.truncate fault left a line without its newline, so
+     *  the next row's bytes merge into it and cannot parse. */
+    bool tornLine = false;
 };
 
 } // namespace irtherm::sweep

@@ -807,8 +807,7 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     if (opts.servePort >= 0) {
         session.route(server);
         server.start(opts.servePort, opts.serveBindAddress);
-        inform("sweep: serving /status /metrics /healthz /aggregates "
-               "/dashboard on ",
+        inform("sweep: serving /status /metrics /healthz /aggregates on ",
                opts.serveBindAddress, ":", server.port());
         if (opts.onServerStart)
             opts.onServerStart(server.port());
@@ -820,9 +819,8 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
         obs::SpanRecorder::setThreadLabel(label);
         while (true) {
             // SIGINT/SIGTERM drains: stop claiming, let in-flight
-            // jobs land, and fall through to the normal finalize path
-            // (journal flushed, open segment sealed, final aggregate
-            // checkpoint written).
+            // jobs land (each row is flushed as it is journaled), and
+            // fall through to the normal finish.
             if (shutdownRequested())
                 break;
             if (opts.stopAfter != 0 &&
@@ -853,7 +851,7 @@ runSweep(const SweepPlan &plan, const SweepOptions &opts)
     if (shutdownRequested())
         inform("sweep: shutdown requested; drained after ",
                session.executed(), " of ", pending.size(),
-               " pending jobs (journal sealed, checkpoint written)");
+               " pending jobs (journal flushed)");
 
     // Give abandoned job threads a bounded chance to finish (joined),
     // detaching any that are still stuck.

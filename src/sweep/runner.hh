@@ -116,11 +116,6 @@ struct SweepOptions
      * individually with `solver.superposition false`.
      */
     std::size_t superpositionMinJobs = 8;
-    /**
-     * Completed jobs per sealed columnar journal segment (and per
-     * aggregate checkpoint); must be > 0. See sweep/segment.hh.
-     */
-    std::size_t segmentJobs = 2048;
     /** Write report.csv / report.json after the batch. */
     bool writeReports = true;
     /**
@@ -179,8 +174,6 @@ struct SweepSummary
     std::size_t retried = 0;    ///< jobs that needed > 1 attempt
     std::size_t fallbacks = 0;  ///< jobs whose solve used a fallback
     std::size_t quarantined = 0;///< journal lines set aside on resume
-    /** Torn/corrupt segments set aside on resume. */
-    std::size_t quarantinedSegments = 0;
     std::string outDir;
     std::string journalPath;
     std::string csvPath;  ///< empty unless reports were written

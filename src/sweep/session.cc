@@ -9,7 +9,6 @@
 #include "obs/http_server.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "sweep/dashboard.hh"
 #include "sweep/report.hh"
 
 namespace irtherm::sweep
@@ -18,7 +17,7 @@ namespace irtherm::sweep
 SweepSession::SweepSession(const SweepPlan &plan_,
                            const SweepOptions &opts_)
     : plan(plan_), opts(opts_), jobs(plan_.expand()),
-      store(opts_.outDir, ResultStoreOptions{opts_.segmentJobs})
+      store(opts_.outDir)
 {
     auto &reg = obs::MetricsRegistry::global();
     sum.outDir = opts.outDir;
@@ -29,12 +28,9 @@ SweepSession::SweepSession(const SweepPlan &plan_,
     if (opts.resume) {
         [[maybe_unused]] const std::size_t journaled = store.loadJournal();
         sum.quarantined = store.quarantined();
-        sum.quarantinedSegments = store.quarantinedSegments();
         IRTHERM_EVENT("sweep.resume", {"plan", plan.name()},
                       {"journaled", journaled},
-                      {"quarantined", sum.quarantined},
-                      {"quarantined_segments",
-                       sum.quarantinedSegments});
+                      {"quarantined", sum.quarantined});
     }
 
     std::set<std::string> queued;
@@ -179,23 +175,11 @@ SweepSession::route(obs::HttpServer &server,
         return obs::HttpResponse{200, "application/json",
                                  store.aggregatesJson() + "\n"};
     });
-    server.route("/dashboard", [] {
-        return obs::HttpResponse{200, "text/html; charset=utf-8",
-                                 dashboardHtml()};
-    });
 }
 
 SweepSummary
 SweepSession::finish()
 {
-    {
-        // Seal the remaining buffered rows and checkpoint the
-        // aggregates so the next resume (and sweep_report) start from
-        // O(1) state.
-        obs::ScopedSpan span("sweep.seal");
-        store.finalize();
-    }
-
     SweepSummary out;
     {
         std::lock_guard<std::mutex> lock(mu);

@@ -4,8 +4,8 @@
  * threads, or the fabric coordinator (fabric/coordinator.hh) through
  * a worker fleet. The session owns what both share — the ResultStore
  * and its resume, the pending queue, the tally of each terminal
- * result, the read-only HTTP routes, and the final seal, checkpoint
- * and reports — so the two drivers cannot drift apart. runSweep keeps
+ * result, the read-only HTTP routes, and the final reports — so the
+ * two drivers cannot drift apart. runSweep keeps
  * its JobExecutor, worker threads and superposition gate; the
  * coordinator keeps its lease table, fleet board and trace store.
  */
@@ -72,8 +72,7 @@ class SweepSession
     void record(JobResult r, const ScenarioSpec &spec);
 
     /**
-     * Serve /status, /metrics, /healthz, /aggregates and /dashboard on
-     * @p server. @p statusMembers, when set, returns further
+     * Serve /status, /metrics, /healthz and /aggregates on @p server. @p statusMembers, when set, returns further
      * `"key":value` members for the /status document; @p metricsText,
      * when set, returns text appended to /metrics.
      */
@@ -81,9 +80,8 @@ class SweepSession
                std::function<std::string()> statusMembers = {},
                std::function<std::string()> metricsText = {});
 
-    /** Seal the store and checkpoint its aggregates (span
-     *  sweep.seal), write the reports (opts.writeReports; span
-     *  sweep.reports), and return the summary. */
+    /** Write the reports (opts.writeReports; span sweep.reports) and
+     *  return the summary. */
     SweepSummary finish();
 
   private:

@@ -1,11 +1,10 @@
 /**
  * @file
- * Streaming-analytics tests: the columnar segment codec (bit-exact
- * round trip, corruption detection, directory scan), the incremental
- * SweepAggregator (counts, quantiles, group-bys, top-k, checkpoint
- * restore), the offline fast read / compaction path, and end-to-end
- * crash recovery from a torn segment seal during a real sweep —
- * including the live /aggregates and /dashboard HTTP surfaces.
+ * Streaming-analytics tests: the incremental SweepAggregator (counts,
+ * quantiles, group-bys, top-k), live aggregates against a recompute
+ * from the journal, the synthetic-journal helper, resume through the
+ * journal scan, the journal's metrics, and the live /aggregates HTTP
+ * surface.
  */
 
 #include <arpa/inet.h>
@@ -13,13 +12,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -28,12 +25,10 @@
 #include "obs/export.hh"
 #include "obs/metrics.hh"
 #include "sweep/aggregate.hh"
-#include "sweep/compact.hh"
 #include "sweep/json.hh"
 #include "sweep/plan.hh"
 #include "sweep/result_store.hh"
 #include "sweep/runner.hh"
-#include "sweep/segment.hh"
 
 namespace irtherm
 {
@@ -64,10 +59,7 @@ freshDir(const std::string &tag)
     return dir.string();
 }
 
-/**
- * A JobResult with every journal field populated, varied by @p i so
- * columns exercise deltas, negatives, and dictionary reuse.
- */
+/** A JobResult with every journal field populated, varied by @p i. */
 sweep::JobResult
 denseResult(std::size_t i)
 {
@@ -105,112 +97,6 @@ denseResult(std::size_t i)
     r.axisValues.emplace_back("vdd", "1.0");
     r.axisValues.emplace_back("rep", std::to_string(i));
     return r;
-}
-
-// ---------------------------------------------------------------
-// Segment codec
-// ---------------------------------------------------------------
-
-TEST(Segment, RoundTripIsBitExactForEveryField)
-{
-    const std::string dir = freshDir("roundtrip");
-    std::vector<sweep::JobResult> rows;
-    for (std::size_t i = 0; i < 64; ++i)
-        rows.push_back(denseResult(i));
-    // One non-canonical hash forces the string-hash encoding for the
-    // whole segment.
-    rows[7].hash = "not-a-hex-hash";
-
-    const std::string path = sweep::segmentPath(dir, 0);
-    const sweep::SegmentWriteInfo info =
-        sweep::writeSegmentFile(path, rows);
-    EXPECT_FALSE(info.torn);
-    EXPECT_GT(info.bytes, 0u);
-
-    const std::vector<sweep::JobResult> back =
-        sweep::readSegmentFile(path);
-    ASSERT_EQ(back.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        // toJsonLine() prints doubles with %.17g, which round-trips
-        // IEEE 754 exactly — string equality here is bit-exactness
-        // over every journal field, resources and axes included.
-        EXPECT_EQ(back[i].toJsonLine(), rows[i].toJsonLine())
-            << "row " << i;
-    }
-}
-
-TEST(Segment, CanonicalHashPathStaysCompactAndExact)
-{
-    const std::string dir = freshDir("hashu64");
-    std::vector<sweep::JobResult> rows;
-    for (std::size_t i = 0; i < 32; ++i)
-        rows.push_back(denseResult(i));
-    const std::string path = sweep::segmentPath(dir, 3);
-    sweep::writeSegmentFile(path, rows);
-    const std::vector<sweep::JobResult> back =
-        sweep::readSegmentFile(path);
-    ASSERT_EQ(back.size(), rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        EXPECT_EQ(back[i].hash, rows[i].hash);
-}
-
-TEST(Segment, CorruptionAndTruncationAreDetected)
-{
-    const std::string dir = freshDir("corrupt");
-    std::vector<sweep::JobResult> rows{denseResult(0),
-                                       denseResult(1)};
-    const std::string path = sweep::segmentPath(dir, 0);
-    sweep::writeSegmentFile(path, rows);
-
-    std::string bytes;
-    {
-        std::ifstream in(path, std::ios::binary);
-        bytes.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    }
-    ASSERT_GT(bytes.size(), 32u);
-
-    // Flip one payload byte: the CRC must catch it.
-    std::string flipped = bytes;
-    flipped[bytes.size() / 2] =
-        static_cast<char>(flipped[bytes.size() / 2] ^ 0x40);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << flipped;
-    }
-    EXPECT_THROW(sweep::readSegmentFile(path), IoError);
-
-    // A torn prefix (mid-seal kill) must be rejected, not misparsed.
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << bytes.substr(0, bytes.size() / 2);
-    }
-    EXPECT_THROW(sweep::readSegmentFile(path), IoError);
-}
-
-TEST(Segment, ScanFindsSealedInOrderAndReportsLeftovers)
-{
-    const std::string dir = freshDir("scan");
-    std::vector<sweep::JobResult> rows{denseResult(0)};
-    sweep::writeSegmentFile(sweep::segmentPath(dir, 2), rows);
-    sweep::writeSegmentFile(sweep::segmentPath(dir, 0), rows);
-    {
-        std::ofstream tmp(sweep::segmentPath(dir, 9) + ".tmp");
-        tmp << "half";
-    }
-    {
-        std::ofstream stray(
-            (std::filesystem::path(sweep::segmentDir(dir)) /
-             "notes.txt")
-                .string());
-        stray << "ignore me";
-    }
-    const sweep::SegmentScan scan = sweep::scanSegments(dir);
-    ASSERT_EQ(scan.sealed.size(), 2u);
-    EXPECT_EQ(scan.sealed[0].first, 0u);
-    EXPECT_EQ(scan.sealed[1].first, 2u);
-    ASSERT_EQ(scan.leftovers.size(), 1u);
-    EXPECT_NE(scan.leftovers[0].find(".tmp"), std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -314,43 +200,70 @@ TEST(Aggregator, AxisValueCapFoldsOverflowIntoDropCounter)
                   sweep::SweepAggregator::kMaxAxisValues + overflow));
 }
 
-TEST(Aggregator, CheckpointRoundTripsExactly)
+// ---------------------------------------------------------------
+// Live aggregates against the journal
+// ---------------------------------------------------------------
+
+TEST(JournalAggregates, LiveAggregatesEqualTheOfflineRecompute)
 {
-    sweep::SweepAggregator agg;
-    for (std::size_t i = 0; i < 257; ++i)
-        agg.update(denseResult(i));
-    const std::string json = agg.toJson();
+    const std::string dir = freshDir("live_vs_offline");
+    std::string live;
+    {
+        // Job 4's journal line is scrambled as it is written.
+        const ArmGuard faults("journal.corrupt:match=rep=4");
+        sweep::ResultStore store(dir);
+        for (std::size_t i = 0; i < 10; ++i)
+            store.add(denseResult(i));
+        EXPECT_EQ(FaultInjector::global().fired(), 1u);
+        live = store.aggregatesJson();
+    }
+    EXPECT_EQ(sweep::parseJson(live, "live").at("jobs").number, 9.0);
+    const sweep::JournalData offline = sweep::readJournal(dir);
+    EXPECT_EQ(offline.rows.size(), 9u);
+    EXPECT_EQ(offline.skippedLines, 1u);
+    EXPECT_EQ(live, offline.aggregatesJson);
 
-    sweep::SweepAggregator restored;
-    restored.restore(sweep::parseJson(json, "ckpt"), "ckpt");
-    EXPECT_EQ(restored.jobs(), agg.jobs());
-    // Byte-identical re-serialization: every stateful field (bucket
-    // maps, sums, top-k, axis cells) survived the round trip.
-    EXPECT_EQ(restored.toJson(), json);
-
-    // And restoring is a replacement, not a merge.
-    restored.restore(sweep::parseJson(json, "ckpt"), "ckpt");
-    EXPECT_EQ(restored.toJson(), json);
+    // Resume rebuilds the same document, quarantining the line.
+    sweep::ResultStore reloaded(dir);
+    EXPECT_EQ(reloaded.loadJournal(), 9u);
+    EXPECT_EQ(reloaded.quarantined(), 1u);
+    EXPECT_EQ(reloaded.aggregatesJson(), live);
 }
 
-TEST(Aggregator, RestoreRejectsWrongSchema)
+TEST(JournalAggregates, RowMergedIntoATornLineStaysOutOfTheAggregates)
 {
-    sweep::SweepAggregator agg;
-    const sweep::JsonValue bogus = sweep::parseJson(
-        R"({"schema":"irtherm.sweep.status.v1"})", "bogus");
-    EXPECT_THROW(agg.restore(bogus, "bogus"), ConfigError);
+    // journal.truncate writes half of job 4's line and no newline, so
+    // job 5's row merges into it: one unparsable line, two lost rows.
+    const std::string dir = freshDir("torn_line");
+    std::string live;
+    {
+        const ArmGuard faults("journal.truncate:match=rep=4");
+        sweep::ResultStore store(dir);
+        for (std::size_t i = 0; i < 10; ++i)
+            store.add(denseResult(i));
+        live = store.aggregatesJson();
+    }
+    const sweep::JournalData offline = sweep::readJournal(dir);
+    EXPECT_EQ(offline.rows.size(), 8u);
+    EXPECT_EQ(offline.skippedLines, 1u);
+    EXPECT_EQ(live, offline.aggregatesJson);
 }
 
 // ---------------------------------------------------------------
-// Offline fast read + compaction
+// The synthetic-journal helper (tests/journal_synth.cc); the suite
+// keeps its older name so the test's id stays stable
 // ---------------------------------------------------------------
 
 TEST(Compact, SynthesizedJournalIsDeterministic)
 {
     const std::string a = freshDir("synth_a");
     const std::string b = freshDir("synth_b");
-    sweep::synthesizeJournal(a, 500, 42);
-    sweep::synthesizeJournal(b, 500, 42);
+    for (const std::string &dir : {a, b}) {
+        const std::string cmd = std::string("'") +
+                                IRTHERM_JOURNAL_SYNTH_PATH + "' '" +
+                                dir + "' --jobs 500 --seed 42 >/dev/null";
+        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    }
     auto slurp = [](const std::string &dir) {
         std::ifstream in(
             (std::filesystem::path(dir) / "journal.jsonl").string(),
@@ -361,230 +274,38 @@ TEST(Compact, SynthesizedJournalIsDeterministic)
     const std::string ja = slurp(a);
     EXPECT_FALSE(ja.empty());
     EXPECT_EQ(ja, slurp(b));
-}
-
-TEST(Compact, FastReadMatchesFullScanAfterCompaction)
-{
-    const std::string dir = freshDir("fastread");
-    sweep::synthesizeJournal(dir, 2000, 7);
-    const sweep::CompactStats stats =
-        sweep::compactJournal(dir, 512);
-    EXPECT_EQ(stats.rows, 2000u);
-    // 3 full segments of 512 + the 464-row finalize remainder.
-    EXPECT_EQ(stats.segments, 4u);
-    EXPECT_EQ(stats.quarantined, 0u);
-    EXPECT_GT(stats.journalBytes, 0u);
-    EXPECT_GT(stats.segmentBytes, 0u);
-    // Columnar + varint beats JSONL by a wide margin.
-    EXPECT_LT(stats.segmentBytes, stats.journalBytes / 2);
-
-    const sweep::JournalData fast = sweep::readJournal(dir);
-    EXPECT_TRUE(fast.fromCheckpoint);
-    EXPECT_EQ(fast.segmentsRead, 4u);
-    EXPECT_EQ(fast.jsonlRows, 0u); // checkpoint covers everything
-
-    const sweep::JournalData full = sweep::readJournal(dir, true);
-    EXPECT_FALSE(full.fromCheckpoint);
-    EXPECT_EQ(full.jsonlRows, 2000u);
-
-    ASSERT_EQ(fast.rows.size(), full.rows.size());
-    for (std::size_t i = 0; i < fast.rows.size(); ++i) {
-        EXPECT_EQ(fast.rows[i].toJsonLine(),
-                  full.rows[i].toJsonLine())
-            << "row " << i;
-    }
-    // The restored aggregates equal a from-scratch recount, byte for
-    // byte (same fold order, %.17g serialization).
-    EXPECT_EQ(fast.aggregatesJson, full.aggregatesJson);
-}
-
-TEST(Compact, RecompactionIsIdempotent)
-{
-    const std::string dir = freshDir("idempotent");
-    sweep::synthesizeJournal(dir, 700, 3);
-    const sweep::CompactStats first = sweep::compactJournal(dir, 256);
-    const sweep::CompactStats second =
-        sweep::compactJournal(dir, 256);
-    EXPECT_EQ(first.rows, 700u);
-    EXPECT_EQ(second.rows, 700u);
-    // Already-covered rows are not resealed; the second pass leaves
-    // the same sealed set behind.
-    EXPECT_EQ(second.segments, first.segments);
-    const sweep::JournalData fast = sweep::readJournal(dir);
-    EXPECT_TRUE(fast.fromCheckpoint);
-    EXPECT_EQ(fast.rows.size(), 700u);
-}
-
-TEST(Compact, AppendAfterCompactionOnlyReplaysTheTail)
-{
-    const std::string dir = freshDir("tail");
-    sweep::synthesizeJournal(dir, 300, 11);
-    sweep::compactJournal(dir, 128);
-    // A later run appends more rows (different seed -> new hashes).
-    sweep::synthesizeJournal(dir, 50, 99);
-
-    const sweep::JournalData fast = sweep::readJournal(dir);
-    EXPECT_TRUE(fast.fromCheckpoint);
-    EXPECT_EQ(fast.jsonlRows, 50u); // only the tail was parsed
-    const sweep::JournalData full = sweep::readJournal(dir, true);
-    ASSERT_EQ(fast.rows.size(), full.rows.size());
-    EXPECT_EQ(fast.aggregatesJson, full.aggregatesJson);
+    const sweep::JournalData data = sweep::readJournal(a);
+    EXPECT_EQ(data.rows.size(), 500u);
+    EXPECT_EQ(data.skippedLines, 0u);
 }
 
 // ---------------------------------------------------------------
-// ResultStore resume + torn-segment crash recovery (end to end)
+// Resume through the journal scan; every directory is JSONL-only,
+// and the suite keeps its older name so the test's id stays stable
 // ---------------------------------------------------------------
 
 const char *kResumePlan =
-    R"({"name": "seg",
+    R"({"name": "resume",
         "base": {"floorplan": "preset:ev6"},
         "axes": {"power.uniform": [0.30, 0.35, 0.40, 0.45,
                                    0.50, 0.55]}})";
 
-TEST(SegmentResume, TornSegmentIsQuarantinedAndNothingRerunsTwice)
-{
-    const sweep::SweepPlan plan =
-        sweep::SweepPlan::parse(kResumePlan, "seg");
-    sweep::SweepOptions opts;
-    opts.outDir = freshDir("torn");
-    opts.workers = 1;
-    opts.segmentJobs = 2;
-    opts.writeReports = false;
-    opts.stopAfter = 4;
-    {
-        // Segment 0 (jobs 1-2) seals cleanly and checkpoints; the
-        // seal of segment 1 (jobs 3-4) tears mid-write, after which
-        // the writer behaves as if it died (no checkpoint update).
-        // stopAfter then kills the run with jobs 5-6 never executed.
-        const ArmGuard faults("journal.torn_segment:after=1");
-        const sweep::SweepSummary first = sweep::runSweep(plan, opts);
-        EXPECT_EQ(first.executed, 4u);
-        EXPECT_EQ(first.ok, 4u);
-    }
-    // The torn segment is on disk at its sealed name.
-    EXPECT_TRUE(std::filesystem::exists(
-        sweep::segmentPath(opts.outDir, 1)));
-
-    opts.stopAfter = 0;
-    opts.resume = true;
-    const sweep::SweepSummary second = sweep::runSweep(plan, opts);
-    // Resume quarantined exactly the torn segment, recovered its
-    // rows from the JSONL tail (jobs 3-4 count as cached, not
-    // re-executed), and ran only the jobs the kill left undone.
-    EXPECT_EQ(second.quarantinedSegments, 1u);
-    EXPECT_EQ(second.quarantined, 0u);
-    EXPECT_EQ(second.cached, 4u);
-    EXPECT_EQ(second.executed, 2u);
-    EXPECT_EQ(second.ok, 2u);
-    EXPECT_TRUE(std::filesystem::exists(
-        sweep::segmentPath(opts.outDir, 1) + ".torn"));
-
-    // The finished directory is coherent: the fast read restores the
-    // checkpointed aggregates and they match a from-scratch recount
-    // of the full journal, byte for byte.
-    const sweep::JournalData fast = sweep::readJournal(opts.outDir);
-    EXPECT_TRUE(fast.fromCheckpoint);
-    EXPECT_EQ(fast.rows.size(), 6u);
-    const sweep::JournalData full =
-        sweep::readJournal(opts.outDir, true);
-    EXPECT_EQ(fast.aggregatesJson, full.aggregatesJson);
-    const sweep::JsonValue agg =
-        sweep::parseJson(fast.aggregatesJson, "agg");
-    EXPECT_EQ(agg.at("jobs").number, 6.0);
-    EXPECT_EQ(agg.at("states").at("ok").number, 6.0);
-    // Axis group-bys flowed from the runner into the journal.
-    EXPECT_EQ(agg.at("axes").at("power.uniform").members.size(), 6u);
-
-    // A third resume re-runs nothing and quarantines nothing.
-    const sweep::SweepSummary third = sweep::runSweep(plan, opts);
-    EXPECT_EQ(third.executed, 0u);
-    EXPECT_EQ(third.cached, 6u);
-    EXPECT_EQ(third.quarantinedSegments, 0u);
-}
-
-TEST(SegmentResume, TearWhileSealingAResumedTailRerunsNothing)
-{
-    const sweep::SweepPlan plan = sweep::SweepPlan::parse(
-        R"({"name": "seg2",
-            "base": {"floorplan": "preset:ev6"},
-            "axes": {"power.uniform": [0.30, 0.32, 0.34, 0.36, 0.38,
-                                       0.40, 0.42, 0.44, 0.46,
-                                       0.48]}})",
-        "seg2");
-    sweep::SweepOptions opts;
-    opts.outDir = freshDir("torn_tail");
-    opts.workers = 1;
-    opts.segmentJobs = 2;
-    opts.writeReports = false;
-    opts.stopAfter = 7;
-    {
-        // Segment 0 (jobs 1-2) seals and checkpoints; segment 1 (jobs
-        // 3-4) tears, and jobs 5-7 are journaled but never sealed.
-        const ArmGuard faults("journal.torn_segment:after=1");
-        EXPECT_EQ(sweep::runSweep(plan, opts).executed, 7u);
-    }
-    opts.stopAfter = 0;
-    opts.resume = true;
-    {
-        // The resume replays jobs 3-7 from the journal's tail into
-        // the seal buffer. Job 8's row seals segment 1 (jobs 3-4),
-        // and the seal of segment 2 (jobs 5-6) tears: jobs 7 and 8
-        // were never sealed, so no checkpoint may claim them yet.
-        const ArmGuard faults("journal.torn_segment:after=1");
-        const sweep::SweepSummary second = sweep::runSweep(plan, opts);
-        EXPECT_EQ(second.cached, 7u);
-        EXPECT_EQ(second.executed, 3u);
-    }
-    const sweep::SweepSummary third = sweep::runSweep(plan, opts);
-    EXPECT_EQ(third.executed, 0u);
-    EXPECT_EQ(third.cached, 10u);
-
-    // Every job is journaled exactly once.
-    std::ifstream in(
-        (std::filesystem::path(opts.outDir) / "journal.jsonl").string());
-    std::size_t rows = 0;
-    std::set<std::string> hashes;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        ++rows;
-        hashes.insert(sweep::JobResult::fromJsonLine(line, "journal").hash);
-    }
-    EXPECT_EQ(rows, 10u);
-    EXPECT_EQ(hashes.size(), 10u);
-}
-
 TEST(SegmentResume, JsonlOnlyDirectoryResumesThroughTheFullScan)
 {
     const sweep::SweepPlan plan =
-        sweep::SweepPlan::parse(kResumePlan, "seg");
+        sweep::SweepPlan::parse(kResumePlan, "resume");
     sweep::SweepOptions opts;
-    opts.outDir = freshDir("jsonl_only");
+    opts.outDir = freshDir("resume");
     opts.workers = 1;
-    opts.segmentJobs = 0;
-    EXPECT_THROW(sweep::runSweep(plan, opts), ConfigError);
-
-    // A directory holding only journal.jsonl, as a journal written
-    // without segments or checkpoints leaves it.
-    opts.segmentJobs = 4;
     opts.writeReports = false;
     EXPECT_EQ(sweep::runSweep(plan, opts).executed, 6u);
-    std::filesystem::remove_all(sweep::segmentDir(opts.outDir));
-    std::filesystem::remove(
-        std::filesystem::path(opts.outDir) / "aggregates.ckpt");
 
     opts.resume = true;
     const sweep::SweepSummary second = sweep::runSweep(plan, opts);
     EXPECT_EQ(second.cached, 6u);
     EXPECT_EQ(second.executed, 0u);
     EXPECT_EQ(second.quarantined, 0u);
-    // The resume sealed the scanned rows and checkpointed them, so
-    // the directory now reads through the fast path.
-    const sweep::JournalData fast = sweep::readJournal(opts.outDir);
-    EXPECT_TRUE(fast.fromCheckpoint);
-    EXPECT_EQ(fast.segmentsRead, 2u);
-    EXPECT_EQ(fast.rows.size(), 6u);
+    EXPECT_EQ(sweep::readJournal(opts.outDir).rows.size(), 6u);
 }
 
 // ---------------------------------------------------------------
@@ -596,13 +317,10 @@ TEST(JournalMetrics, WritePathFeedsThePrometheusCounters)
     if (!obs::kMetricsEnabled)
         GTEST_SKIP() << "instrumentation compiled out";
     const std::string dir = freshDir("metrics");
-    sweep::ResultStoreOptions sopts;
-    sopts.segmentJobs = 4;
     {
-        sweep::ResultStore store(dir, sopts);
+        sweep::ResultStore store(dir);
         for (std::size_t i = 0; i < 10; ++i)
             store.add(denseResult(i));
-        store.finalize();
     }
     // A garbage tail line on reload drives the quarantine counter.
     {
@@ -612,7 +330,7 @@ TEST(JournalMetrics, WritePathFeedsThePrometheusCounters)
                            std::ios::app);
         tail << "{not json\n";
     }
-    sweep::ResultStore reloaded(dir, sopts);
+    sweep::ResultStore reloaded(dir);
     EXPECT_EQ(reloaded.loadJournal(), 10u);
     EXPECT_EQ(reloaded.quarantined(), 1u);
 
@@ -667,19 +385,18 @@ httpGet(int port, const std::string &target)
     return reply;
 }
 
-TEST(SweepServer, ServesAggregatesAndDashboard)
+TEST(SweepServer, ServesAggregates)
 {
     const sweep::SweepPlan plan =
-        sweep::SweepPlan::parse(kResumePlan, "seg");
+        sweep::SweepPlan::parse(kResumePlan, "resume");
     sweep::SweepOptions opts;
     opts.outDir = freshDir("serve");
     opts.workers = 2;
     opts.writeReports = false;
     opts.servePort = 0;
-    std::string aggregates, dashboard, status;
+    std::string aggregates, status;
     opts.onServerStart = [&](int port) {
         aggregates = httpGet(port, "/aggregates");
-        dashboard = httpGet(port, "/dashboard");
         status = httpGet(port, "/status");
     };
     sweep::runSweep(plan, opts);
@@ -687,14 +404,6 @@ TEST(SweepServer, ServesAggregatesAndDashboard)
     EXPECT_NE(aggregates.find("HTTP/1.1 200"), std::string::npos);
     EXPECT_NE(aggregates.find("irtherm.sweep.aggregates.v1"),
               std::string::npos);
-
-    EXPECT_NE(dashboard.find("HTTP/1.1 200"), std::string::npos);
-    EXPECT_NE(dashboard.find("text/html"), std::string::npos);
-    EXPECT_NE(dashboard.find("<!DOCTYPE html>"), std::string::npos);
-    // Self-contained: no external scripts, styles, or fonts.
-    EXPECT_EQ(dashboard.find("src=\"http"), std::string::npos);
-    EXPECT_EQ(dashboard.find("href=\"http"), std::string::npos);
-    EXPECT_EQ(dashboard.find("@import"), std::string::npos);
 
     EXPECT_NE(status.find("irtherm.sweep.status.v1"),
               std::string::npos);

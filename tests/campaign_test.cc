@@ -3,7 +3,7 @@
  * Fault-campaign tests: the bit-replayable SplitMix64 stream, the
  * fault-point catalog, plan/fault-spec generation, cycle-spec
  * determinism, whole-campaign replays, one real multi-process
- * kill-and-resume cycle through all five invariants, and the
+ * kill-and-resume cycle through all four invariants, and the
  * SIGTERM drain contract of `irtherm_cli sweep`.
  *
  * Tests that spawn processes use IRTHERM_CLI_PATH (a compile
@@ -163,7 +163,7 @@ TEST(FaultCatalog, EveryPointCarriesFullMetadata)
 {
     const std::vector<FaultPoint> &points =
         FaultInjector::knownPoints();
-    EXPECT_EQ(points.size(), 14u);
+    EXPECT_EQ(points.size(), 12u);
     std::set<std::string> names;
     for (const FaultPoint &p : points) {
         EXPECT_NE(p.name, nullptr);
@@ -176,7 +176,6 @@ TEST(FaultCatalog, EveryPointCarriesFullMetadata)
     EXPECT_EQ(names.size(), points.size()) << "duplicate point name";
     // This PR's additions are in the catalog.
     EXPECT_EQ(names.count(faultpoint::CacheCorrupt), 1u);
-    EXPECT_EQ(names.count(faultpoint::CkptCorrupt), 1u);
     EXPECT_EQ(names.count(faultpoint::CholCorrupt), 1u);
 }
 
@@ -263,7 +262,6 @@ TEST(CampaignGen, CycleSpecsAreDeterministicAndInRange)
         EXPECT_EQ(s1.plan.json, s2.plan.json);
         EXPECT_EQ(s1.faultSpec, s2.faultSpec);
         EXPECT_EQ(s1.useCache, s2.useCache);
-        EXPECT_EQ(s1.segmentJobs, s2.segmentJobs);
         EXPECT_EQ(s1.stopAfter, s2.stopAfter);
         EXPECT_EQ(s1.port, s2.port);
         EXPECT_EQ(s1.workers, s2.workers);
@@ -273,8 +271,6 @@ TEST(CampaignGen, CycleSpecsAreDeterministicAndInRange)
 
         const std::size_t jobs = s1.plan.plan.jobCount();
         EXPECT_GE(jobs, 2u);
-        EXPECT_GE(s1.segmentJobs, 2u);
-        EXPECT_LE(s1.segmentJobs, 4u);
         EXPECT_GE(s1.stopAfter, 1u);
         EXPECT_LT(s1.stopAfter, jobs);
         EXPECT_GE(s1.port, 20000);
@@ -525,11 +521,10 @@ TEST(Campaign, MultiProcessKillAndResumePassesAllInvariants)
     EXPECT_TRUE(oc.error.empty()) << oc.error;
     EXPECT_TRUE(oc.passed) << oc.report.summary();
 
-    // A fleet cycle must exercise all five invariants, not skip any.
+    // A fleet cycle must exercise all four invariants, not skip any.
     for (const char *name :
          {"zero-duplicate-work", "journaled-ok-preserved",
-          "aggregate-replay", "cache-bit-identity",
-          "disarmed-replay("}) {
+          "cache-bit-identity", "disarmed-replay("}) {
         const campaign::InvariantCheck *check =
             findCheck(oc.report, name);
         ASSERT_NE(check, nullptr) << name;
@@ -589,7 +584,7 @@ completeJournalLines(const std::string &dir)
     return lines;
 }
 
-TEST(SweepDrain, SigtermFlushesJournalSealsSegmentsAndResumes)
+TEST(SweepDrain, SigtermFlushesJournalAndResumes)
 {
     const std::string cli = cliPath();
     if (cli.empty())
@@ -610,11 +605,10 @@ TEST(SweepDrain, SigtermFlushesJournalSealsSegmentsAndResumes)
 
     // The first two jobs run at full speed; every later one stalls
     // half a second, holding the sweep open long enough to SIGTERM
-    // it with two rows journaled and one segment sealed.
+    // it with two rows journaled.
     const pid_t pid = spawnCli(
         cli,
-        {"sweep", planPath, "--out", out, "--jobs", "1",
-         "--segment-jobs", "2", "--faults",
+        {"sweep", planPath, "--out", out, "--jobs", "1", "--faults",
          "job.stall:after=2:count=100:seconds=0.5"},
         (std::filesystem::path(dir) / "armed.log").string());
     ASSERT_GT(pid, 0);
@@ -645,28 +639,10 @@ TEST(SweepDrain, SigtermFlushesJournalSealsSegmentsAndResumes)
     EXPECT_GE(drained.size(), 2u);
     EXPECT_LT(drained.size(), 6u);
 
-    // Segments sealed: at least one .seg, and no torn temp files.
-    const std::filesystem::path segDir =
-        std::filesystem::path(out) / "segments";
-    std::size_t sealed = 0;
-    if (std::filesystem::exists(segDir)) {
-        for (const auto &e :
-             std::filesystem::directory_iterator(segDir)) {
-            const std::string ext = e.path().extension().string();
-            EXPECT_NE(ext, ".tmp") << e.path();
-            if (ext == ".seg")
-                ++sealed;
-        }
-    }
-    EXPECT_GE(sealed, 1u);
-    EXPECT_TRUE(std::filesystem::exists(
-        std::filesystem::path(out) / "aggregates.ckpt"));
-
     // Resume (disarmed) completes the plan with zero duplicates.
     const pid_t resume = spawnCli(
         cli,
-        {"sweep", planPath, "--out", out, "--jobs", "1",
-         "--segment-jobs", "2", "--resume"},
+        {"sweep", planPath, "--out", out, "--jobs", "1", "--resume"},
         (std::filesystem::path(dir) / "resume.log").string());
     ASSERT_GT(resume, 0);
     ASSERT_EQ(::waitpid(resume, &status, 0), resume);

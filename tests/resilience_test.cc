@@ -815,43 +815,6 @@ TEST(SweepResilience, CorruptSharedCacheEntryIsEvictedAsMiss)
     EXPECT_EQ(out.toJsonLine(), r.toJsonLine());
 }
 
-TEST(SweepResilience, CorruptCheckpointFallsBackToFullScan)
-{
-    // ckpt.corrupt scrambles aggregates.ckpt on disk just before
-    // resume reads it. The store must discard the checkpoint, fall
-    // back to the full JSONL scan, and recover every row — resume
-    // re-executes nothing.
-    const sweep::SweepPlan plan =
-        sweep::SweepPlan::parse(kSmallPlan, "small");
-    sweep::SweepOptions opts;
-    opts.outDir = freshOutDir("ckpt_corrupt");
-    opts.workers = 1;
-    opts.writeReports = false;
-    opts.segmentJobs = 2;
-    const sweep::SweepSummary first = sweep::runSweep(plan, opts);
-    EXPECT_EQ(first.executed, 4u);
-    const std::filesystem::path ckpt =
-        std::filesystem::path(opts.outDir) / "aggregates.ckpt";
-    ASSERT_TRUE(std::filesystem::exists(ckpt));
-
-    opts.resume = true;
-    {
-        const ArmGuard faults("ckpt.corrupt");
-        const sweep::SweepSummary second =
-            sweep::runSweep(plan, opts);
-        EXPECT_GE(FaultInjector::global().fired(), 1u);
-        EXPECT_EQ(second.cached, 4u);
-        EXPECT_EQ(second.executed, 0u);
-    }
-    // The rebuilt journal is complete and duplicate-free.
-    EXPECT_EQ(readJournal(opts.outDir).size(), 4u);
-
-    // Disarmed, the (rewritten) artifacts resume cleanly again.
-    const sweep::SweepSummary third = sweep::runSweep(plan, opts);
-    EXPECT_EQ(third.cached, 4u);
-    EXPECT_EQ(third.executed, 0u);
-}
-
 TEST(SweepResilience, OldJournalLinesWithoutResilienceFieldsLoad)
 {
     // A journal written by a pre-resilience build has no error_class

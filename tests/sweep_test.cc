@@ -507,6 +507,37 @@ TEST(ResultStore, PersistsAndReloads)
     EXPECT_EQ(reloaded.findResult("abc")->name, "one");
 }
 
+TEST(ResultStore, UnterminatedFinalRowIsKeptAndTerminated)
+{
+    // A kill between a row's bytes and its newline leaves a final
+    // line that parses; the next append must not merge into it.
+    const std::string dir = freshOutDir("unterminated");
+    JobResult r;
+    r.hash = "abc";
+    r.name = "one";
+    {
+        ResultStore store(dir);
+        store.add(r);
+    }
+    const std::string path =
+        (std::filesystem::path(dir) / "journal.jsonl").string();
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 1);
+    {
+        ResultStore store(dir);
+        EXPECT_EQ(store.loadJournal(), 1u);
+        EXPECT_EQ(store.quarantined(), 0u);
+        r.hash = "def";
+        r.name = "two";
+        store.add(r);
+    }
+    ResultStore reloaded(dir);
+    EXPECT_EQ(reloaded.loadJournal(), 2u);
+    EXPECT_EQ(reloaded.quarantined(), 0u);
+    EXPECT_TRUE(reloaded.has("abc"));
+    EXPECT_TRUE(reloaded.has("def"));
+}
+
 // ---------------------------------------------------------------
 // Runner: isolation, caching, resume
 // ---------------------------------------------------------------

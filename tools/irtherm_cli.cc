@@ -133,12 +133,9 @@ usage()
         "'cg.nan:count=1,job.stall:match=big' (testing; equivalent "
         "to IRTHERM_FAULTS)\n"
         "  --serve <port>       serve live /status, /metrics, "
-        "/aggregates, /dashboard and /healthz over HTTP while the "
+        "/aggregates and /healthz over HTTP while the "
         "sweep runs (binds 127.0.0.1; port 0 picks an ephemeral "
         "port)\n"
-        "  --segment-jobs <n>   completed jobs per sealed columnar "
-        "journal segment and aggregate checkpoint (default "
-        "2048)\n"
         "  --superpose-min <n>  minimum pending steady jobs sharing "
         "a stack before the sweep answers them by impulse-response "
         "superposition instead of per-job solves (default 8; 0 "
@@ -233,12 +230,6 @@ runSweepCommand(int argc, char **argv)
             if (n < 0.0 || n > 65535.0 || n != std::floor(n))
                 fatal("--serve wants a port in [0, 65535], got ", n);
             sopts.servePort = static_cast<int>(n);
-        } else if (arg == "--segment-jobs") {
-            const double n = parseDouble(value(), "--segment-jobs");
-            if (n < 1.0 || n != std::floor(n))
-                configError("--segment-jobs wants a positive integer, "
-                            "got ", n);
-            sopts.segmentJobs = static_cast<std::size_t>(n);
         } else if (arg == "--superpose-min") {
             const double n = parseDouble(value(), "--superpose-min");
             if (n < 0.0 || n != std::floor(n))
@@ -321,9 +312,9 @@ runSweepCommand(int argc, char **argv)
                     axis.values.size());
     std::printf("\n");
 
-    // SIGINT/SIGTERM drain instead of kill: the journal flushes, the
-    // open segment seals, and a final checkpoint is written so
-    // --resume continues where this run stopped.
+    // SIGINT/SIGTERM drain instead of kill: in-flight jobs land in the
+    // journal and the reports are written, so --resume continues
+    // where this run stopped.
     installShutdownHandlers();
 
     sweep::SweepSummary sum;
@@ -334,7 +325,6 @@ runSweepCommand(int argc, char **argv)
         copts.leaseTtlSeconds = leaseTtl;
         copts.leaseJobs = leaseJobs;
         copts.resume = sopts.resume;
-        copts.segmentJobs = sopts.segmentJobs;
         copts.cacheDir = cacheDir;
         copts.admitRatePerSecond = admitRps;
         copts.fleetTraceOut = fleetTraceOutPath;

@@ -11,31 +11,27 @@
  * does not grow with the job count. Paste-able into a PR or lab
  * notebook.
  *
- * Fast read path: when the sweep directory holds an aggregate
- * checkpoint (aggregates.ckpt) and sealed columnar segments
- * (segments/*.seg), the report is assembled from those plus the
- * JSONL tail past the checkpoint watermark — the bulk of the journal
- * is never JSON-parsed again. `--full` forces the old full-file
- * JSONL scan (useful to cross-check the fast path); `--strict`
- * implies it.
+ * The report comes from one scan of the journal (sweep::readJournal),
+ * which yields the rows, deduplicated by scenario hash, and the
+ * aggregates together.
  *
  * Unparsable journal lines (truncated flush, disk corruption) do not
  * abort the report: each one is diagnosed on stderr with its path,
  * line number, and parse failure reason, the line is skipped, and the
- * tool exits 5 so scripts notice the journal was damaged.
+ * tool exits 5 so scripts notice the journal was damaged. `--strict`
+ * instead stops at the first one and exits 1.
  *
  * --top N appends a "slowest jobs" table ranked by the per-job CPU
  * seconds recorded in the journal's resources block (ties break on
  * wall time, then name, so the order is stable across reruns).
  *
  * usage: sweep_report <journal.jsonl | sweep-out-dir> [-o <file>]
- *                     [--title <text>] [--top <n>] [--full] [--strict]
+ *                     [--title <text>] [--top <n>] [--strict]
  */
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -43,8 +39,6 @@
 #include <vector>
 
 #include "base/errors.hh"
-#include "base/logging.hh"
-#include "sweep/compact.hh"
 #include "sweep/report.hh"
 #include "sweep/result_store.hh"
 
@@ -73,18 +67,15 @@ usage()
     std::fprintf(
         stderr,
         "usage: sweep_report <journal.jsonl | sweep-out-dir> "
-        "[-o <file>] [--title <text>] [--top <n>] [--full] "
-        "[--strict]\n"
+        "[-o <file>] [--title <text>] [--top <n>] [--strict]\n"
         "renders a sweep journal as a Markdown summary\n"
         "\n"
         "  -o <file>      write Markdown here instead of stdout\n"
         "  --title <text> heading for the summary table\n"
         "  --top <n>      append the n slowest jobs by CPU time "
         "(from the journal's resources accounting)\n"
-        "  --full         force a full JSONL scan (skip the "
-        "checkpoint + segment fast path)\n"
         "  --strict       treat any unparsable journal line as "
-        "fatal (implies --full)\n"
+        "fatal\n"
         "\n"
         "journals with more than %zu scenarios report via the "
         "streaming aggregates\n(state counts, quantiles, per-axis "
@@ -100,26 +91,6 @@ usage()
         kRowTableLimit);
 }
 
-/** Full strict scan of one JSONL file; FatalError on any bad line. */
-std::vector<sweep::JobResult>
-loadJournalStrict(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        ioError("cannot open journal '", path, "'");
-    std::vector<sweep::JobResult> results;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        results.push_back(sweep::JobResult::fromJsonLine(
-            line, path + " line " + std::to_string(lineno)));
-    }
-    return results;
-}
-
 } // namespace
 
 int
@@ -130,7 +101,6 @@ main(int argc, char **argv)
         std::string outPath;
         std::string title;
         std::size_t topN = 0;
-        bool full = false;
         bool strict = false;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -152,11 +122,8 @@ main(int argc, char **argv)
                     configError("--top wants a positive integer, "
                                 "got '", v, "'");
                 topN = static_cast<std::size_t>(n);
-            } else if (arg == "--full") {
-                full = true;
             } else if (arg == "--strict") {
                 strict = true;
-                full = true;
             } else if (arg == "-h" || arg == "--help") {
                 usage();
                 return kExitOk;
@@ -182,27 +149,11 @@ main(int argc, char **argv)
             return kExitUsage;
         }
 
-        // Resolve to a sweep directory: readJournal() knows where a
-        // directory keeps its journal, segments, and checkpoint. A
-        // bare journal path maps onto its parent directory.
-        std::string sweepDir = inputPath;
         std::string journalPath = inputPath;
         if (std::filesystem::is_directory(inputPath)) {
             journalPath = (std::filesystem::path(inputPath) /
                            "journal.jsonl")
                               .string();
-        } else {
-            sweepDir = std::filesystem::path(inputPath)
-                           .parent_path()
-                           .string();
-            if (sweepDir.empty())
-                sweepDir = ".";
-            if (std::filesystem::path(inputPath).filename() !=
-                "journal.jsonl") {
-                // A renamed/exported JSONL file has no sibling
-                // artifacts; only the full scan makes sense.
-                full = true;
-            }
         }
         if (!std::filesystem::exists(journalPath)) {
             std::fprintf(stderr,
@@ -213,56 +164,18 @@ main(int argc, char **argv)
         if (title.empty())
             title = inputPath;
 
-        std::vector<sweep::JobResult> rows;
-        std::string aggregatesJson;
-        std::size_t skipped = 0;
-        bool fastPath = false;
-        if (strict) {
-            rows = loadJournalStrict(journalPath);
-        } else if (std::filesystem::path(journalPath).filename() !=
-                   "journal.jsonl") {
-            // Renamed file: scan it directly, skipping bad lines.
-            std::size_t lineno = 0;
-            std::ifstream in(journalPath);
-            if (!in)
-                ioError("cannot open journal '", journalPath, "'");
-            std::string line;
-            while (std::getline(in, line)) {
-                ++lineno;
-                if (line.empty())
-                    continue;
-                try {
-                    rows.push_back(sweep::JobResult::fromJsonLine(
-                        line, journalPath + " line " +
-                                  std::to_string(lineno)));
-                } catch (const FatalError &e) {
-                    std::fprintf(stderr,
-                                 "sweep_report: %s:%zu: skipped: %s\n",
-                                 journalPath.c_str(), lineno,
-                                 e.what());
-                    ++skipped;
-                }
-            }
-        } else {
-            sweep::JournalData data =
-                sweep::readJournal(sweepDir, full);
-            rows = std::move(data.rows);
-            aggregatesJson = std::move(data.aggregatesJson);
-            skipped = data.skippedLines;
-            fastPath = data.fromCheckpoint;
-            if (fastPath) {
+        const sweep::JournalData data = sweep::readJournal(
+            journalPath, [&](std::size_t lineno, const std::string &reason,
+                             const std::string &) {
+                if (strict)
+                    configError(reason);
                 std::fprintf(stderr,
-                             "sweep_report: fast path: checkpoint + "
-                             "%zu segment(s) + %zu tail row(s)\n",
-                             data.segmentsRead, data.jsonlRows);
-            }
-            if (skipped > 0) {
-                std::fprintf(
-                    stderr,
-                    "sweep_report: %zu unparsable line(s) skipped\n",
-                    skipped);
-            }
-        }
+                             "sweep_report: %s:%zu: skipped: %s\n",
+                             journalPath.c_str(), lineno,
+                             reason.c_str());
+            });
+        const std::vector<sweep::JobResult> &rows = data.rows;
+        const std::size_t skipped = data.skippedLines;
         if (rows.empty() && skipped == 0) {
             std::fprintf(stderr,
                          "sweep_report: journal '%s' is empty\n",
@@ -271,8 +184,8 @@ main(int argc, char **argv)
         }
 
         std::string md;
-        if (!aggregatesJson.empty() && rows.size() > kRowTableLimit) {
-            md = sweep::renderAggregatesMarkdown(aggregatesJson,
+        if (rows.size() > kRowTableLimit) {
+            md = sweep::renderAggregatesMarkdown(data.aggregatesJson,
                                                  title);
         } else {
             md = sweep::renderMarkdownSummary(rows, title);
